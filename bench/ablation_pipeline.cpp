@@ -5,9 +5,10 @@
 // contention-free workload through both implementations (real threads, wall
 // clock) and reports the scheduling-path throughput.
 //
-// On a single-core host the difference appears as synchronization overhead
-// (futex traffic, context switches) rather than parallel contention; on a
-// multi-core host the gap widens with the worker count.
+// With fewer CPUs than threads the difference appears as synchronization
+// overhead (futex traffic, context switches) rather than parallel
+// contention; with a core per thread the gap widens with the worker count.
+// The banner prints the host's CPU count next to the results.
 //
 // Env: PSMR_BATCHES=<n> batches per cell (default 20000).
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/pipelined_scheduler.hpp"
@@ -76,7 +78,9 @@ int main() {
   std::uint64_t n_batches = 20'000;
   if (const char* s = std::getenv("PSMR_BATCHES")) n_batches = std::strtoull(s, nullptr, 10);
 
-  std::printf("Monitor vs pipelined scheduler, contention-free drain (wall clock)\n\n");
+  std::printf("Monitor vs pipelined scheduler, contention-free drain (wall clock, "
+              "%u CPU(s))\n\n",
+              std::thread::hardware_concurrency());
   psmr::stats::Table table({"Batch size", "Workers", "Monitor (kCmds/s)",
                             "Pipelined (kCmds/s)", "Pipelined/Monitor"});
   for (std::size_t batch_size : {1u, 100u}) {

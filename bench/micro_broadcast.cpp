@@ -3,7 +3,7 @@
 // (§VI context: the paper used Ring Paxos as its transport; our figure
 // benches use the local orderer so the SCHEDULER is what is measured — this
 // bench quantifies what the consensus substrate itself can sustain on this
-// host, wall-clock, single core).
+// host, wall-clock, every role timesharing the host's CPUs).
 //
 // `--socket` adds the socket-transport rows (DESIGN.md §16): the same
 // substrates reached through a BroadcastRelayServer over real loopback TCP
@@ -203,7 +203,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   table.print();
-  std::printf("\nNote: single-core host; all roles timeshare one CPU, so these are\n"
-              "lower bounds on what the protocol code sustains per core.\n");
+  std::printf("\nNote: %u CPU(s) on this host; every role (clients, proposers, acceptors,\n"
+              "learners, relay) timeshares them, so these are lower bounds on what the\n"
+              "protocol code sustains with dedicated cores.\n",
+              std::thread::hardware_concurrency());
   return 0;
 }

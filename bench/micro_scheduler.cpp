@@ -7,6 +7,7 @@
 // from the paper's bitmap scheme.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -68,7 +69,9 @@ void BM_GraphInsert(benchmark::State& state) {
   const bool use_bitmap =
       mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
 
-  DependencyGraph graph(mode);
+  // The paper's scan: the §IV cost grows with the pending batches (the
+  // default kAuto would switch to the index past 8 of them).
+  DependencyGraph graph(mode, psmr::core::IndexMode::kScan);
   std::uint64_t seq = 0;
   // Pending, conflict-free batches; mark them taken so the probe batch is
   // always the unique free node and can be cycled in and out.
@@ -199,18 +202,33 @@ BENCHMARK(BM_SpscQueueSingleThread);
 using psmr::core::IndexMode;
 
 struct InsertMeasurement {
-  double ns_per_insert = 0.0;
+  /// ns per insert + take + remove cycle: median / min / max over reps
+  /// (each rep's value is its mean over `iters` cycles).
+  double cycle_ns_median = 0.0;
+  double cycle_ns_min = 0.0;
+  double cycle_ns_max = 0.0;
+  /// Split of the median rep: the delivery thread's insert and the
+  /// worker's take + remove — both run under the scheduler monitor.
+  double insert_ns = 0.0;
+  double remove_ns = 0.0;
   double pair_tests_per_insert = 0.0;
   double comparisons_per_test = 0.0;
   double fast_path_skip_fraction = 0.0;
+  /// Whether the index was maintained during the timed cycles.
+  bool index_active = false;
 };
 
 /// BM_GraphInsert's workload, measured deterministically: `pending`
 /// conflict-free taken batches resident, one non-conflicting probe cycled
-/// through insert / remove_newest. Only insert is timed.
+/// through the monitor's share of a batch's life — insert, then take +
+/// remove — so the index pays for the postings it erases as well as the
+/// ones it adds. prepare() runs untimed, as the Scheduler runs it outside
+/// its monitor. A digest false positive can block the probe behind a
+/// taken resident; it then leaves through remove_newest(), which erases the
+/// same postings.
 InsertMeasurement measure_graph_insert(ConflictMode mode, IndexMode index,
                                        std::size_t batch_size, std::size_t pending,
-                                       std::size_t iters) {
+                                       std::size_t iters, std::size_t reps) {
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
   const bool use_bitmap =
@@ -224,44 +242,72 @@ InsertMeasurement measure_graph_insert(ConflictMode mode, IndexMode index,
     benchmark::DoNotOptimize(graph.take_oldest_free());
   }
 
+  using Clock = std::chrono::steady_clock;
+  const auto ns_between = [](Clock::time_point a, Clock::time_point b) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+  };
   std::uint64_t probe_base = 1ull << 40;
-  auto cycle = [&](std::size_t n, bool timed) {
-    std::uint64_t ns = 0;
+  std::uint64_t insert_ns = 0;
+  std::uint64_t remove_ns = 0;
+  auto cycle = [&](std::size_t n) {
+    insert_ns = remove_ns = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      auto probe =
-          make_batch(++seq, batch_size, probe_base, use_bitmap ? &bitmap : nullptr);
+      auto probe = graph.prepare(
+          make_batch(++seq, batch_size, probe_base, use_bitmap ? &bitmap : nullptr));
       probe_base += batch_size;
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = Clock::now();
       graph.insert(std::move(probe));
-      const auto t1 = std::chrono::steady_clock::now();
-      if (timed) {
-        ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+      const auto t1 = Clock::now();
+      DependencyGraph::Node* node = graph.take_oldest_free();
+      if (node != nullptr) {
+        graph.remove(node);
+      } else {
+        graph.remove_newest();
       }
-      graph.remove_newest();
+      const auto t2 = Clock::now();
+      insert_ns += ns_between(t0, t1);
+      remove_ns += ns_between(t1, t2);
     }
-    return ns;
   };
 
-  cycle(iters / 10 + 1, false);  // warm-up: caches, pool, branch predictors
+  cycle(iters / 10 + 1);  // warm-up: caches, pool, branch predictors
   const auto tests0 = graph.conflict_stats().tests;
   const auto cmps0 = graph.conflict_stats().comparisons;
   const auto skips0 = graph.index_stats().fast_path_skips;
   const auto probes0 = graph.index_stats().probes;
-  const std::uint64_t ns = cycle(iters, true);
+  struct Rep {
+    double cycle, insert, remove;
+  };
+  std::vector<Rep> runs;
+  for (std::size_t r = 0; r < reps; ++r) {
+    cycle(iters);
+    const double n = static_cast<double>(iters);
+    runs.push_back({static_cast<double>(insert_ns + remove_ns) / n,
+                    static_cast<double>(insert_ns) / n,
+                    static_cast<double>(remove_ns) / n});
+  }
+  const double cycles = static_cast<double>(iters * reps);
   const auto tests = graph.conflict_stats().tests - tests0;
   const auto cmps = graph.conflict_stats().comparisons - cmps0;
   const auto skips = graph.index_stats().fast_path_skips - skips0;
   const auto probes = graph.index_stats().probes - probes0;
+  std::sort(runs.begin(), runs.end(),
+            [](const Rep& a, const Rep& b) { return a.cycle < b.cycle; });
 
   InsertMeasurement m;
-  m.ns_per_insert = static_cast<double>(ns) / static_cast<double>(iters);
-  m.pair_tests_per_insert =
-      static_cast<double>(tests) / static_cast<double>(iters);
+  const Rep& median = runs[runs.size() / 2];
+  m.cycle_ns_median = median.cycle;
+  m.cycle_ns_min = runs.front().cycle;
+  m.cycle_ns_max = runs.back().cycle;
+  m.insert_ns = median.insert;
+  m.remove_ns = median.remove;
+  m.pair_tests_per_insert = static_cast<double>(tests) / cycles;
   m.comparisons_per_test =
       tests ? static_cast<double>(cmps) / static_cast<double>(tests) : 0.0;
   m.fast_path_skip_fraction =
       probes ? static_cast<double>(skips) / static_cast<double>(probes) : 0.0;
+  m.index_active = graph.index_active();
   return m;
 }
 
@@ -1215,45 +1261,85 @@ int zipf_main(bool smoke, double extra_theta) {
   return 0;
 }
 
+/// The run's host and build, so every committed row says where it came
+/// from: CPU count, CPU model (first /proc/cpuinfo "model name"), and the
+/// CMake build type the bench was compiled with.
+std::string host_json() {
+  std::string model = "unknown";
+  if (FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) continue;
+      model.clear();
+      for (const char* c = colon + 1; *c != '\0'; ++c) {
+        // Drops the newline and anything that would need JSON escaping.
+        if (*c != '\n' && *c != '"' && *c != '\\' && !(model.empty() && *c == ' ')) {
+          model += *c;
+        }
+      }
+      break;
+    }
+    std::fclose(cpuinfo);
+  }
+  return "{\"cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + model + "\", \"build_type\": \"" PSMR_BUILD_TYPE "\"}";
+}
+
 int json_main(bool smoke, const char* metrics_path) {
   const std::size_t insert_iters = smoke ? 200 : 2000;
+  const std::size_t insert_reps = smoke ? 1 : 5;
   const std::size_t tput_batches = smoke ? 300 : 2000;
+  const std::size_t tput_reps = smoke ? 1 : 5;
 
   struct InsertCase {
     ConflictMode mode;
     std::size_t batch_size;
-    std::size_t pending;
   };
   const InsertCase cases[] = {
-      {ConflictMode::kKeysNested, 100, 64},
-      {ConflictMode::kBitmap, 200, 64},
-      {ConflictMode::kBitmapSparse, 200, 64},
+      {ConflictMode::kKeysNested, 16},  // the zipf-rw-ckpt / paxos-relay e2e batch
+      {ConflictMode::kKeysNested, 100},
+      {ConflictMode::kBitmap, 200},
+      {ConflictMode::kBitmapSparse, 200},
   };
+  // Small sizes are the closed-loop e2e regime (graph.size_at_insert.avg
+  // ~2); 64 is the large-graph regime the index targets. kAuto's
+  // thresholds (DependencyGraph::kIndexActivateAbove) come from this sweep.
+  const std::size_t pending_sizes[] = {1, 2, 4, 8, 16, 32, 64};
 
   FILE* f = open_bench_file("BENCH_scheduler.json", "micro_scheduler", smoke,
                             nullptr, "");
   if (f == nullptr) return 1;
+  std::fprintf(f, "  \"host\": %s,\n", host_json().c_str());
   std::fprintf(f, "  \"simd_backend\": \"%s\",\n", psmr::util::Bitmap::simd_backend());
   std::fprintf(f, "  \"graph_insert\": [\n");
   bool first = true;
   for (const InsertCase& c : cases) {
-    for (IndexMode index : {IndexMode::kScan, IndexMode::kIndexed}) {
-      const InsertMeasurement m =
-          measure_graph_insert(c.mode, index, c.batch_size, c.pending, insert_iters);
-      std::fprintf(f,
-                   "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"batch_size\": %zu, "
-                   "\"pending\": %zu, \"ns_per_insert\": %.1f, "
-                   "\"pair_tests_per_insert\": %.3f, \"comparisons_per_test\": %.1f, "
-                   "\"fast_path_skip_fraction\": %.3f}",
-                   first ? "" : ",\n", psmr::core::to_string(c.mode),
-                   psmr::core::to_string(index), c.batch_size, c.pending,
-                   m.ns_per_insert, m.pair_tests_per_insert, m.comparisons_per_test,
-                   m.fast_path_skip_fraction);
-      first = false;
-      std::printf("graph_insert %-13s index=%-7s pending=%zu: %8.1f ns/insert, "
-                  "%7.3f pair tests/insert\n",
-                  psmr::core::to_string(c.mode), psmr::core::to_string(index),
-                  c.pending, m.ns_per_insert, m.pair_tests_per_insert);
+    for (std::size_t pending : pending_sizes) {
+      for (IndexMode index : {IndexMode::kScan, IndexMode::kIndexed, IndexMode::kAuto}) {
+        const InsertMeasurement m = measure_graph_insert(
+            c.mode, index, c.batch_size, pending, insert_iters, insert_reps);
+        std::fprintf(f,
+                     "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"batch_size\": %zu, "
+                     "\"pending\": %zu, \"reps\": %zu, \"iters_per_rep\": %zu, "
+                     "\"ns_per_cycle_median\": %.1f, \"ns_per_cycle_min\": %.1f, "
+                     "\"ns_per_cycle_max\": %.1f, \"ns_insert\": %.1f, "
+                     "\"ns_take_remove\": %.1f, \"index_active\": %s, "
+                     "\"pair_tests_per_insert\": %.3f, \"comparisons_per_test\": %.1f, "
+                     "\"fast_path_skip_fraction\": %.3f}",
+                     first ? "" : ",\n", psmr::core::to_string(c.mode),
+                     psmr::core::to_string(index), c.batch_size, pending, insert_reps,
+                     insert_iters, m.cycle_ns_median, m.cycle_ns_min, m.cycle_ns_max,
+                     m.insert_ns, m.remove_ns, m.index_active ? "true" : "false",
+                     m.pair_tests_per_insert, m.comparisons_per_test,
+                     m.fast_path_skip_fraction);
+        first = false;
+        std::printf("graph_cycle  %-13s index=%-7s pending=%-2zu: %9.1f ns/cycle "
+                    "(insert %9.1f, take+remove %9.1f), %6.3f pair tests/insert\n",
+                    psmr::core::to_string(c.mode), psmr::core::to_string(index),
+                    pending, m.cycle_ns_median, m.insert_ns, m.remove_ns,
+                    m.pair_tests_per_insert);
+      }
     }
   }
   std::fprintf(f, "\n  ],\n  \"scheduler_throughput\": [\n");
@@ -1268,23 +1354,45 @@ int json_main(bool smoke, const char* metrics_path) {
     // configuration whose per-pair dense scan is most expensive, and its
     // sparser aggregate keeps the posting lists selective.
     const std::size_t bits = 1024000;
-    for (IndexMode index : {IndexMode::kScan, IndexMode::kIndexed}) {
-      const ThroughputMeasurement m = measure_scheduler_throughput(
-          mode, index, /*workers=*/4, batch_size, n, bits);
+    // Reps interleave the index modes, rotating which one runs first, so
+    // drift on the host spreads over all three rows instead of favouring
+    // one; each row reports its median rep (metrics too) with the spread.
+    constexpr IndexMode kIndexModes[] = {IndexMode::kScan, IndexMode::kIndexed,
+                                         IndexMode::kAuto};
+    constexpr std::size_t kNumModes = std::size(kIndexModes);
+    std::vector<ThroughputMeasurement> by_mode[kNumModes];
+    for (std::size_t r = 0; r < tput_reps; ++r) {
+      for (std::size_t k = 0; k < kNumModes; ++k) {
+        const std::size_t i = (r + k) % kNumModes;
+        by_mode[i].push_back(measure_scheduler_throughput(
+            mode, kIndexModes[i], /*workers=*/4, batch_size, n, bits));
+      }
+    }
+    for (std::size_t i = 0; i < kNumModes; ++i) {
+      const IndexMode index = kIndexModes[i];
+      std::vector<ThroughputMeasurement>& runs = by_mode[i];
+      std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+        return a.delivery_kcmds_per_sec < b.delivery_kcmds_per_sec;
+      });
+      ThroughputMeasurement& m = runs[runs.size() / 2];
       std::fprintf(f,
                    "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"workers\": 4, "
                    "\"batch_size\": %zu, \"batches\": %zu, \"bitmap_bits\": %zu, "
-                   "\"delivery_kcmds_per_sec\": %.1f, "
+                   "\"reps\": %zu, \"delivery_kcmds_per_sec\": %.1f, "
+                   "\"delivery_kcmds_per_sec_min\": %.1f, "
+                   "\"delivery_kcmds_per_sec_max\": %.1f, "
                    "\"pair_tests_per_insert\": %.3f, \"avg_graph_size\": %.1f}",
                    first ? "" : ",\n", psmr::core::to_string(mode),
-                   psmr::core::to_string(index), batch_size, n, bits,
-                   m.delivery_kcmds_per_sec, m.pair_tests_per_insert,
+                   psmr::core::to_string(index), batch_size, n, bits, tput_reps,
+                   m.delivery_kcmds_per_sec, runs.front().delivery_kcmds_per_sec,
+                   runs.back().delivery_kcmds_per_sec, m.pair_tests_per_insert,
                    m.avg_graph_size);
       first = false;
-      std::printf("delivery     %-13s index=%-7s: %10.1f kCmds/s, "
+      std::printf("delivery     %-13s index=%-7s: %10.1f kCmds/s (min %.1f, max %.1f), "
                   "%7.3f pair tests/insert, avg graph %.1f\n",
                   psmr::core::to_string(mode), psmr::core::to_string(index),
-                  m.delivery_kcmds_per_sec, m.pair_tests_per_insert,
+                  m.delivery_kcmds_per_sec, runs.front().delivery_kcmds_per_sec,
+                  runs.back().delivery_kcmds_per_sec, m.pair_tests_per_insert,
                   m.avg_graph_size);
       last_metrics = std::move(m.final_metrics);
     }

@@ -48,9 +48,10 @@ enum class IndexMode : std::uint8_t {
   /// batches sharing a set position are tested. No false negatives: two
   /// batches can only conflict if they share a position.
   kIndexed = 1,
-  /// kIndexed whenever the batches support it (key modes always; bitmap
-  /// modes with unified digests), degrading to kScan the first time a
-  /// non-indexable batch (split read/write digest) arrives.
+  /// kScan while the graph is small, kIndexed once it grows past the
+  /// measured crossover (DependencyGraph::kIndexActivateAbove, with
+  /// hysteresis on the way down). Like kIndexed, degrades to kScan for good
+  /// the first time a non-indexable batch (split read/write digest) arrives.
   kAuto = 2,
 };
 

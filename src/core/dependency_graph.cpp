@@ -36,7 +36,7 @@ std::uint32_t key_position(std::uint64_t key) noexcept {
 DependencyGraph::DependencyGraph(ConflictMode mode, IndexMode index)
     : detector_(mode),
       index_mode_(index),
-      index_active_(index != IndexMode::kScan) {}
+      index_active_(index == IndexMode::kIndexed) {}
 
 bool DependencyGraph::compute_positions(const smr::Batch& batch,
                                         std::vector<std::uint32_t>& out) const {
@@ -65,9 +65,10 @@ bool DependencyGraph::compute_positions(const smr::Batch& batch,
 DependencyGraph::Prepared DependencyGraph::prepare(smr::BatchPtr batch) const {
   PSMR_CHECK(batch != nullptr);
   Prepared p;
-  // Only the immutable configuration is read here — index_active_ can be
-  // mutated concurrently by an insert on another thread, so prepare() must
-  // not depend on it.
+  // Only the immutable configuration is read here — the index state can be
+  // mutated concurrently by an insert or remove on another thread, so
+  // prepare() must not depend on it. kAuto computes positions even while
+  // the index is dormant: the node keeps them for a later activation.
   if (index_mode_ != IndexMode::kScan) {
     p.indexable = compute_positions(*batch, p.positions);
   }
@@ -102,7 +103,11 @@ void DependencyGraph::release_node(Node* node) {
   }
 }
 
-void DependencyGraph::ensure_aggregate_bits(std::size_t bits) {
+void DependencyGraph::ensure_aggregate_bits(const smr::Batch& batch) {
+  const ConflictMode m = detector_.mode();
+  const std::size_t bits = m == ConflictMode::kBitmap || m == ConflictMode::kBitmapSparse
+                               ? batch.write_bloom().bitmap().size_bits()
+                               : kKeyIndexBits;
   if (aggregate_.size_bits() >= bits) return;
   util::Bitmap grown(bits);
   for (const auto& [pos, list] : postings_) {
@@ -138,10 +143,41 @@ void DependencyGraph::index_erase(Node& node) {
   }
 }
 
-void DependencyGraph::disable_index() {
-  index_active_ = false;
-  index_stats_.fell_back_to_scan = true;
+void DependencyGraph::unindex_leaving(Node& node) {
+  if (!index_active_) return;
+  if (index_mode_ == IndexMode::kAuto && nodes_.size() - 1 <= kIndexDeactivateAtOrBelow) {
+    // Cheaper than erasing the leaver's postings one by one: the survivors'
+    // postings go too, and their positions stay on the nodes.
+    clear_index();
+    ++index_stats_.deactivations;
+  } else {
+    index_erase(node);
+  }
+}
+
+void DependencyGraph::activate_index() {
+  for (Node& n : nodes_) {
+    ensure_aggregate_bits(*n.batch);
+    index_insert(n);
+  }
+  index_active_ = true;
+  ++index_stats_.activations;
+}
+
+void DependencyGraph::clear_index() {
+  // Resetting only the occupied bits keeps the aggregate's buffer for the
+  // next activation at O(postings) instead of O(digest bits).
+  for (const auto& [pos, list] : postings_) {
+    (void)list;
+    aggregate_.reset(pos);
+  }
   postings_.clear();
+  index_active_ = false;
+}
+
+void DependencyGraph::disable_index() {
+  clear_index();
+  index_stats_.fell_back_to_scan = true;
   aggregate_ = util::Bitmap();
   for (Node& n : nodes_) n.index_positions.clear();
 }
@@ -155,22 +191,26 @@ void DependencyGraph::insert(Prepared&& probe) {
   // before the new node joins.
   size_at_insert_.add(static_cast<double>(nodes_.size()));
 
+  if (tracks_positions() && !probe.indexable) disable_index();
+  // kAuto's size rule: the index pays for itself only once the scan would
+  // test more than kIndexActivateAbove residents. Built from the residents'
+  // kept positions, before the newcomer joins.
+  if (tracks_positions() && !index_active_ && nodes_.size() > kIndexActivateAbove) {
+    activate_index();
+  }
+
   Node& node = acquire_node();
   node.batch = std::move(probe.batch);
   node.seq = node.batch->sequence();
   node.inserted_at_ns = util::now_ns();
-
-  if (index_active_ && !probe.indexable) disable_index();
+  // swap, not move: the node's old buffer leaves with the probe, so the
+  // caller frees it (outside the scheduler monitor).
+  if (tracks_positions()) node.index_positions.swap(probe.positions);
 
   if (index_active_) {
-    node.index_positions = std::move(probe.positions);
     ++index_stats_.probes;
     const ConflictMode m = detector_.mode();
-    if (m == ConflictMode::kBitmap || m == ConflictMode::kBitmapSparse) {
-      ensure_aggregate_bits(node.batch->write_bloom().bitmap().size_bits());
-    } else {
-      ensure_aggregate_bits(kKeyIndexBits);
-    }
+    ensure_aggregate_bits(*node.batch);
 
     // Aggregate fast path: a probe with no position resident anywhere in
     // the graph conflicts with nothing — skip every pairwise test. kBitmap
@@ -281,7 +321,7 @@ std::size_t DependencyGraph::remove(Node* node) {
   }
   num_edges_ -= node->deps.size();
   --num_taken_;
-  if (index_active_) index_erase(*node);
+  unindex_leaving(*node);
   const std::uint64_t seq = node->seq;
   release_node(node);  // line 42
   if (tracer_ != nullptr) tracer_->record(seq, obs::Stage::kRemoved);
@@ -300,7 +340,7 @@ void DependencyGraph::remove_newest() {
   }
   ready_.erase(last.seq);
   if (last.taken) --num_taken_;
-  if (index_active_) index_erase(last);
+  unindex_leaving(last);
   const std::uint64_t seq = last.seq;
   release_node(&last);
   if (tracer_ != nullptr) tracer_->record(seq, obs::Stage::kRemoved);
@@ -370,15 +410,44 @@ void DependencyGraph::check_invariants() const {
   PSMR_CHECK(taken_count == num_taken_);
   if (!nodes_.empty() && taken_count == 0) PSMR_CHECK(!ready_.empty());
 
-  // Index cross-check: posting lists and the aggregate bitmap must exactly
-  // mirror the resident batches' freshly recomputed positions.
-  if (index_active_) {
-    std::unordered_map<std::uint32_t, std::size_t> expected;
-    std::vector<std::uint32_t> fresh;
-    for (const Node& n : nodes_) {
+  // Index state must follow the configuration: kScan never indexes,
+  // kIndexed always does until the fallback, and kAuto obeys its size rule
+  // (an insert into more than kIndexActivateAbove residents activates, a
+  // removal down to kIndexDeactivateAtOrBelow deactivates).
+  switch (index_mode_) {
+    case IndexMode::kScan:
+      PSMR_CHECK(!index_active_);
+      break;
+    case IndexMode::kIndexed:
+      PSMR_CHECK(index_active_ == !index_stats_.fell_back_to_scan);
+      break;
+    case IndexMode::kAuto:
+      if (index_stats_.fell_back_to_scan) {
+        PSMR_CHECK(!index_active_);
+      } else if (index_active_) {
+        PSMR_CHECK(nodes_.size() > kIndexDeactivateAtOrBelow);
+      } else {
+        PSMR_CHECK(nodes_.size() <= kIndexActivateAbove + 1);
+      }
+      break;
+  }
+  // Every resident node carries its freshly recomputable positions while
+  // they are tracked (dormant index included), and none otherwise.
+  std::vector<std::uint32_t> fresh;
+  for (const Node& n : nodes_) {
+    if (tracks_positions()) {
       PSMR_CHECK(compute_positions(*n.batch, fresh));
       PSMR_CHECK(fresh == n.index_positions);
-      for (std::uint32_t pos : fresh) {
+    } else {
+      PSMR_CHECK(n.index_positions.empty());
+    }
+  }
+  // Index cross-check: posting lists and the aggregate bitmap must exactly
+  // mirror the resident batches' positions.
+  if (index_active_) {
+    std::unordered_map<std::uint32_t, std::size_t> expected;
+    for (const Node& n : nodes_) {
+      for (std::uint32_t pos : n.index_positions) {
         ++expected[pos];
         const auto it = postings_.find(pos);
         PSMR_CHECK(it != postings_.end());

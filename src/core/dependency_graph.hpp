@@ -19,6 +19,13 @@
 // Both paths add the identical edge set (two batches can only conflict if
 // they share a position), so determinism across replicas is untouched.
 //
+// The index is not free: every insert adds, and every remove erases, one
+// posting per position (~200 per paper-sized batch), all under the
+// scheduler monitor. kAuto therefore sizes itself to the graph: it scans
+// while few batches are resident and builds the index only once residency
+// exceeds kIndexActivateAbove, dropping it again when residency drains to
+// kIndexDeactivateAtOrBelow (DESIGN.md §4).
+//
 // NOT thread-safe: the scheduler serializes all access through its monitor,
 // exactly as Algorithm 1 prescribes ("inserting, getting the next batch,
 // and removing a batch are performed in mutual exclusion"). The only
@@ -62,8 +69,10 @@ class DependencyGraph {
     friend class DependencyGraph;
     std::list<Node>::iterator self;
     /// Distinct index positions this batch occupies (hashed keys for the
-    /// key modes, digest bit positions for unified bitmap modes). Empty
-    /// when the index is inactive.
+    /// key modes, digest bit positions for unified bitmap modes). Kept
+    /// while the index is merely dormant (kAuto on a small graph) so it can
+    /// be built from the residents; empty under kScan or after the
+    /// permanent fallback.
     std::vector<std::uint32_t> index_positions;
     /// Stamp of the last probe that already tested this node — dedups
     /// candidates reached through several shared positions.
@@ -84,6 +93,9 @@ class DependencyGraph {
   };
 
   struct IndexStats {
+    /// kAuto size transitions: index built from the residents / dropped.
+    std::uint64_t activations = 0;
+    std::uint64_t deactivations = 0;
     /// Inserts performed while the index was active.
     std::uint64_t probes = 0;
     /// Probes whose positions missed the aggregate bitmap entirely — zero
@@ -95,6 +107,19 @@ class DependencyGraph {
     /// IndexMode::kScan behaviour.
     bool fell_back_to_scan = false;
   };
+
+  /// kAuto's size rule, from the insert + take + remove cycle sweep in
+  /// BENCH_scheduler.json (`graph_insert`, 4-CPU x86-64 host, Release). With
+  /// the paper's 200-command batches over a 1,024,000-bit digest, the scan
+  /// cycle costs ~4.5 us per resident batch and the indexed cycle a flat
+  /// ~45-55 us, half of it erasing postings on remove: they cross at ~9-10
+  /// residents. Keys-nested batches of 16 commands (the e2e zipf and relay
+  /// workloads) cross at ~11. The index is built when an insert finds MORE
+  /// than kIndexActivateAbove batches resident and dropped when a removal
+  /// leaves kIndexDeactivateAtOrBelow or fewer; the gap keeps a graph
+  /// hovering near the crossover from rebuilding on every batch.
+  static constexpr std::size_t kIndexActivateAbove = 8;
+  static constexpr std::size_t kIndexDeactivateAtOrBelow = 4;
 
   explicit DependencyGraph(ConflictMode mode, IndexMode index = IndexMode::kAuto);
 
@@ -153,7 +178,7 @@ class DependencyGraph {
   ConflictMode mode() const noexcept { return detector_.mode(); }
 
   /// Configured index mode and whether the index is currently maintained
-  /// (kAuto may have degraded to scanning).
+  /// (kAuto scans small graphs and may have degraded to scanning for good).
   IndexMode index_mode() const noexcept { return index_mode_; }
   bool index_active() const noexcept { return index_active_; }
   const IndexStats& index_stats() const noexcept { return index_stats_; }
@@ -186,9 +211,10 @@ class DependencyGraph {
   void set_tracer(obs::BatchTracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Test hook: walks the graph verifying acyclicity, that every edge
-  /// points from an older to a newer batch, and that the inverted index
+  /// points from an older to a newer batch, that the inverted index
   /// (posting lists + aggregate bitmap) exactly mirrors the resident
-  /// batches. Aborts on violation.
+  /// batches, and that kAuto's index state agrees with its size rule.
+  /// Aborts on violation.
   void check_invariants() const;
 
  private:
@@ -196,11 +222,22 @@ class DependencyGraph {
   /// be indexed under the current configuration.
   bool compute_positions(const smr::Batch& batch, std::vector<std::uint32_t>& out) const;
 
+  /// True while nodes carry their positions: any index mode but kScan,
+  /// until a non-indexable batch forces the permanent fallback.
+  bool tracks_positions() const noexcept {
+    return index_mode_ != IndexMode::kScan && !index_stats_.fell_back_to_scan;
+  }
+
   Node& acquire_node();
   void release_node(Node* node);
-  void ensure_aggregate_bits(std::size_t bits);
+  void ensure_aggregate_bits(const smr::Batch& batch);
   void index_insert(Node& node);
   void index_erase(Node& node);
+  /// Takes a leaving node out of the index, or drops the whole index when
+  /// kAuto's size rule says the graph left behind is small enough to scan.
+  void unindex_leaving(Node& node);
+  void activate_index();
+  void clear_index();
   void disable_index();
 
   ConflictDetector detector_;

@@ -192,6 +192,10 @@ obs::Snapshot PipelinedScheduler::stats() const {
                   published_.index_fast_path_skips);
     publish_total(metrics_->counter("graph.index.candidate_tests"), is.candidate_tests,
                   published_.index_candidate_tests);
+    publish_total(metrics_->counter("graph.index.activations"), is.activations,
+                  published_.index_activations);
+    publish_total(metrics_->counter("graph.index.deactivations"), is.deactivations,
+                  published_.index_deactivations);
     publish_total(metrics_->counter("trace.batches_started"), tracer_.started(),
                   published_.trace_started);
     publish_total(metrics_->counter("trace.batches_evicted"), tracer_.evicted(),

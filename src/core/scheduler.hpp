@@ -220,6 +220,8 @@ class Scheduler {
     std::uint64_t index_probes = 0;
     std::uint64_t index_fast_path_skips = 0;
     std::uint64_t index_candidate_tests = 0;
+    std::uint64_t index_activations = 0;
+    std::uint64_t index_deactivations = 0;
     std::uint64_t trace_started = 0;
     std::uint64_t trace_evicted = 0;
   };

@@ -8,11 +8,12 @@
 namespace psmr::testing {
 
 void FaultSchedule::add_entry(Trigger trigger, std::uint64_t threshold,
-                              std::string label, Action fire, FaultKind kind) {
+                              std::string label, Action fire, FaultKind kind,
+                              Gate ready) {
   PSMR_CHECK(fire != nullptr);
   std::lock_guard lk(mu_);
-  entries_.push_back(
-      Entry{trigger, threshold, std::move(label), std::move(fire), kind, false});
+  entries_.push_back(Entry{trigger, threshold, std::move(label), std::move(fire), kind,
+                           std::move(ready), false});
 }
 
 void FaultSchedule::at(Trigger trigger, std::uint64_t threshold, std::string label,
@@ -21,15 +22,17 @@ void FaultSchedule::at(Trigger trigger, std::uint64_t threshold, std::string lab
 }
 
 void FaultSchedule::crash_replica_at(Trigger trigger, std::uint64_t threshold,
-                                     std::string label, ReplicaFaultTarget& target) {
+                                     std::string label, ReplicaFaultTarget& target,
+                                     Gate ready) {
   add_entry(trigger, threshold, std::move(label), [&target] { target.crash(); },
-            FaultKind::kReplicaCrash);
+            FaultKind::kReplicaCrash, std::move(ready));
 }
 
 void FaultSchedule::restart_replica_at(Trigger trigger, std::uint64_t threshold,
-                                       std::string label, ReplicaFaultTarget& target) {
+                                       std::string label, ReplicaFaultTarget& target,
+                                       Gate ready) {
   add_entry(trigger, threshold, std::move(label), [&target] { target.restart(); },
-            FaultKind::kReplicaRestart);
+            FaultKind::kReplicaRestart, std::move(ready));
 }
 
 void FaultSchedule::advance(Trigger trigger, std::uint64_t value) {
@@ -41,6 +44,7 @@ void FaultSchedule::advance(Trigger trigger, std::uint64_t value) {
     std::lock_guard lk(mu_);
     for (Entry& e : entries_) {
       if (e.fired || e.trigger != trigger || value < e.threshold) continue;
+      if (e.ready && !e.ready()) continue;
       e.fired = true;  // claim before running: exactly-once firing
       fired_.push_back(e.label);
       due.push_back(&e);

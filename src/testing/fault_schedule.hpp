@@ -63,6 +63,11 @@ class ReplicaFaultTarget {
 class FaultSchedule {
  public:
   using Action = std::function<void()>;
+  /// Extra firing condition on the logical state a fault needs (e.g. "the
+  /// victim has published a checkpoint"): a gated entry fires at the first
+  /// advance past its threshold at which the gate holds. Evaluated under
+  /// the schedule's lock, so it must not call back into the schedule.
+  using Gate = std::function<bool()>;
 
   FaultSchedule() = default;
   FaultSchedule(const FaultSchedule&) = delete;
@@ -74,14 +79,16 @@ class FaultSchedule {
 
   /// Schedules target.crash() — e.g. "crash the leader after 20
   /// broadcasts", or crash a replica mid-checkpoint-interval. The target
-  /// must outlive the schedule.
+  /// must outlive the schedule. `ready`, if set, gates the firing (Gate).
   void crash_replica_at(Trigger trigger, std::uint64_t threshold, std::string label,
-                        ReplicaFaultTarget& target);
+                        ReplicaFaultTarget& target, Gate ready = {});
 
   /// Schedules target.restart() — the recovery half of a crash/restart
-  /// cycle. Pair with an earlier crash_replica_at on the same target.
+  /// cycle. Pair with an earlier crash_replica_at on the same target; gate
+  /// it on the crash having happened when the two are anchored to
+  /// different logical state.
   void restart_replica_at(Trigger trigger, std::uint64_t threshold, std::string label,
-                          ReplicaFaultTarget& target);
+                          ReplicaFaultTarget& target, Gate ready = {});
 
   /// Reports trigger progress. Runs every due, not-yet-fired action —
   /// exactly once each, outside the internal lock (actions may call back
@@ -104,11 +111,12 @@ class FaultSchedule {
     std::string label;
     Action fire;
     FaultKind kind = FaultKind::kCustom;
+    Gate ready;
     bool fired = false;
   };
 
   void add_entry(Trigger trigger, std::uint64_t threshold, std::string label,
-                 Action fire, FaultKind kind);
+                 Action fire, FaultKind kind, Gate ready = {});
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;

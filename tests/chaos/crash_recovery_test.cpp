@@ -8,6 +8,7 @@
 // ("crash the leader after 20 broadcasts") rides the same schedule.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -94,18 +95,27 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
   // thread polls for convergence).
   std::mutex b_mu;
   std::unique_ptr<Incarnation> b = std::make_unique<Incarnation>(kCheckpointInterval);
-  b->replica->checkpoints()->set_on_checkpoint(
-      [&](const smr::CheckpointPtr& record) {
-        const std::uint64_t stable = quorum.note(1, record->log_horizon);
-        if (stable > 1) group.truncate_log_below(stable);
-      });
+  // Every incarnation of B reports to the quorum as replica 1; the first
+  // one's newest published checkpoint also gates the crash below.
+  std::atomic<std::uint64_t> b_published{0};
+  std::atomic<bool> b_crashed{false};
+  const auto report_b_checkpoints = [&](smr::Replica& replica) {
+    replica.checkpoints()->set_on_checkpoint([&](const smr::CheckpointPtr& record) {
+      b_published.store(record->sequence, std::memory_order_release);
+      const std::uint64_t stable = quorum.note(1, record->log_horizon);
+      if (stable > 1) group.truncate_log_below(stable);
+    });
+  };
+  report_b_checkpoints(*b->replica);
   const std::size_t b_first_learner = 1;
 
   // A's delivery advances the schedule's delivery clock (the logical time
   // faults anchor to).
+  std::atomic<std::uint64_t> a_delivered{0};
   group.subscribe([&, deliver_a = make_delivery(*a.replica)](
                       std::uint64_t seq, consensus::Value payload) {
     deliver_a(seq, payload);
+    a_delivered.store(seq, std::memory_order_release);
     fs.advance(testing::Trigger::kDelivery, seq);
   });
   group.subscribe(make_delivery(*b->replica));
@@ -119,11 +129,13 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
   target.on_crash = [&] {
     group.crash_learner(b_first_learner);
     b->replica->stop();
+    b_crashed.store(true, std::memory_order_release);
   };
   target.on_restart = [&] {
     // A NEW incarnation recovers through the library path: fetch A's latest
     // checkpoint, install state + sessions, subscribe from its horizon.
     auto fresh = std::make_unique<Incarnation>(kCheckpointInterval);
+    report_b_checkpoints(*fresh->replica);
     smr::RejoinOptions opts;
     opts.self = group.state_process(20);
     opts.servers = {group.state_process(0)};
@@ -136,9 +148,16 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
 
   fs.at(testing::Trigger::kBroadcast, 20, "crash-leader",
         [&] { group.crash_proposer(0); });
-  fs.crash_replica_at(testing::Trigger::kDelivery, 60, "crash-replica-b", target);
-  fs.restart_replica_at(testing::Trigger::kDelivery, 120, "restart-replica-b",
-                        target);
+  // The crash waits for B's own first checkpoint (not just A's clock): a
+  // lagging B crashed before it ever published would leave the quorum one
+  // member short. The restart waits for the crash.
+  fs.crash_replica_at(testing::Trigger::kDelivery, 60, "crash-replica-b", target,
+                      [&] {
+                        return b_published.load(std::memory_order_acquire) >=
+                               kCheckpointInterval;
+                      });
+  fs.restart_replica_at(testing::Trigger::kDelivery, 120, "restart-replica-b", target,
+                        [&] { return b_crashed.load(std::memory_order_acquire); });
 
   // Tracked update traffic: 8 clients, FIFO sequences, overlapping keys.
   for (std::uint64_t i = 0; i < kTotalBatches; ++i) {
@@ -158,9 +177,12 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
   }
 
   // Convergence: A executes everything; B's current incarnation must reach
-  // A's exact state (checkpoint prefix + replayed suffix).
+  // A's exact state (checkpoint prefix + replayed suffix). The poll also
+  // re-reports A's delivery clock: a B lagging past A's last delivery opens
+  // the crash gate only then, and the crash and restart still fire.
   const auto deadline = std::chrono::steady_clock::now() + 30000ms;
   while (std::chrono::steady_clock::now() < deadline) {
+    fs.advance(testing::Trigger::kDelivery, a_delivered.load(std::memory_order_acquire));
     a.replica->wait_idle();
     bool converged = false;
     if (a.replica->stats().counter("scheduler.commands_executed") >=

@@ -9,6 +9,7 @@
 // with no command executed twice.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -112,16 +113,25 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
   // checkpoint covers it.
   std::mutex b_mu;
   std::unique_ptr<Incarnation> b = std::make_unique<Incarnation>(kCheckpointInterval);
-  b->replica->checkpoints()->set_on_checkpoint(
-      [&](const smr::CheckpointPtr& record) {
-        const std::uint64_t stable = quorum.note(1, record->log_horizon);
-        if (stable > 1) group.truncate_log_below(stable);
-      });
+  // Every incarnation of B reports to the quorum as replica 1; the first
+  // one's newest published checkpoint also gates the crash below.
+  std::atomic<std::uint64_t> b_published{0};
+  std::atomic<bool> b_crashed{false};
+  const auto report_b_checkpoints = [&](smr::Replica& replica) {
+    replica.checkpoints()->set_on_checkpoint([&](const smr::CheckpointPtr& record) {
+      b_published.store(record->sequence, std::memory_order_release);
+      const std::uint64_t stable = quorum.note(1, record->log_horizon);
+      if (stable > 1) group.truncate_log_below(stable);
+    });
+  };
+  report_b_checkpoints(*b->replica);
   const std::size_t b_first_learner = 1;
 
+  std::atomic<std::uint64_t> a_delivered{0};
   group.subscribe([&, deliver_a = make_delivery(*a.replica)](
                       std::uint64_t seq, consensus::Value payload) {
     deliver_a(seq, payload);
+    a_delivered.store(seq, std::memory_order_release);
     fs.advance(testing::Trigger::kDelivery, seq);
   });
   group.subscribe(make_delivery(*b->replica));
@@ -135,6 +145,7 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
   target.on_crash = [&] {
     group.crash_learner(b_first_learner);
     b->replica->stop();
+    b_crashed.store(true, std::memory_order_release);
   };
   target.on_restart = [&] {
     // The new incarnation starts from the INITIAL map; it recovers state
@@ -142,6 +153,7 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
     // control batch is no longer in its replay suffix) and learns the new
     // map only from the re-proposal below.
     auto fresh = std::make_unique<Incarnation>(kCheckpointInterval);
+    report_b_checkpoints(*fresh->replica);
     smr::RejoinOptions opts;
     opts.self = group.state_process(20);
     opts.servers = {group.state_process(0)};
@@ -153,10 +165,17 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
   };
 
   // Repartition decided around delivery ~56; crash at 60 — BEFORE the
-  // checkpoint at 75 first covers the new map's regime; restart at 120.
-  fs.crash_replica_at(testing::Trigger::kDelivery, 60, "crash-replica-b", target);
-  fs.restart_replica_at(testing::Trigger::kDelivery, 120, "restart-replica-b",
-                        target);
+  // checkpoint at 75 first covers the new map's regime; restart at 120. The
+  // crash also waits for B's own first checkpoint (a lagging B crashed
+  // before it ever published would leave the quorum one member short), and
+  // the restart for the crash.
+  fs.crash_replica_at(testing::Trigger::kDelivery, 60, "crash-replica-b", target,
+                      [&] {
+                        return b_published.load(std::memory_order_acquire) >=
+                               kCheckpointInterval;
+                      });
+  fs.restart_replica_at(testing::Trigger::kDelivery, 120, "restart-replica-b", target,
+                        [&] { return b_crashed.load(std::memory_order_acquire); });
 
   const auto repartition_payload = std::make_shared<const std::vector<std::uint8_t>>(
       smr::encode_batch(smr::encode_repartition(*next_map)));
@@ -186,6 +205,9 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
   const auto fault_deadline = std::chrono::steady_clock::now() + 20000ms;
   while (fs.pending() != 0 &&
          std::chrono::steady_clock::now() < fault_deadline) {
+    // Re-reports A's delivery clock: a B lagging past A's last delivery
+    // opens the crash gate only then, and the crash and restart still fire.
+    fs.advance(testing::Trigger::kDelivery, a_delivered.load(std::memory_order_acquire));
     std::this_thread::sleep_for(5ms);
   }
   ASSERT_EQ(fs.pending(), 0u) << "crash/restart schedule did not fire";

@@ -1,4 +1,5 @@
-// Property tests for the inverted-index insert path (IndexMode::kIndexed):
+// Property tests for the inverted-index insert path (IndexMode::kIndexed,
+// and kAuto across its size-driven index activations and deactivations):
 // whatever the conflict mode and operation mix, the indexed graph must be
 // EDGE-IDENTICAL to the paper's full scan at every step — the index is a
 // pure lookup optimization, so any divergence is a determinism bug. Also
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/dependency_graph.hpp"
@@ -157,6 +159,128 @@ TEST_P(GraphIndexProperty, EdgeIdenticalUnderHeavyConflicts) {
   }
 }
 
+/// Drives a kAuto graph and a kScan twin through `cycles` grow/drain rounds
+/// that cross kAuto's thresholds both ways: each grow phase inserts until
+/// residency passes kIndexActivateAbove, each drain phase empties the graph
+/// to kIndexDeactivateAtOrBelow or below, and both phases mix in takes,
+/// removes, and remove_newest (of a just-inserted probe and of whatever
+/// node is newest, taken or not). Edges are compared after every operation
+/// and both graphs' invariants checked — including kAuto's size rule.
+void run_transitions(ConflictMode mode, const WorkloadConfig& wl, std::uint64_t seed,
+                     int cycles) {
+  constexpr std::size_t kOn = DependencyGraph::kIndexActivateAbove;
+  constexpr std::size_t kOff = DependencyGraph::kIndexDeactivateAtOrBelow;
+  DependencyGraph autog(mode, IndexMode::kAuto);
+  DependencyGraph scanned(mode, IndexMode::kScan);
+  util::Xoshiro256 rng(seed);
+  std::uint64_t seq = 0;
+  std::set<std::uint64_t> resident;
+  std::vector<DependencyGraph::Node*> taken_auto, taken_scan;
+
+  const auto check = [&] {
+    ASSERT_EQ(autog.edges(), scanned.edges());
+    ASSERT_EQ(autog.num_free(), scanned.num_free());
+    ASSERT_EQ(autog.size(), resident.size());
+    autog.check_invariants();
+    scanned.check_invariants();
+  };
+  const auto insert = [&] {
+    const auto batch = random_batch(rng, ++seq, mode, wl);
+    autog.insert(batch);
+    scanned.insert(batch);
+    resident.insert(seq);
+  };
+  const auto take = [&] {
+    DependencyGraph::Node* a = autog.take_oldest_free();
+    DependencyGraph::Node* b = scanned.take_oldest_free();
+    ASSERT_EQ(a == nullptr, b == nullptr);
+    if (a == nullptr) return;
+    ASSERT_EQ(a->seq, b->seq);
+    taken_auto.push_back(a);
+    taken_scan.push_back(b);
+  };
+  const auto remove_taken = [&] {
+    if (taken_auto.empty()) return;
+    const std::size_t i = rng.next_below(taken_auto.size());
+    resident.erase(taken_auto[i]->seq);
+    ASSERT_EQ(autog.remove(taken_auto[i]), scanned.remove(taken_scan[i]));
+    taken_auto.erase(taken_auto.begin() + static_cast<std::ptrdiff_t>(i));
+    taken_scan.erase(taken_scan.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const auto remove_newest = [&] {
+    if (resident.empty()) return;
+    // The newest node never has successors, so remove_newest applies to it
+    // in any state; a taken one leaves the taken lists too.
+    const std::uint64_t newest = *resident.rbegin();
+    for (std::size_t i = 0; i < taken_auto.size(); ++i) {
+      if (taken_auto[i]->seq != newest) continue;
+      taken_auto.erase(taken_auto.begin() + static_cast<std::ptrdiff_t>(i));
+      taken_scan.erase(taken_scan.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+    }
+    autog.remove_newest();
+    scanned.remove_newest();
+    resident.erase(newest);
+  };
+
+  for (int c = 0; c < cycles; ++c) {
+    const std::size_t peak = kOn + 2 + rng.next_below(8);
+    while (resident.size() < peak) {
+      const double dice = rng.next_double();
+      if (dice < 0.6) {
+        insert();
+      } else if (dice < 0.7) {
+        insert();  // the probe-then-detach cycle the microbenchmark uses
+        check();
+        remove_newest();
+      } else if (dice < 0.85) {
+        take();
+      } else {
+        remove_taken();
+      }
+      check();
+    }
+    ASSERT_TRUE(autog.index_active()) << "grow phase never built the index";
+
+    const std::size_t floor = rng.next_below(kOff + 1);
+    while (resident.size() > floor) {
+      const double dice = rng.next_double();
+      if (dice < 0.1) {
+        insert();
+      } else if (dice < 0.2) {
+        remove_newest();
+      } else if (dice < 0.55) {
+        take();
+      } else {
+        remove_taken();
+      }
+      check();
+      if (taken_auto.empty() && autog.num_free() == 0) {
+        ASSERT_TRUE(resident.empty()) << "deadlock: nothing runnable";
+      }
+    }
+    ASSERT_FALSE(autog.index_active()) << "drain phase never dropped the index";
+  }
+  EXPECT_EQ(autog.index_stats().activations, static_cast<std::uint64_t>(cycles));
+  EXPECT_EQ(autog.index_stats().deactivations, static_cast<std::uint64_t>(cycles));
+  EXPECT_FALSE(autog.index_stats().fell_back_to_scan);
+}
+
+TEST_P(GraphIndexProperty, AutoEdgeIdenticalAcrossIndexTransitions) {
+  WorkloadConfig wl;
+  for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+    run_transitions(GetParam(), wl, seed, 6);
+  }
+}
+
+TEST_P(GraphIndexProperty, AutoEdgeIdenticalAcrossTransitionsUnderHeavyConflicts) {
+  WorkloadConfig wl;
+  wl.key_space = 4;  // long chains: drains must unwind them in order
+  for (std::uint64_t seed = 71; seed <= 72; ++seed) {
+    run_transitions(GetParam(), wl, seed, 4);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, GraphIndexProperty,
                          ::testing::Values(ConflictMode::kKeysNested,
                                            ConflictMode::kKeysHashed,
@@ -239,15 +363,26 @@ TEST(GraphIndexProperty, BitmapModesNeverMissKeyModeConflicts) {
 
 TEST(GraphIndexProperty, AutoDegradesToScanOnSplitDigests) {
   // Split read/write digests carry no position list; a kAuto graph must
-  // permanently fall back to scanning and still match the scan graph.
-  WorkloadConfig wl;
-  wl.split_read_write = true;
+  // permanently fall back to scanning and still match the scan graph. An
+  // empty kAuto graph scans anyway (size rule), so unified-digest batches
+  // first grow it until the index is active.
+  WorkloadConfig unified;
+  WorkloadConfig split;
+  split.split_read_write = true;
   DependencyGraph auto_graph(ConflictMode::kBitmap, IndexMode::kAuto);
   DependencyGraph scan_graph(ConflictMode::kBitmap, IndexMode::kScan);
   util::Xoshiro256 rng(99);
-  EXPECT_TRUE(auto_graph.index_active());
-  for (std::uint64_t s = 1; s <= 30; ++s) {
-    const auto b = random_batch(rng, s, ConflictMode::kBitmap, wl);
+  EXPECT_FALSE(auto_graph.index_active());
+  std::uint64_t s = 0;
+  while (!auto_graph.index_active()) {
+    const auto b = random_batch(rng, ++s, ConflictMode::kBitmap, unified);
+    auto_graph.insert(b);
+    scan_graph.insert(b);
+  }
+  EXPECT_EQ(s, DependencyGraph::kIndexActivateAbove + 2);
+  auto_graph.check_invariants();
+  for (int i = 0; i < 30; ++i) {
+    const auto b = random_batch(rng, ++s, ConflictMode::kBitmap, split);
     auto_graph.insert(b);
     scan_graph.insert(b);
   }

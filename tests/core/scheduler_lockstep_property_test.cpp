@@ -78,7 +78,11 @@ TEST(SchedulerLockstepPropertyTest, AllVariantsBitIdenticalAcrossSeeds) {
       EXPECT_EQ(run_variant<Scheduler>(cfg, stream), reference)
           << "indexed Scheduler, seed=" << seed << " workers=" << workers;
 
+      // kAuto switches its index on and off with the graph's size.
       cfg.index = IndexMode::kAuto;
+      EXPECT_EQ(run_variant<Scheduler>(cfg, stream), reference)
+          << "auto-indexed Scheduler, seed=" << seed << " workers=" << workers;
+
       EXPECT_EQ(run_variant<PipelinedScheduler>(cfg, stream), reference)
           << "PipelinedScheduler, seed=" << seed << " workers=" << workers;
 

@@ -120,7 +120,8 @@ TEST(CheckpointLockstep, BitIdenticalAcrossSchedulersAndIndexModes) {
     const auto stream = command_stream(seed);
 
     std::vector<RunResult> results;
-    for (const core::IndexMode index : {core::IndexMode::kScan, core::IndexMode::kIndexed}) {
+    for (const core::IndexMode index :
+         {core::IndexMode::kScan, core::IndexMode::kIndexed, core::IndexMode::kAuto}) {
       core::SchedulerOptions cfg;
       cfg.workers = 4;
       cfg.index = index;
