@@ -46,7 +46,7 @@ std::vector<psmr::smr::BatchPtr> make_workload(std::uint64_t n_batches,
 template <typename S>
 double run(const std::vector<psmr::smr::BatchPtr>& batches, unsigned workers) {
   std::atomic<std::uint64_t> sink{0};
-  typename S::Config cfg;
+  psmr::core::SchedulerOptions cfg;
   cfg.workers = workers;
   // Tight backlog bound. This matters enormously for the pipelined variant:
   // its deliver() is asynchronous, so without a tight cap the producer runs

@@ -1,8 +1,8 @@
 // Figure 4 companion: the same five configurations measured with REAL
-// threads on this host. On a single-core container the thread axis cannot
-// show speedup (see DESIGN.md substitution table) — the per-configuration
-// ORDERING is still meaningful; fig4_thread_scalability reproduces the full
-// figure with the measured-cost execution simulator.
+// threads on the host it runs on. Past the host's core count the thread
+// axis cannot show speedup (see DESIGN.md substitution table) — the
+// per-configuration ORDERING is still meaningful; fig4_thread_scalability
+// reproduces the full figure with the measured-cost execution simulator.
 //
 // Five configurations, exactly the paper's:
 //   CBASE, batch size=1                  (per-command graph, key conflicts)

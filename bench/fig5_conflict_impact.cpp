@@ -14,8 +14,9 @@
 // bitmap scheduler stays ~15x above traditional CBASE (paper: ~515
 // kCmds/s for bs=200 at 20%).
 //
-// Same virtual-worker methodology as fig4_thread_scalability (1-CPU host;
-// see DESIGN.md). Env: PSMR_CMDS, PSMR_FULL, PSMR_PROXIES as in fig4.
+// Same virtual-worker methodology as fig4_thread_scalability: the
+// simulator models worker counts beyond the host's cores (see DESIGN.md).
+// Env: PSMR_CMDS, PSMR_FULL, PSMR_PROXIES as in fig4.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

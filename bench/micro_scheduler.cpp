@@ -403,14 +403,11 @@ struct ShardedMeasurement {
 /// per-shard sentinel batches while the delivery loop is timed, exactly
 /// like measure_scheduler_throughput; S=1 is the single-scheduler baseline.
 /// `cross_fraction` makes every (1/f)-th batch span two shards, paying the
-/// deterministic gate; `word_gate` picks the packed-atomic-word rendezvous
-/// for 2-shard gates vs the mutex/cv slow path (ISSUE 7 satellite: the
-/// before/after rows isolate the gate's synchronization cost).
+/// deterministic rendezvous gate.
 ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_workers,
                                               std::size_t batch_size,
                                               std::size_t n_batches,
-                                              double cross_fraction,
-                                              bool word_gate) {
+                                              double cross_fraction) {
   const unsigned per_shard_workers = std::max(1u, total_workers / shards);
   const std::uint64_t n_sentinels =
       static_cast<std::uint64_t>(shards) * per_shard_workers;
@@ -435,7 +432,8 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_shard_mask(shards);  // stamped at formation time, as the proxy does
+    // Stamped at formation time, as the proxy does.
+    b->stamp(psmr::smr::PlacementMaps{shards, nullptr});
     return b;
   };
 
@@ -468,7 +466,6 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
   sopts.shards = shards;
   sopts.mode = ConflictMode::kKeysNested;
   sopts.index = IndexMode::kScan;
-  sopts.gate_word_fast_path = word_gate;
   psmr::core::ShardedScheduler scheduler(
       std::move(sopts),
       [&release, n_sentinels](const psmr::smr::Batch& b) {
@@ -501,16 +498,12 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
 
 /// The shard sweep's resolved configuration — one source of truth for the
 /// measurement loop AND the `--shards` JSON header, so the header always
-/// names exactly what ran. The two cross=0.05 rows are the word-gate
-/// before/after pair: same workload, mutex/cv rendezvous vs the packed
-/// atomic-word futex gate.
+/// names exactly what ran.
 struct ShardRow {
   unsigned shards;
   double cross;
-  bool word_gate;
 };
-constexpr ShardRow kShardRows[] = {
-    {1, 0.0, true}, {2, 0.0, true}, {4, 0.0, true}, {4, 0.05, false}, {4, 0.05, true}};
+constexpr ShardRow kShardRows[] = {{1, 0.0}, {2, 0.0}, {4, 0.0}, {4, 0.05}};
 constexpr unsigned kShardTotalWorkers = 4;
 
 /// The shard-scaling rows (ISSUE 5 acceptance: >= 1.5x delivery throughput
@@ -524,23 +517,21 @@ void write_sharded_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) 
   bool first = true;
   for (const ShardRow& r : kShardRows) {
     const ShardedMeasurement m = measure_sharded_throughput(
-        r.shards, kShardTotalWorkers, batch_size, n, r.cross, r.word_gate);
+        r.shards, kShardTotalWorkers, batch_size, n, r.cross);
     if (r.shards == 1) baseline = m.delivery_kcmds_per_sec;
     const double speedup = baseline > 0.0 ? m.delivery_kcmds_per_sec / baseline : 0.0;
     std::fprintf(f,
                  "%s    {\"mode\": \"keys-nested\", \"index\": \"scan\", \"shards\": %u, "
                  "\"workers_per_shard\": %u, \"batch_size\": %zu, \"batches\": %zu, "
-                 "\"cross_shard_fraction\": %.3f, \"cross_gate\": \"%s\", "
+                 "\"cross_shard_fraction\": %.3f, "
                  "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_single\": %.2f}",
                  first ? "" : ",\n", r.shards,
                  std::max(1u, kShardTotalWorkers / r.shards), batch_size, n,
-                 m.cross_fraction, r.word_gate ? "word" : "mutex",
-                 m.delivery_kcmds_per_sec, speedup);
+                 m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     first = false;
-    std::printf("sharded      shards=%u cross=%.2f gate=%-5s: %10.1f kCmds/s "
+    std::printf("sharded      shards=%u cross=%.2f: %10.1f kCmds/s "
                 "delivery, %.2fx vs single\n",
-                r.shards, m.cross_fraction, r.word_gate ? "word" : "mutex",
-                m.delivery_kcmds_per_sec, speedup);
+                r.shards, m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     if (last_metrics != nullptr) *last_metrics = m.final_metrics;
   }
 }
@@ -589,7 +580,7 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_class_mask(*map);  // stamped at formation time, as the proxy does
+    b->stamp(psmr::smr::PlacementMaps{0, map});  // stamped at formation time, as the proxy does
     return b;
   };
 
@@ -708,7 +699,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_class_mask(*map);
+    b->stamp(psmr::smr::PlacementMaps{0, map});
     return b;
   };
 
@@ -721,7 +712,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->build_class_mask(*map);
+    b->stamp(psmr::smr::PlacementMaps{0, map});
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> batches;
@@ -1198,10 +1189,9 @@ int shards_main(bool smoke, const char* metrics_path) {
       const ShardRow& r = kShardRows[i];
       std::snprintf(buf, sizeof(buf),
                     "%s{\"shards\": %u, \"workers_per_shard\": %u, "
-                    "\"cross_shard_fraction\": %.3f, \"cross_gate\": \"%s\"}",
+                    "\"cross_shard_fraction\": %.3f}",
                     i == 0 ? "" : ", ", r.shards,
-                    std::max(1u, kShardTotalWorkers / r.shards), r.cross,
-                    r.word_gate ? "word" : "mutex");
+                    std::max(1u, kShardTotalWorkers / r.shards), r.cross);
       config += buf;
     }
     config += "]}";

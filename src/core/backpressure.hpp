@@ -10,10 +10,14 @@
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 
+#include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
+#include "util/time.hpp"
 
 namespace psmr::core {
 
@@ -61,6 +65,32 @@ class BackpressureMeter {
       above_ = false;
       above_high_.set(0);
     }
+  }
+
+  /// Runs the backpressure policy of a condition-variable-guarded queue:
+  /// while `have_space()` is false, kReject refuses at once, kBlock waits on
+  /// `cv`, kBlockWithDeadline waits up to `deadline`. Returns false when
+  /// the batch is refused; every wait, reject and expiry is counted. `lk`
+  /// holds the mutex that guards `have_space()`.
+  template <typename HaveSpace>
+  bool wait_for_space(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
+                      BackpressureMode mode, std::chrono::milliseconds deadline,
+                      HaveSpace have_space) {
+    if (have_space()) return true;
+    if (mode == BackpressureMode::kReject) {
+      rejects_.add(1);
+      return false;
+    }
+    const std::uint64_t t0 = util::now_ns();
+    bool got = true;
+    if (mode == BackpressureMode::kBlockWithDeadline) {
+      got = cv.wait_for(lk, deadline, have_space);
+    } else {
+      cv.wait(lk, have_space);
+    }
+    count_wait(util::now_ns() - t0);
+    if (!got) deadline_expired_.add(1);
+    return got;
   }
 
   void count_wait(std::uint64_t wait_ns) {

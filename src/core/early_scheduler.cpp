@@ -1,7 +1,6 @@
 #include "core/early_scheduler.hpp"
 
 #include <bit>
-#include <exception>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -18,17 +17,15 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
       executor_(std::move(executor)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
-      batches_delivered_metric_(&metrics_->counter("scheduler.batches_delivered")),
-      batches_executed_metric_(&metrics_->counter("scheduler.batches_executed")),
-      commands_executed_metric_(&metrics_->counter("scheduler.commands_executed")),
-      batches_failed_metric_(&metrics_->counter("scheduler.batches_failed")),
+      m_(*metrics_, config_.workers, "early.worker."),
       fast_path_metric_(&metrics_->counter("early.batches_fast_path")),
       multi_class_metric_(&metrics_->counter("early.batches_multi_class")),
       fallback_metric_(&metrics_->counter("early.batches_fallback")),
-      queue_wait_metric_(&metrics_->histogram("scheduler.queue_wait_ns")),
       tracer_(config_.trace_capacity),
       bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
-          config_.low_watermark) {
+          config_.low_watermark),
+      breaker_(*metrics_, config_.circuit_failure_threshold,
+               config_.circuit_recovery_threshold) {
   config_.validate();
   PSMR_CHECK(executor_ != nullptr);
   // Participant ids are class workers 0..W-1 plus the fallback engine at
@@ -47,9 +44,8 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
   workers_.reserve(config_.workers);
   for (unsigned w = 0; w < config_.workers; ++w) {
     auto worker = std::make_unique<Worker>(cap);
-    const std::string prefix = "early.worker." + std::to_string(w) + ".";
-    worker->executed_metric = &metrics_->counter(prefix + "batches_executed");
-    worker->depth_metric = &metrics_->histogram(prefix + "queue_depth");
+    worker->depth_metric =
+        &metrics_->histogram("early.worker." + std::to_string(w) + ".queue_depth");
     workers_.push_back(std::move(worker));
   }
 
@@ -66,33 +62,17 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
                                               : config_.workers;
   fallback_ = std::make_unique<Scheduler>(
       std::move(sub), [this](const smr::Batch& b) {
-        std::shared_ptr<Gate> gate;
-        {
-          std::lock_guard lk(gates_mu_);
-          const auto it = gates_.find(b.sequence());
-          if (it != gates_.end()) gate = it->second;
-        }
         tracer_.record(b.sequence(), obs::Stage::kReady);
         tracer_.record(b.sequence(), obs::Stage::kTaken);
+        const std::size_t me = num_class_workers();
+        const std::shared_ptr<RendezvousGate> gate = gates_.find(b.sequence());
         if (gate == nullptr) {
           // Pure fallback batch: the engine isolates faults, fires the
-          // forwarded on_failure, and runs its own circuit breaker; only
-          // the exactly-once totals are accounted here.
-          try {
-            executor_(b);
-          } catch (...) {
-            batches_failed_metric_->add(1);
-            tracer_.record_executed(b.sequence(), num_class_workers(), true);
-            tracer_.record(b.sequence(), obs::Stage::kRemoved);
-            throw;
-          }
-          batches_executed_metric_->add(1);
-          commands_executed_metric_->add(b.size());
-          tracer_.record_executed(b.sequence(), num_class_workers(), false);
-          tracer_.record(b.sequence(), obs::Stage::kRemoved);
-          return;
+          // forwarded on_failure, and runs its own circuit breaker.
+          run_batch(me, b);
+        } else {
+          gates_.rendezvous(*gate, b.sequence(), me, [&] { run_batch(me, b); });
         }
-        rendezvous(num_class_workers(), *gate, b);
       });
 
   metrics_->gauge("early.classes").set(static_cast<double>(map_->num_classes()));
@@ -165,7 +145,7 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
     const auto w = static_cast<std::size_t>(std::countr_zero(pset));
     push_item(w, Item{std::move(batch), nullptr, 0});
     tracer_.record(seq, obs::Stage::kInserted);
-    batches_delivered_metric_->add(1);
+    m_.batches_delivered.add(1);
     fast_path_metric_->add(1);
     publish_depth();
     return true;
@@ -174,7 +154,7 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
     // Every command unclassified: plain graph insertion.
     if (!fallback_->deliver(std::move(batch))) return false;
     tracer_.record(seq, obs::Stage::kInserted);
-    batches_delivered_metric_->add(1);
+    m_.batches_delivered.add(1);
     fallback_metric_->add(1);
     publish_depth();
     return true;
@@ -183,13 +163,9 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   // delivery-sequence-keyed gate FIRST, then hand the batch to every
   // touched participant in ascending order. All replicas deliver in the
   // same total order, so every participant sees the same subsequence.
-  auto gate = std::make_shared<Gate>();
-  gate->expected = static_cast<unsigned>(touched);
-  gate->leader = static_cast<std::size_t>(std::countr_zero(pset));
-  {
-    std::lock_guard lk(gates_mu_);
-    gates_.emplace(seq, gate);
-  }
+  const auto leader = static_cast<std::size_t>(std::countr_zero(pset));
+  const std::shared_ptr<RendezvousGate> gate =
+      gates_.open(seq, static_cast<unsigned>(touched), leader);
   for (std::uint64_t rest = pset & (fallback_bit - 1); rest != 0; rest &= rest - 1) {
     const auto w = static_cast<std::size_t>(std::countr_zero(rest));
     push_item(w, Item{batch, gate, 0});
@@ -200,13 +176,11 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
       // are already queued and drain before the workers join, so shrink
       // the gate to the participants that actually hold the batch. The
       // fallback participant has the highest id, so the leader stands.
-      std::lock_guard lk(gate->mu);
-      --gate->expected;
-      gate->cv.notify_all();
+      gate->shrink(static_cast<unsigned>(touched) - 1, leader);
     }
   }
   tracer_.record(seq, obs::Stage::kInserted);
-  batches_delivered_metric_->add(1);
+  m_.batches_delivered.add(1);
   multi_class_metric_->add(1);
   if ((mask & smr::ConflictClassMap::kUnclassifiedBit) != 0) {
     fallback_metric_->add(1);
@@ -349,13 +323,17 @@ void EarlyScheduler::worker_loop(std::size_t w) {
 void EarlyScheduler::process_item(std::size_t w, Item& item) {
   const smr::Batch& batch = *item.batch;
   const std::uint64_t seq = batch.sequence();
-  queue_wait_metric_->record(util::now_ns() - item.pushed_ns);
+  m_.queue_wait_ns->record(util::now_ns() - item.pushed_ns);
   tracer_.record(seq, obs::Stage::kReady);
   tracer_.record(seq, obs::Stage::kTaken);
   if (item.gate == nullptr) {
-    run_leader(w, batch);
+    run_batch(w, batch);
   } else {
-    rendezvous(w, *item.gate, batch);
+    // The leader runs once every touched participant has parked this batch
+    // at the head of its delivery-order stream: all predecessors sharing a
+    // class (or an unclassified key) with it are done, so executing then is
+    // exactly where the single Scheduler would execute it.
+    gates_.rendezvous(*item.gate, seq, w, [&] { run_batch(w, batch); });
   }
   // Publish the depth change BEFORE complete_one's barrier notification:
   // the quiesce predicate reads `pending`, so notifying first would let the
@@ -364,134 +342,41 @@ void EarlyScheduler::process_item(std::size_t w, Item& item) {
   complete_one();
 }
 
-void EarlyScheduler::run_leader(std::size_t participant, const smr::Batch& batch) {
-  // Executes a batch on a class worker (fast path, or as gate leader),
-  // with the same fault isolation + circuit-breaker contract as the graph
-  // Scheduler's worker loop. Degraded mode serializes to one batch in
-  // flight; effects of non-conflicting batches commute, so the interleaving
-  // change cannot diverge replicas.
-  bool ok = true;
-  std::string what;
-  try {
-    if (degraded_.load(std::memory_order_acquire)) {
-      std::lock_guard serial(serial_mu_);
-      executor_(batch);
-    } else {
-      executor_(batch);
-    }
-  } catch (const std::exception& e) {
-    ok = false;
-    what = e.what();
-  } catch (...) {
-    ok = false;
-    what = "unknown exception";
-  }
-  tracer_.record_executed(batch.sequence(), static_cast<std::uint32_t>(participant), !ok);
+void EarlyScheduler::run_batch(std::size_t participant, const smr::Batch& batch) {
+  const bool class_worker = participant < num_class_workers();
+  // Degraded mode serializes the class workers to one batch in flight;
+  // effects of non-conflicting batches commute, so the interleaving change
+  // cannot diverge replicas.
+  const std::exception_ptr error = guarded_execute(
+      [&](const smr::Batch& b) {
+        if (class_worker && breaker_.degraded()) {
+          std::lock_guard serial(serial_mu_);
+          executor_(b);
+        } else {
+          executor_(b);
+        }
+      },
+      batch);
+  tracer_.record_executed(batch.sequence(), static_cast<std::uint32_t>(participant),
+                          error != nullptr);
   tracer_.record(batch.sequence(), obs::Stage::kRemoved);
-  if (ok) {
-    batches_executed_metric_->add(1);
-    commands_executed_metric_->add(batch.size());
-    workers_[participant]->executed_metric->add(1);
-    note_success();
-  } else {
-    batches_failed_metric_->add(1);
-    note_failure();
-    if (on_failure_) on_failure_(batch, what);
+  if (error == nullptr) {
+    m_.count_executed(batch);
+    if (!class_worker) return;
+    m_.worker_batches[participant]->add(1);
+    std::lock_guard lk(circuit_mu_);
+    breaker_.on_success();
+    return;
   }
-}
-
-void EarlyScheduler::rendezvous(std::size_t participant, Gate& gate,
-                                const smr::Batch& batch) {
-  const bool is_fallback = participant == num_class_workers();
-  std::unique_lock lk(gate.mu);
-  ++gate.arrived;
-  if (gate.arrived == gate.expected) gate.cv.notify_all();
-  gate.cv.wait(lk, [&] {
-    return gate.done ||
-           (participant == gate.leader && gate.arrived == gate.expected);
-  });
-  std::exception_ptr err;
-  if (!gate.done && participant == gate.leader) {
-    // Every touched participant has parked this batch at the head of its
-    // delivery-order stream: all predecessors that share a class (or an
-    // unclassified key) with it are done, so executing now is exactly
-    // where the single Scheduler would execute it. Run outside the lock.
-    lk.unlock();
-    bool ok = true;
-    std::string what;
-    try {
-      if (degraded_.load(std::memory_order_acquire)) {
-        std::lock_guard serial(serial_mu_);
-        executor_(batch);
-      } else {
-        executor_(batch);
-      }
-    } catch (...) {
-      ok = false;
-      err = std::current_exception();
-      try {
-        std::rethrow_exception(err);
-      } catch (const std::exception& e) {
-        what = e.what();
-      } catch (...) {
-        what = "unknown exception";
-      }
-    }
-    tracer_.record_executed(batch.sequence(),
-                            static_cast<std::uint32_t>(participant), !ok);
-    tracer_.record(batch.sequence(), obs::Stage::kRemoved);
-    if (ok) {
-      batches_executed_metric_->add(1);
-      commands_executed_metric_->add(batch.size());
-      if (!is_fallback) {
-        workers_[participant]->executed_metric->add(1);
-        note_success();
-      }
-    } else {
-      batches_failed_metric_->add(1);
-      if (!is_fallback) {
-        note_failure();
-        if (on_failure_) on_failure_(batch, what);
-        err = nullptr;  // accounted here; the worker loop survives anyway
-      }
-      // Fallback leader: rethrow below so the embedded engine isolates the
-      // fault, runs its circuit breaker, and fires the forwarded
-      // on_failure exactly once.
-    }
-    lk.lock();
-    gate.done = true;
-    gate.cv.notify_all();
+  m_.batches_failed.add(1);
+  // The fallback engine isolates the failure, runs its own breaker and
+  // fires the forwarded on_failure exactly once.
+  if (!class_worker) std::rethrow_exception(error);
+  {
+    std::lock_guard lk(circuit_mu_);
+    breaker_.on_failure();
   }
-  const bool last = ++gate.departed == gate.expected;
-  lk.unlock();
-  if (last) {
-    std::lock_guard g(gates_mu_);
-    gates_.erase(batch.sequence());
-  }
-  if (err != nullptr) std::rethrow_exception(err);
-}
-
-void EarlyScheduler::note_success() {
-  std::lock_guard lk(circuit_mu_);
-  consecutive_failures_ = 0;
-  if (degraded_.load(std::memory_order_relaxed) &&
-      config_.circuit_recovery_threshold != 0 &&
-      ++consecutive_successes_ >= config_.circuit_recovery_threshold) {
-    degraded_.store(false, std::memory_order_release);
-    consecutive_successes_ = 0;
-    metrics_->counter("scheduler.circuit.recoveries").add(1);
-  }
-}
-
-void EarlyScheduler::note_failure() {
-  std::lock_guard lk(circuit_mu_);
-  consecutive_successes_ = 0;
-  if (config_.circuit_failure_threshold != 0 &&
-      !degraded_.load(std::memory_order_relaxed) &&
-      ++consecutive_failures_ >= config_.circuit_failure_threshold) {
-    degraded_.store(true, std::memory_order_release);
-    metrics_->counter("scheduler.circuit.trips").add(1);
-  }
+  if (on_failure_) on_failure_(batch, failure_message(error));
 }
 
 void EarlyScheduler::complete_one() {
@@ -609,12 +494,12 @@ void EarlyScheduler::stop() {
 }
 
 bool EarlyScheduler::degraded() const {
-  return degraded_.load(std::memory_order_acquire) || fallback_->degraded();
+  return breaker_.degraded() || fallback_->degraded();
 }
 
 obs::Snapshot EarlyScheduler::stats() const {
   const auto fast = static_cast<double>(fast_path_metric_->value());
-  const auto total = static_cast<double>(batches_delivered_metric_->value());
+  const auto total = static_cast<double>(m_.batches_delivered.value());
   metrics_->gauge("early.fast_path_fraction").set(total == 0.0 ? 0.0 : fast / total);
   obs::Snapshot snap = metrics_->snapshot();
   snap.merge(fallback_->stats(), "fallback.");

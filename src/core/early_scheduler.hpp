@@ -13,15 +13,15 @@
 // shared monitor.
 //
 // Three delivery paths, chosen per batch from its touched-class mask
-// (stamped at batch formation by the Proxy, mirroring build_shard_mask):
+// (stamped at batch formation by the Proxy through Batch::stamp):
 //
 //   1. FAST PATH — all classes owned by one worker: push onto that
 //      worker's queue. Each queue is filled only by the (single) delivery
 //      thread and drained only by its worker, in FIFO order.
 //   2. MULTI-CLASS — classes owned by several workers: every touched
 //      worker receives the batch plus a rendezvous gate keyed by the
-//      delivery sequence (the ShardedScheduler's gate pattern); the lowest
-//      touched participant runs the executor exactly once.
+//      delivery sequence (the same RendezvousGate the ShardedScheduler
+//      uses); the lowest touched participant runs the executor exactly once.
 //   3. FALLBACK — the batch touches an unclassified key: it is inserted
 //      into an embedded graph Scheduler, recovering the paper's general
 //      mechanism. A batch that ALSO touches classified classes rendezvouses
@@ -40,8 +40,10 @@
 // The full scheduler contract is supported — circuit breaker + degraded
 // mode, quiesce-at-sequence barriers for CheckpointManager, obs metrics
 // (`early.*`: fast-path fraction, fallback inserts, per-worker queue depth
-// histograms) and BatchTracer lifecycle events — so the variant slots into
-// Replica, chaos, and checkpoint-lockstep suites unchanged.
+// histograms) and BatchTracer lifecycle events — and the checkpoint-
+// lockstep suite runs it. smr::Replica does not: it owns a core::Scheduler
+// by value, so running this variant inside a replica needs a scheduler
+// contract Replica can take (ROADMAP, "One scheduler contract").
 #pragma once
 
 #include <atomic>
@@ -51,10 +53,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/backpressure.hpp"
+#include "core/engine_parts.hpp"
 #include "core/scheduler.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
@@ -163,23 +165,12 @@ class EarlyScheduler {
   void check_invariants() const;
 
  private:
-  /// Rendezvous state for one multi-participant batch, keyed by delivery
-  /// sequence. Participants are class workers 0..W-1 plus the fallback
-  /// engine (participant id W). Same protocol as ShardedScheduler::Gate.
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    unsigned expected;   // number of participants
-    std::size_t leader;  // lowest participant id: runs the executor
-    unsigned arrived = 0;
-    unsigned departed = 0;
-    bool done = false;
-  };
-
   /// One queued unit of work for a class worker.
   struct Item {
     smr::BatchPtr batch;
-    std::shared_ptr<Gate> gate;  // null = fast path (run directly)
+    // Participants are class workers 0..W-1 plus the fallback engine
+    // (participant id W). null = fast path (run directly).
+    std::shared_ptr<RendezvousGate> gate;
     std::uint64_t pushed_ns = 0;
   };
 
@@ -191,15 +182,17 @@ class EarlyScheduler {
     std::atomic<bool> sleeping{false};
     std::atomic<std::uint64_t> pending{0};     // pushed - completed
     std::atomic<std::uint64_t> parked_seq{0};  // head seq while barrier-parked
-    obs::Counter* executed_metric = nullptr;
     obs::HistogramMetric* depth_metric = nullptr;
     std::thread thread;
   };
 
   void worker_loop(std::size_t w);
   void process_item(std::size_t w, Item& item);
-  void run_leader(std::size_t participant, const smr::Batch& batch);
-  void rendezvous(std::size_t participant, Gate& gate, const smr::Batch& batch);
+  /// Executes `batch` once as `participant` (its owner, or the gate
+  /// leader) and accounts it. A class worker isolates a failure itself
+  /// (breaker, on_failure); the fallback participant rethrows it so the
+  /// embedded engine does.
+  void run_batch(std::size_t participant, const smr::Batch& batch);
   void push_item(std::size_t w, Item item);
   /// Runs the configured backpressure policy over the class-worker legs of
   /// `pset` (the fallback leg delegates to fallback_->wait_for_space()).
@@ -207,8 +200,6 @@ class EarlyScheduler {
   bool wait_for_capacity(std::uint64_t pset);
   /// Publishes the deepest class-worker queue into the meter.
   void publish_depth();
-  void note_success();
-  void note_failure();
   void complete_one();
   /// Participant set (bits over workers, bit W = fallback) for a class mask.
   std::uint64_t participants_of(std::uint64_t class_mask) const noexcept;
@@ -222,14 +213,10 @@ class EarlyScheduler {
   std::atomic<std::uint64_t> map_fingerprint_{0};
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
+  SchedulerMetrics m_;  // per-worker counters are early.worker.N.*
   obs::Counter* fast_path_metric_;
   obs::Counter* multi_class_metric_;
   obs::Counter* fallback_metric_;
-  obs::HistogramMetric* queue_wait_metric_;
   obs::BatchTracer tracer_;
   // Updated only from the delivery thread (under lifecycle_mu_); depth is
   // the deepest class-worker queue, the binding resource of this variant.
@@ -261,16 +248,14 @@ class EarlyScheduler {
   std::condition_variable barrier_cv_;  // await_barrier() waits here
   std::condition_variable release_cv_;  // parked workers wait here
 
-  // Circuit breaker over the class workers (fast + gate paths). The
-  // fallback engine trips its own breaker for graph-run batches.
+  // Circuit breaker over the class workers (fast + gate paths), serialized
+  // by circuit_mu_. The fallback engine trips its own breaker for
+  // graph-run batches.
   std::mutex circuit_mu_;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;
-  std::atomic<bool> degraded_{false};
+  CircuitBreaker breaker_;
   std::mutex serial_mu_;  // degraded mode: one batch in flight at a time
 
-  std::mutex gates_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Gate>> gates_;
+  GateTable gates_;
 };
 
 }  // namespace psmr::core

@@ -6,39 +6,23 @@
 #include "util/time.hpp"
 
 namespace psmr::core {
-namespace {
-
-void publish_total(obs::Counter& c, std::uint64_t current, std::uint64_t& published) {
-  PSMR_DCHECK(current >= published);
-  c.add(current - published);
-  published = current;
-}
-
-}  // namespace
 
 PipelinedScheduler::PipelinedScheduler(SchedulerOptions options, Executor executor)
     : config_(std::move(options)),
       executor_(std::move(executor)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
-      batches_delivered_metric_(&metrics_->counter("scheduler.batches_delivered")),
-      batches_executed_metric_(&metrics_->counter("scheduler.batches_executed")),
-      commands_executed_metric_(&metrics_->counter("scheduler.commands_executed")),
-      batches_failed_metric_(&metrics_->counter("scheduler.batches_failed")),
-      queue_wait_metric_(&metrics_->histogram("scheduler.queue_wait_ns")),
+      m_(*metrics_, config_.workers),
       tracer_(config_.trace_capacity),
       bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
           config_.low_watermark),
-      graph_(config_.mode, config_.index) {
+      graph_(config_.mode, config_.index),
+      breaker_(*metrics_, config_.circuit_failure_threshold,
+               config_.circuit_recovery_threshold) {
   config_.validate();
   PSMR_CHECK(executor_ != nullptr);
   if (config_.class_map != nullptr) {
     class_map_fp_.store(config_.class_map->fingerprint(), std::memory_order_relaxed);
-  }
-  worker_batches_metric_.reserve(config_.workers);
-  for (unsigned i = 0; i < config_.workers; ++i) {
-    worker_batches_metric_.push_back(
-        &metrics_->counter("worker." + std::to_string(i) + ".batches_executed"));
   }
   metrics_->gauge("scheduler.workers").set(static_cast<double>(config_.workers));
   graph_.set_tracer(&tracer_);
@@ -61,32 +45,13 @@ bool PipelinedScheduler::deliver(smr::BatchPtr batch) {
   PSMR_CHECK(batch->sequence() != 0);
   if (config_.max_pending_batches != 0) {
     std::unique_lock lk(idle_mu_);
-    const auto have = [&] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             outstanding_.load(std::memory_order_relaxed) < config_.max_pending_batches;
-    };
-    if (!have()) {
-      switch (config_.backpressure) {
-        case BackpressureMode::kReject:
-          bp_.count_reject();
-          return false;
-        case BackpressureMode::kBlockWithDeadline: {
-          const std::uint64_t t0 = util::now_ns();
-          const bool got = idle_cv_.wait_for(lk, config_.backpressure_deadline, have);
-          bp_.count_wait(util::now_ns() - t0);
-          if (!got) {
-            bp_.count_deadline_expired();
-            return false;
-          }
-          break;
-        }
-        case BackpressureMode::kBlock: {
-          const std::uint64_t t0 = util::now_ns();
-          idle_cv_.wait(lk, have);
-          bp_.count_wait(util::now_ns() - t0);
-          break;
-        }
-      }
+    if (!bp_.wait_for_space(lk, idle_cv_, config_.backpressure,
+                            config_.backpressure_deadline, [&] {
+                              return stopping_.load(std::memory_order_relaxed) ||
+                                     outstanding_.load(std::memory_order_relaxed) <
+                                         config_.max_pending_batches;
+                            })) {
+      return false;
     }
     if (stopping_.load(std::memory_order_relaxed)) return false;
     // Admit under the lock: the watermark state machine is serialized on
@@ -104,7 +69,7 @@ bool PipelinedScheduler::deliver(smr::BatchPtr batch) {
     outstanding_.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
-  batches_delivered_metric_->add(1);
+  m_.batches_delivered.add(1);
   return true;
 }
 
@@ -178,38 +143,7 @@ void PipelinedScheduler::stop() {
 obs::Snapshot PipelinedScheduler::stats() const {
   {
     std::lock_guard lk(stats_mu_);
-    const ConflictStats& cs = graph_.conflict_stats();
-    publish_total(metrics_->counter("scheduler.insert.pair_tests"), cs.tests,
-                  published_.pair_tests);
-    publish_total(metrics_->counter("scheduler.insert.comparisons"), cs.comparisons,
-                  published_.comparisons);
-    publish_total(metrics_->counter("scheduler.insert.conflicts_found"),
-                  cs.conflicts_found, published_.conflicts_found);
-    const DependencyGraph::IndexStats& is = graph_.index_stats();
-    publish_total(metrics_->counter("graph.index.probes"), is.probes,
-                  published_.index_probes);
-    publish_total(metrics_->counter("graph.index.fast_path_skips"), is.fast_path_skips,
-                  published_.index_fast_path_skips);
-    publish_total(metrics_->counter("graph.index.candidate_tests"), is.candidate_tests,
-                  published_.index_candidate_tests);
-    publish_total(metrics_->counter("graph.index.activations"), is.activations,
-                  published_.index_activations);
-    publish_total(metrics_->counter("graph.index.deactivations"), is.deactivations,
-                  published_.index_deactivations);
-    publish_total(metrics_->counter("trace.batches_started"), tracer_.started(),
-                  published_.trace_started);
-    publish_total(metrics_->counter("trace.batches_evicted"), tracer_.evicted(),
-                  published_.trace_evicted);
-
-    metrics_->gauge("graph.resident_batches").set(static_cast<double>(graph_.size()));
-    metrics_->gauge("graph.size_at_insert.avg").set(graph_.size_at_insert().mean());
-    metrics_->gauge("graph.size_at_insert.max").set(graph_.size_at_insert().max());
-    metrics_->gauge("graph.index.active").set(graph_.index_active() ? 1.0 : 0.0);
-    metrics_->gauge("graph.index.fell_back_to_scan")
-        .set(is.fell_back_to_scan ? 1.0 : 0.0);
-    metrics_->gauge("scheduler.degraded")
-        .set(degraded_public_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
-    metrics_->gauge("trace.capacity").set(static_cast<double>(tracer_.capacity()));
+    publish_graph_stats(graph_, tracer_, *metrics_, published_);
   }
   return metrics_->snapshot();
 }
@@ -219,7 +153,7 @@ void PipelinedScheduler::scheduler_loop() {
   // circuit is tripped, at most one batch is in flight at a time. Outside
   // degraded mode every free node is dispatched.
   auto dispatch_free = [&] {
-    while (!(degraded_ && inflight_ > 0)) {
+    while (!(breaker_.degraded() && inflight_ > 0)) {
       // An armed barrier caps dispatch at the barrier sequence; everything
       // newer stays parked in the graph until BarrierRelease.
       DependencyGraph::Node* node = graph_.take_oldest_free_leq(
@@ -242,32 +176,6 @@ void PipelinedScheduler::scheduler_loop() {
     }
     barrier_cv_.notify_all();
   };
-  // Circuit accounting runs on this thread only (completions arrive through
-  // the event queue), so the counters need no lock — the same consecutive-
-  // success/failure state machine as the monitor Scheduler's worker_loop.
-  auto account = [&](bool failed) {
-    --inflight_;
-    if (failed) {
-      consecutive_successes_ = 0;
-      if (config_.circuit_failure_threshold != 0 && !degraded_ &&
-          ++consecutive_failures_ >= config_.circuit_failure_threshold) {
-        degraded_ = true;  // circuit trips: sequential single-batch mode
-        degraded_public_.store(true, std::memory_order_relaxed);
-        metrics_->counter("scheduler.circuit.trips").add(1);
-        metrics_->gauge("scheduler.degraded").set(1.0);
-      }
-    } else {
-      consecutive_failures_ = 0;
-      if (degraded_ && config_.circuit_recovery_threshold != 0 &&
-          ++consecutive_successes_ >= config_.circuit_recovery_threshold) {
-        degraded_ = false;  // half-open probe succeeded: circuit closes
-        degraded_public_.store(false, std::memory_order_relaxed);
-        consecutive_successes_ = 0;
-        metrics_->counter("scheduler.circuit.recoveries").add(1);
-        metrics_->gauge("scheduler.degraded").set(0.0);
-      }
-    }
-  };
   while (auto event = events_.pop()) {
     std::unique_lock stats_lk(stats_mu_);
     if (auto* delivery = std::get_if<Delivery>(&*event)) {
@@ -283,7 +191,14 @@ void PipelinedScheduler::scheduler_loop() {
     } else {
       auto& completion = std::get<Completion>(*event);
       graph_.remove(completion.node);
-      account(completion.failed);
+      --inflight_;
+      // Circuit accounting runs on this thread only (completions arrive
+      // through the event queue), which serializes the breaker.
+      if (completion.failed) {
+        breaker_.on_failure();
+      } else {
+        breaker_.on_success();
+      }
       dispatch_free();
       maybe_signal_barrier();
       stats_lk.unlock();
@@ -306,37 +221,26 @@ void PipelinedScheduler::worker_loop(unsigned worker_index) {
     const smr::BatchPtr batch = (*node)->batch;  // keep alive across remove
     // Once per take (the node is dispatched to exactly one worker), insert
     // → pop: the same queue-wait semantics as the monitor scheduler.
-    queue_wait_metric_->record(util::now_ns() - (*node)->inserted_at_ns);
+    m_.queue_wait_ns->record(util::now_ns() - (*node)->inserted_at_ns);
     const std::uint64_t seq = (*node)->seq;
     // Fault isolation (parity with Scheduler::worker_loop): a throwing
     // executor must not kill the worker or wedge the graph. The Completion
     // carries the verdict back to the graph-owner thread, which runs the
     // circuit breaker.
-    bool ok = true;
-    std::string what;
-    try {
-      executor_(*batch);
-    } catch (const std::exception& e) {
-      ok = false;
-      what = e.what();
-    } catch (...) {
-      ok = false;
-      what = "non-standard exception";
-    }
-    tracer_.record_executed(seq, worker_index, /*failed=*/!ok);
-    if (ok) {
-      batches_executed_metric_->add(1);
-      commands_executed_metric_->add(batch->size());
-      worker_batches_metric_[worker_index]->add(1);
+    const std::exception_ptr error = guarded_execute(executor_, *batch);
+    tracer_.record_executed(seq, worker_index, /*failed=*/error != nullptr);
+    if (error == nullptr) {
+      m_.count_executed(*batch);
+      m_.worker_batches[worker_index]->add(1);
     } else {
       // A failed batch never counts as executed (stats parity with the
       // monitor scheduler).
-      batches_failed_metric_->add(1);
-      if (on_failure_) on_failure_(*batch, what);
+      m_.batches_failed.add(1);
+      if (on_failure_) on_failure_(*batch, failure_message(error));
     }
     // Closed only during stop(), which drained via wait_idle() first — a
     // lost Completion here has no accounting left to update.
-    (void)events_.push(Event{Completion{*node, /*failed=*/!ok}});
+    (void)events_.push(Event{Completion{*node, /*failed=*/error != nullptr}});
   }
 }
 

@@ -38,6 +38,7 @@
 
 #include "core/backpressure.hpp"
 #include "core/dependency_graph.hpp"
+#include "core/engine_parts.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,9 +49,6 @@ namespace psmr::core {
 
 class PipelinedScheduler {
  public:
-  /// Deprecated alias kept for one release — use SchedulerOptions.
-  using Config = SchedulerOptions;
-
   /// Invoked (on the worker thread, outside any scheduler state) when an
   /// executor throws — same contract as Scheduler::FailureFn.
   using FailureFn = std::function<void(const smr::Batch&, const std::string&)>;
@@ -105,9 +103,7 @@ class PipelinedScheduler {
   /// one batch at a time; batches already sitting in the ready queue at
   /// trip time still drain first (the dispatch gate counts them as
   /// in-flight, so no NEW work is released until they finish).
-  bool degraded() const noexcept {
-    return degraded_public_.load(std::memory_order_relaxed);
-  }
+  bool degraded() const noexcept { return breaker_.degraded(); }
 
   /// Unified metrics snapshot — same names and schema as Scheduler::stats()
   /// (`scheduler.*`, `graph.*`, `worker.N.*`, `scheduler.queue_wait_ns`).
@@ -153,12 +149,7 @@ class PipelinedScheduler {
   // Registry handles resolved once at construction; hot paths touch only
   // the cached pointers.
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
-  obs::HistogramMetric* queue_wait_metric_;
-  std::vector<obs::Counter*> worker_batches_metric_;
+  SchedulerMetrics m_;
   obs::BatchTracer tracer_;
   // Watermark/hysteresis updates run under idle_mu_ when a bound is set
   // (delivery admits, scheduler-thread completions); with no bound only the
@@ -172,15 +163,12 @@ class PipelinedScheduler {
   DependencyGraph graph_;
   std::uint64_t next_seq_check_ = 0;
 
-  // Circuit-breaker state, owned by the scheduler thread (no lock needed:
-  // completions and dispatch decisions all flow through it). inflight_
-  // counts nodes pushed to ready_ whose Completion has not come back —
-  // the degraded-mode dispatch gate.
+  // Circuit breaker, serialized by the scheduler thread (completions and
+  // dispatch decisions all flow through it). inflight_ counts nodes pushed
+  // to ready_ whose Completion has not come back — the degraded-mode
+  // dispatch gate.
+  CircuitBreaker breaker_;
   std::size_t inflight_ = 0;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;
-  bool degraded_ = false;
-  std::atomic<bool> degraded_public_{false};  // mirror for the accessor
 
   // Barrier state owned by the scheduler thread...
   bool barrier_armed_ = false;
@@ -199,21 +187,8 @@ class PipelinedScheduler {
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;
 
-  // Shadow of graph-internal accumulators already pushed into registry
-  // counters (see Scheduler::PublishedTotals). Guarded by stats_mu_.
-  struct PublishedTotals {
-    std::uint64_t pair_tests = 0;
-    std::uint64_t comparisons = 0;
-    std::uint64_t conflicts_found = 0;
-    std::uint64_t index_probes = 0;
-    std::uint64_t index_fast_path_skips = 0;
-    std::uint64_t index_candidate_tests = 0;
-    std::uint64_t index_activations = 0;
-    std::uint64_t index_deactivations = 0;
-    std::uint64_t trace_started = 0;
-    std::uint64_t trace_evicted = 0;
-  };
-  mutable PublishedTotals published_;
+  // Graph accumulators already published by stats(). Guarded by stats_mu_.
+  mutable GraphStatsCursor published_;
 
   std::thread scheduler_thread_;
   std::vector<std::thread> workers_;

@@ -4,42 +4,23 @@
 #include "util/time.hpp"
 
 namespace psmr::core {
-namespace {
-
-/// Adds the delta between a serialized accumulator and its last published
-/// value into a registry counter, so the exported counter tracks the
-/// accumulator's total while staying monotonic.
-void publish_total(obs::Counter& c, std::uint64_t current, std::uint64_t& published) {
-  PSMR_DCHECK(current >= published);
-  c.add(current - published);
-  published = current;
-}
-
-}  // namespace
 
 Scheduler::Scheduler(SchedulerOptions options, Executor executor)
     : config_(std::move(options)),
       executor_(std::move(executor)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
-      batches_delivered_metric_(&metrics_->counter("scheduler.batches_delivered")),
-      batches_executed_metric_(&metrics_->counter("scheduler.batches_executed")),
-      commands_executed_metric_(&metrics_->counter("scheduler.commands_executed")),
-      batches_failed_metric_(&metrics_->counter("scheduler.batches_failed")),
-      queue_wait_metric_(&metrics_->histogram("scheduler.queue_wait_ns")),
+      m_(*metrics_, config_.workers),
       tracer_(config_.trace_capacity),
       bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
           config_.low_watermark),
+      breaker_(*metrics_, config_.circuit_failure_threshold,
+               config_.circuit_recovery_threshold),
       graph_(config_.mode, config_.index) {
   config_.validate();
   PSMR_CHECK(executor_ != nullptr);
   if (config_.class_map != nullptr) {
     class_map_fp_.store(config_.class_map->fingerprint(), std::memory_order_relaxed);
-  }
-  worker_batches_metric_.reserve(config_.workers);
-  for (unsigned i = 0; i < config_.workers; ++i) {
-    worker_batches_metric_.push_back(
-        &metrics_->counter("worker." + std::to_string(i) + ".batches_executed"));
   }
   metrics_->gauge("scheduler.workers").set(static_cast<double>(config_.workers));
   graph_.set_tracer(&tracer_);
@@ -78,7 +59,7 @@ bool Scheduler::deliver(smr::BatchPtr batch) {
   if (stopping_) return false;
   graph_.insert(std::move(probe));
   bp_.update(graph_.size());
-  batches_delivered_metric_->add(1);
+  m_.batches_delivered.add(1);
   // The new batch may be immediately free; wake one worker (line 14–16:
   // the scheduler keeps delivering, workers pull).
   lk.unlock();
@@ -95,33 +76,13 @@ bool Scheduler::has_space() const {
 bool Scheduler::wait_for_space() {
   if (config_.max_pending_batches == 0) return true;
   std::unique_lock lk(mu_);
-  const auto have = [&] {
-    return stopping_ || graph_.size() < config_.max_pending_batches;
-  };
-  if (!have()) {
-    switch (config_.backpressure) {
-      case BackpressureMode::kReject:
-        bp_.count_reject();
-        return false;
-      case BackpressureMode::kBlockWithDeadline: {
-        const std::uint64_t t0 = util::now_ns();
-        const bool got = space_free_.wait_for(lk, config_.backpressure_deadline, have);
-        bp_.count_wait(util::now_ns() - t0);
-        if (!got) {
-          bp_.count_deadline_expired();
-          return false;
-        }
-        break;
-      }
-      case BackpressureMode::kBlock: {
-        const std::uint64_t t0 = util::now_ns();
-        space_free_.wait(lk, have);
-        bp_.count_wait(util::now_ns() - t0);
-        break;
-      }
-    }
-  }
-  return !stopping_;
+  return bp_.wait_for_space(lk, space_free_, config_.backpressure,
+                            config_.backpressure_deadline,
+                            [&] {
+                              return stopping_ ||
+                                     graph_.size() < config_.max_pending_batches;
+                            }) &&
+         !stopping_;
 }
 
 void Scheduler::wait_idle() {
@@ -192,48 +153,10 @@ void Scheduler::apply_class_map(std::shared_ptr<const smr::ConflictClassMap> map
   release_barrier();
 }
 
-bool Scheduler::degraded() const {
-  std::lock_guard lk(mu_);
-  return degraded_;
-}
-
 obs::Snapshot Scheduler::stats() const {
   {
     std::lock_guard lk(mu_);
-    // Counters accumulated inside the serialized graph (pairwise conflict
-    // tests, index effectiveness) are published as deltas so the exported
-    // values stay monotonic across snapshots.
-    const ConflictStats& cs = graph_.conflict_stats();
-    publish_total(metrics_->counter("scheduler.insert.pair_tests"), cs.tests,
-                  published_.pair_tests);
-    publish_total(metrics_->counter("scheduler.insert.comparisons"), cs.comparisons,
-                  published_.comparisons);
-    publish_total(metrics_->counter("scheduler.insert.conflicts_found"),
-                  cs.conflicts_found, published_.conflicts_found);
-    const DependencyGraph::IndexStats& is = graph_.index_stats();
-    publish_total(metrics_->counter("graph.index.probes"), is.probes,
-                  published_.index_probes);
-    publish_total(metrics_->counter("graph.index.fast_path_skips"), is.fast_path_skips,
-                  published_.index_fast_path_skips);
-    publish_total(metrics_->counter("graph.index.candidate_tests"), is.candidate_tests,
-                  published_.index_candidate_tests);
-    publish_total(metrics_->counter("graph.index.activations"), is.activations,
-                  published_.index_activations);
-    publish_total(metrics_->counter("graph.index.deactivations"), is.deactivations,
-                  published_.index_deactivations);
-    publish_total(metrics_->counter("trace.batches_started"), tracer_.started(),
-                  published_.trace_started);
-    publish_total(metrics_->counter("trace.batches_evicted"), tracer_.evicted(),
-                  published_.trace_evicted);
-
-    metrics_->gauge("graph.resident_batches").set(static_cast<double>(graph_.size()));
-    metrics_->gauge("graph.size_at_insert.avg").set(graph_.size_at_insert().mean());
-    metrics_->gauge("graph.size_at_insert.max").set(graph_.size_at_insert().max());
-    metrics_->gauge("graph.index.active").set(graph_.index_active() ? 1.0 : 0.0);
-    metrics_->gauge("graph.index.fell_back_to_scan")
-        .set(is.fell_back_to_scan ? 1.0 : 0.0);
-    metrics_->gauge("scheduler.degraded").set(degraded_ ? 1.0 : 0.0);
-    metrics_->gauge("trace.capacity").set(static_cast<double>(tracer_.capacity()));
+    publish_graph_stats(graph_, tracer_, *metrics_, published_);
   }
   return metrics_->snapshot();
 }
@@ -282,57 +205,29 @@ void Scheduler::worker_loop(unsigned worker_index) {
     // executor later fails (failed batches are removed, never re-enqueued),
     // so histogram count == batches executed + batches failed. The striped
     // histogram keeps this off the scheduling critical section.
-    queue_wait_metric_->record(util::now_ns() - inserted_at_ns);
+    m_.queue_wait_ns->record(util::now_ns() - inserted_at_ns);
     // Line 45: execute commands in their order. A throwing executor must
     // not kill the worker or wedge the graph: the batch is accounted as
     // failed, removed below like any other (dependents unblock), and the
     // loop continues.
-    bool ok = true;
-    std::string what;
-    try {
-      executor_(*batch);
-    } catch (const std::exception& e) {
-      ok = false;
-      what = e.what();
-    } catch (...) {
-      ok = false;
-      what = "non-standard exception";
-    }
-    tracer_.record_executed(seq, worker_index, !ok);
-    if (!ok && on_failure_) on_failure_(*batch, what);
+    const std::exception_ptr error = guarded_execute(executor_, *batch);
+    tracer_.record_executed(seq, worker_index, error != nullptr);
+    if (error != nullptr && on_failure_) on_failure_(*batch, failure_message(error));
     lk.lock();
     const std::size_t freed = graph_.remove(node);
     bp_.update(graph_.size());
     // Counter bumps happen under mu_ so a wait_idle()-then-stats() caller
     // observes every increment (the idle notify below synchronizes).
     bool recovered_now = false;
-    if (ok) {
-      batches_executed_metric_->add(1);
-      commands_executed_metric_->add(batch->size());
-      worker_batches_metric_[worker_index]->add(1);
-      consecutive_failures_ = 0;
-      // Half-open recovery: degraded mode runs one batch at a time, so
-      // successes here are genuinely consecutive. Enough of them in a row
-      // close the circuit and restore concurrent execution.
-      if (degraded_ && config_.circuit_recovery_threshold != 0 &&
-          ++consecutive_successes_ >= config_.circuit_recovery_threshold) {
-        degraded_ = false;
-        consecutive_successes_ = 0;
-        recovered_now = true;
-        metrics_->counter("scheduler.circuit.recoveries").add(1);
-        metrics_->gauge("scheduler.degraded").set(0.0);
-      }
+    if (error == nullptr) {
+      m_.count_executed(*batch);
+      m_.worker_batches[worker_index]->add(1);
+      recovered_now = breaker_.on_success();
     } else {
       // A failed batch never counts as executed — no false "executed"
       // state leaks into the stats consumers (tests, quiesce loops).
-      batches_failed_metric_->add(1);
-      consecutive_successes_ = 0;  // a failure restarts the probation window
-      if (config_.circuit_failure_threshold != 0 && !degraded_ &&
-          ++consecutive_failures_ >= config_.circuit_failure_threshold) {
-        degraded_ = true;  // circuit trips: sequential single-batch mode
-        metrics_->counter("scheduler.circuit.trips").add(1);
-        metrics_->gauge("scheduler.degraded").set(1.0);
-      }
+      m_.batches_failed.add(1);
+      breaker_.on_failure();  // a trip means sequential single-batch mode
     }
     // Deferred wake tokens: the decisions are made under the lock, but the
     // notifies fire after it is released — replacing the previous
@@ -346,7 +241,8 @@ void Scheduler::worker_loop(unsigned worker_index) {
     // Degraded mode: finishing this batch may unpark a peer even when
     // nothing new became free (the in-flight gate just opened).
     const bool wake_one_ready =
-        !wake_all_ready && (freed >= 1 || (degraded_ && graph_.num_free() > 0));
+        !wake_all_ready &&
+        (freed >= 1 || (breaker_.degraded() && graph_.num_free() > 0));
     const bool wake_space = config_.max_pending_batches != 0;
     // Barrier progress: every remove while armed may be the one that
     // empties the <= barrier_seq_ prefix (checkpoints are rare, so the

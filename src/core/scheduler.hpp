@@ -27,6 +27,7 @@
 
 #include "core/backpressure.hpp"
 #include "core/dependency_graph.hpp"
+#include "core/engine_parts.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -36,9 +37,6 @@ namespace psmr::core {
 
 class Scheduler {
  public:
-  /// Deprecated alias kept for one release — use SchedulerOptions.
-  using Config = SchedulerOptions;
-
   /// Invoked (outside the scheduler lock, on the worker thread) when an
   /// executor throws: receives the failed batch and the exception message.
   /// The batch was removed from the graph — dependents run regardless.
@@ -134,8 +132,8 @@ class Scheduler {
   /// True while the failure circuit is tripped. With
   /// circuit_recovery_threshold set, the circuit half-opens: enough
   /// consecutive successful batches clear it again (`scheduler.circuit.*`
-  /// counters record every transition).
-  bool degraded() const;
+  /// counters record every transition). Lock-free; safe from any thread.
+  bool degraded() const noexcept { return breaker_.degraded(); }
 
   /// Unified metrics snapshot (DESIGN.md §10 catalogue): `scheduler.*`
   /// counters, `graph.*` gauges/counters, `worker.N.*` per-worker counters,
@@ -166,7 +164,7 @@ class Scheduler {
   /// is already in flight (degraded mode = one batch at a time). Requires
   /// mu_ held.
   bool can_take_locked() const {
-    return !degraded_ || graph_.num_taken() == 0;
+    return !breaker_.degraded() || graph_.num_taken() == 0;
   }
 
   /// Highest delivery sequence workers may start right now; unbounded when
@@ -184,16 +182,13 @@ class Scheduler {
   // Observability: registry handles are resolved once, in the constructor;
   // the hot path only touches the cached pointers (sharded relaxed adds).
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
-  obs::HistogramMetric* queue_wait_metric_;
-  std::vector<obs::Counter*> worker_batches_metric_;
+  SchedulerMetrics m_;
   obs::BatchTracer tracer_;
   // Depth/watermark updates run under mu_ (delivery inserts, worker
   // removes), satisfying the meter's serialization contract.
   BackpressureMeter bp_;
+  // Serialized by mu_ (every on_success/on_failure runs under it).
+  CircuitBreaker breaker_;
 
   mutable std::mutex mu_;
   std::condition_variable batch_ready_;  // workers wait here
@@ -205,27 +200,8 @@ class Scheduler {
   bool started_ = false;
   bool barrier_armed_ = false;
   std::uint64_t barrier_seq_ = 0;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;  // probation progress while degraded
-  bool degraded_ = false;
-
-  // Graph-internal accumulators (conflict/index stats, batches inserted)
-  // live inside the serialized DependencyGraph; stats() publishes them into
-  // the registry as counters by adding the delta since the last publish.
   // Guarded by mu_; mutable because stats() is const.
-  struct PublishedTotals {
-    std::uint64_t pair_tests = 0;
-    std::uint64_t comparisons = 0;
-    std::uint64_t conflicts_found = 0;
-    std::uint64_t index_probes = 0;
-    std::uint64_t index_fast_path_skips = 0;
-    std::uint64_t index_candidate_tests = 0;
-    std::uint64_t index_activations = 0;
-    std::uint64_t index_deactivations = 0;
-    std::uint64_t trace_started = 0;
-    std::uint64_t trace_evicted = 0;
-  };
-  mutable PublishedTotals published_;
+  mutable GraphStatsCursor published_;
 
   std::vector<std::thread> workers_;
 };

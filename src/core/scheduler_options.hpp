@@ -1,9 +1,6 @@
-// One construction surface for every scheduler variant (API redesign,
-// PR 4). Previously `Scheduler::Config` and `PipelinedScheduler::Config`
-// were separate structs that drifted apart (the pipelined variant silently
-// lacked the circuit-breaker knobs); both classes now take this one options
-// struct, and the old `Config` names survive only as deprecated aliases for
-// one release.
+// One construction surface for every scheduler variant: Scheduler,
+// PipelinedScheduler, ShardedScheduler and EarlyScheduler all take this
+// options struct.
 #pragma once
 
 #include <chrono>
@@ -83,9 +80,9 @@ struct SchedulerOptions {
   /// failed batches (executor threw), the scheduler degrades to sequential
   /// single-batch execution — one batch in flight at a time, delivery order
   /// — instead of crashing or wedging. 0 disables the circuit (failures are
-  /// still isolated and counted). Honoured by both the monitor Scheduler
-  /// and the PipelinedScheduler (and, through its per-shard engines, the
-  /// ShardedScheduler).
+  /// still isolated and counted). Honoured by every variant (the
+  /// ShardedScheduler through its per-shard engines; the EarlyScheduler by
+  /// its class workers and, independently, its fallback engine).
   unsigned circuit_failure_threshold = 0;
 
   /// Half-open recovery for the circuit breaker: while degraded, this many
@@ -106,13 +103,6 @@ struct SchedulerOptions {
   /// runs unclassified batches (the fallback path). 0 = same as `workers`.
   /// Ignored by the other variants.
   unsigned fallback_workers = 0;
-
-  /// ShardedScheduler only: resolve 2-shard rendezvous through a packed
-  /// atomic word (C++20 atomic wait/notify — a futex on Linux) instead of a
-  /// heap-allocated mutex+condvar gate. Identical semantics; the flag
-  /// exists so the bench can report before/after rows. ≥3-shard gates
-  /// always use the mutex+condvar path.
-  bool gate_word_fast_path = true;
 
   /// Ring capacity of the batch-lifecycle tracer (obs::BatchTracer),
   /// rounded up to a power of two. 0 disables tracing at runtime; building

@@ -1,7 +1,6 @@
 #include "core/sharded_scheduler.hpp"
 
 #include <bit>
-#include <exception>
 
 #include "util/assert.hpp"
 
@@ -12,10 +11,7 @@ ShardedScheduler::ShardedScheduler(SchedulerOptions options, Executor executor)
       executor_(std::move(executor)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
-      batches_delivered_metric_(&metrics_->counter("scheduler.batches_delivered")),
-      batches_executed_metric_(&metrics_->counter("scheduler.batches_executed")),
-      commands_executed_metric_(&metrics_->counter("scheduler.commands_executed")),
-      batches_failed_metric_(&metrics_->counter("scheduler.batches_failed")),
+      m_(*metrics_),
       single_shard_metric_(&metrics_->counter("scheduler.batches_single_shard")),
       cross_shard_metric_(&metrics_->counter("scheduler.batches_cross_shard")) {
   config_.validate();
@@ -92,7 +88,7 @@ bool ShardedScheduler::deliver(smr::BatchPtr batch) {
     // state beyond that shard's own monitor.
     const auto s = static_cast<std::size_t>(std::countr_zero(mask));
     if (!shards_[s]->deliver(std::move(batch))) return false;
-    batches_delivered_metric_->add(1);
+    m_.batches_delivered.add(1);
     single_shard_metric_->add(1);
     return true;
   }
@@ -100,25 +96,10 @@ bool ShardedScheduler::deliver(smr::BatchPtr batch) {
   // the batch the instant it is inserted), then enqueue it into every
   // touched shard in ascending shard order. All replicas deliver in the
   // same total order, so every shard sees the same subsequence — the gate
-  // is a delivery-order barrier. The common 2-shard case gets the packed
-  // atomic word; wider gates keep the mutex+condvar shape.
-  GateSlot slot;
-  const unsigned expected = static_cast<unsigned>(touched);
-  const auto leader = static_cast<std::size_t>(std::countr_zero(mask));
-  if (config_.gate_word_fast_path && touched == 2) {
-    slot.fast = std::make_shared<WordGate>();
-    slot.fast->word.store(static_cast<std::uint64_t>(expected) |
-                              (static_cast<std::uint64_t>(leader) << 8),
-                          std::memory_order_relaxed);
-  } else {
-    slot.slow = std::make_shared<Gate>();
-    slot.slow->expected = expected;
-    slot.slow->leader = leader;
-  }
-  {
-    std::lock_guard lk(gates_mu_);
-    gates_.emplace(batch->sequence(), slot);
-  }
+  // is a delivery-order barrier.
+  const std::shared_ptr<RendezvousGate> gate =
+      gates_.open(batch->sequence(), static_cast<unsigned>(touched),
+                  static_cast<std::size_t>(std::countr_zero(mask)));
   std::uint64_t delivered = 0;
   for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
     const auto s = static_cast<std::size_t>(std::countr_zero(rest));
@@ -126,159 +107,44 @@ bool ShardedScheduler::deliver(smr::BatchPtr batch) {
   }
   if (delivered == 0) {
     // Raced stop() before any shard accepted it: the batch is nowhere.
-    std::lock_guard lk(gates_mu_);
-    gates_.erase(batch->sequence());
+    gates_.close(batch->sequence());
     return false;
   }
   if (delivered != mask) {
     // Partial acceptance during shutdown: shrink the gate to the shards
     // that actually hold the batch so the rendezvous still resolves.
-    const auto new_expected = static_cast<unsigned>(std::popcount(delivered));
-    const auto new_leader = static_cast<std::size_t>(std::countr_zero(delivered));
-    if (slot.fast != nullptr) {
-      std::uint64_t cur = slot.fast->word.load(std::memory_order_relaxed);
-      for (;;) {
-        const std::uint64_t next =
-            (cur & ~std::uint64_t{0xffff}) | new_expected |
-            (static_cast<std::uint64_t>(new_leader) << 8);
-        if (slot.fast->word.compare_exchange_weak(cur, next,
-                                                  std::memory_order_acq_rel)) {
-          break;
-        }
-      }
-      slot.fast->word.notify_all();
-    } else {
-      std::lock_guard lk(slot.slow->mu);
-      slot.slow->expected = new_expected;
-      slot.slow->leader = new_leader;
-      slot.slow->cv.notify_all();
-    }
+    gate->shrink(static_cast<unsigned>(std::popcount(delivered)),
+                 static_cast<std::size_t>(std::countr_zero(delivered)));
   }
-  batches_delivered_metric_->add(1);
+  m_.batches_delivered.add(1);
   cross_shard_metric_->add(1);
   return true;
 }
 
+void ShardedScheduler::run_counted(const smr::Batch& batch) {
+  if (const std::exception_ptr error = guarded_execute(executor_, batch)) {
+    m_.batches_failed.add(1);
+    std::rethrow_exception(error);  // the engine isolates it, fires on_failure
+  }
+  m_.count_executed(batch);
+}
+
 void ShardedScheduler::execute_as_shard(std::size_t shard_index,
                                         const smr::Batch& batch) {
-  GateSlot slot;
-  {
-    std::lock_guard lk(gates_mu_);
-    const auto it = gates_.find(batch.sequence());
-    if (it != gates_.end()) slot = it->second;
-  }
-  if (slot.fast != nullptr) {
-    rendezvous_word(shard_index, *slot.fast, batch);
-    return;
-  }
-  if (slot.slow == nullptr) {
+  const std::shared_ptr<RendezvousGate> gate = gates_.find(batch.sequence());
+  if (gate == nullptr) {
     // Single-shard batch: run it right here, on this shard's worker.
-    try {
-      executor_(batch);
-    } catch (...) {
-      batches_failed_metric_->add(1);
-      throw;  // the shard engine isolates the fault and fires on_failure
-    }
-    batches_executed_metric_->add(1);
-    commands_executed_metric_->add(batch.size());
+    run_counted(batch);
     return;
   }
-  rendezvous(shard_index, *slot.slow, batch);
-}
-
-void ShardedScheduler::rendezvous_word(std::size_t shard_index, WordGate& gate,
-                                       const smr::Batch& batch) {
-  constexpr std::uint64_t kDone = std::uint64_t{1} << 16;
-  constexpr std::uint64_t kArrive = std::uint64_t{1} << 24;
-  constexpr std::uint64_t kDepart = std::uint64_t{1} << 32;
-  // Arrive, and wake anyone (the leader) waiting for the count.
-  std::uint64_t w = gate.word.fetch_add(kArrive, std::memory_order_acq_rel) + kArrive;
-  gate.word.notify_all();
-  std::exception_ptr err;
-  for (;;) {
-    if ((w & kDone) != 0) break;
-    const unsigned expected = static_cast<unsigned>(w & 0xff);
-    const auto leader = static_cast<std::size_t>((w >> 8) & 0xff);
-    const unsigned arrived = static_cast<unsigned>((w >> 24) & 0xff);
-    if (shard_index == leader && arrived >= expected) {
-      // Same execution point as the slow gate: every touched shard has
-      // parked this batch, so all its delivery-order predecessors are done
-      // everywhere. Run with no gate lock held — there is none.
-      try {
-        executor_(batch);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      if (err) {
-        batches_failed_metric_->add(1);
-      } else {
-        batches_executed_metric_->add(1);
-        commands_executed_metric_->add(batch.size());
-      }
-      gate.word.fetch_or(kDone, std::memory_order_acq_rel);
-      gate.word.notify_all();
-      break;
-    }
-    // Futex sleep until the word changes (new arrival, done, or a
-    // partial-acceptance shrink from deliver()).
-    gate.word.wait(w, std::memory_order_acquire);
-    w = gate.word.load(std::memory_order_acquire);
-  }
-  // Departure: the shard whose increment completes the count retires the
-  // gate. Its last access to the word is that RMW, so the erase is safe.
-  const std::uint64_t after =
-      gate.word.fetch_add(kDepart, std::memory_order_acq_rel) + kDepart;
-  if (((after >> 32) & 0xff) == (after & 0xff)) {
-    std::lock_guard g(gates_mu_);
-    gates_.erase(batch.sequence());
-  }
-  // Only the leader rethrows — failure accounted (and on_failure fired)
-  // exactly once, in the leader's engine.
-  if (err) std::rethrow_exception(err);
-}
-
-void ShardedScheduler::rendezvous(std::size_t shard_index, Gate& gate,
-                                  const smr::Batch& batch) {
-  std::unique_lock lk(gate.mu);
-  ++gate.arrived;
-  if (gate.arrived == gate.expected) gate.cv.notify_all();
-  gate.cv.wait(lk, [&] {
-    return gate.done ||
-           (shard_index == gate.leader && gate.arrived == gate.expected);
-  });
-  std::exception_ptr err;
-  if (!gate.done && shard_index == gate.leader) {
-    // Every touched shard has parked this batch's node: all its local
-    // predecessors (in delivery order) are done in every shard, so the
-    // leader executing now is exactly where the single scheduler would
-    // execute it. Run outside the gate lock.
-    lk.unlock();
-    try {
-      executor_(batch);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      batches_failed_metric_->add(1);
-    } else {
-      batches_executed_metric_->add(1);
-      commands_executed_metric_->add(batch.size());
-    }
-    lk.lock();
-    gate.done = true;
-    gate.cv.notify_all();
-  }
-  // Departure: the last shard out retires the gate. Followers return
-  // normally — their engines then release the batch's local dependents.
-  const bool last = ++gate.departed == gate.expected;
-  lk.unlock();
-  if (last) {
-    std::lock_guard g(gates_mu_);
-    gates_.erase(batch.sequence());
-  }
-  // Only the leader rethrows, so the failure is accounted (and on_failure
-  // fired) exactly once, in the leader's engine.
-  if (err) std::rethrow_exception(err);
+  // Every touched shard has parked this batch's node when the leader runs:
+  // all its local predecessors (in delivery order) are done in every
+  // shard, so the leader executing now is exactly where the single
+  // scheduler would execute it. Followers return normally — their engines
+  // then release the batch's local dependents. Only the leader rethrows,
+  // so a failure is accounted (and on_failure fired) exactly once, in the
+  // leader's engine.
+  gates_.rendezvous(*gate, batch.sequence(), shard_index, [&] { run_counted(batch); });
 }
 
 void ShardedScheduler::drain_to_sequence(std::uint64_t seq) {

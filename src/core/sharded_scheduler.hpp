@@ -34,15 +34,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/engine_parts.hpp"
 #include "core/scheduler.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
@@ -136,45 +133,10 @@ class ShardedScheduler {
   void check_invariants() const;
 
  private:
-  /// Rendezvous state for one multi-shard batch, keyed by its delivery
-  /// sequence number. Lives from deliver() until the last touched shard's
-  /// executor wrapper departs.
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    unsigned expected;       // number of touched shards
-    std::size_t leader;      // lowest touched shard: runs the executor
-    unsigned arrived = 0;
-    unsigned departed = 0;
-    bool done = false;       // leader finished (successfully or not)
-  };
-
-  /// Futex-style gate for the common 2-shard rendezvous
-  /// (SchedulerOptions::gate_word_fast_path): the whole gate state is one
-  /// packed atomic word driven by C++20 atomic wait/notify — no mutex, no
-  /// condvar, one cache line. Field layout (LSB first):
-  ///   bits  0..7   expected participants
-  ///   bits  8..15  leader shard index
-  ///   bit   16     done (leader finished, successfully or not)
-  ///   bits 24..31  arrived count
-  ///   bits 32..39  departed count
-  /// Counts fit 8 bits because shards <= 64. The participant whose
-  /// departure increment completes the count retires the gate; its last
-  /// access is its own RMW, so no participant can touch freed state.
-  struct WordGate {
-    std::atomic<std::uint64_t> word{0};
-  };
-
-  /// A registered gate is exactly one of the two shapes.
-  struct GateSlot {
-    std::shared_ptr<Gate> slow;
-    std::shared_ptr<WordGate> fast;
-  };
-
   void execute_as_shard(std::size_t shard_index, const smr::Batch& batch);
-  void rendezvous(std::size_t shard_index, Gate& gate, const smr::Batch& batch);
-  void rendezvous_word(std::size_t shard_index, WordGate& gate,
-                       const smr::Batch& batch);
+  /// Runs the executor once for `batch`, counting the exactly-once totals;
+  /// rethrows a failure so the running engine isolates it.
+  void run_counted(const smr::Batch& batch);
 
   SchedulerOptions config_;
   Executor executor_;
@@ -182,17 +144,15 @@ class ShardedScheduler {
   std::atomic<std::uint64_t> class_map_fp_{0};
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
+  SchedulerMetrics m_;
   obs::Counter* single_shard_metric_;
   obs::Counter* cross_shard_metric_;
 
   std::vector<std::unique_ptr<Scheduler>> shards_;
 
-  std::mutex gates_mu_;
-  std::unordered_map<std::uint64_t, GateSlot> gates_;
+  /// One gate per in-flight multi-shard batch, from deliver() until the
+  /// last touched shard departs.
+  GateTable gates_;
 };
 
 }  // namespace psmr::core

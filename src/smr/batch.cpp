@@ -42,11 +42,6 @@ void Batch::stamp(const PlacementMaps& maps) {
   }
 }
 
-void Batch::build_shard_mask(unsigned shards) {
-  PSMR_CHECK(shards >= 1);
-  stamp(PlacementMaps{shards, nullptr});
-}
-
 std::uint64_t compute_class_mask(const Batch& batch,
                                  const ConflictClassMap& map) noexcept {
   std::uint64_t mask = 0;
@@ -54,12 +49,6 @@ std::uint64_t compute_class_mask(const Batch& batch,
     mask |= map.class_mask_of(c);
   }
   return mask;
-}
-
-void Batch::build_class_mask(const ConflictClassMap& map) {
-  // Non-owning aliasing handle: stamp() only reads the map within the call.
-  stamp(PlacementMaps{
-      0, std::shared_ptr<const ConflictClassMap>(std::shared_ptr<void>(), &map)});
 }
 
 void Batch::build_bitmap(const BitmapConfig& cfg) {

@@ -95,40 +95,27 @@ class Batch {
   const std::vector<std::uint32_t>& bitmap_positions() const noexcept { return positions_; }
 
   /// Stamps every configured placement digest in ONE pass over the
-  /// commands: the touched-shard mask (when maps.shards != 0), the
-  /// touched-class mask plus map fingerprint (when maps.class_map != null).
-  /// This is the unified successor of build_shard_mask + build_class_mask
-  /// (which survive as thin wrappers): a proxy stamping both no longer
-  /// walks the command vector twice. Idempotent; skipped halves leave the
-  /// existing stamps untouched.
+  /// commands, at batch-formation time like the Bloom digest (off the
+  /// delivery critical path):
+  ///  - when maps.shards != 0, the touched-shard set for an S-shard
+  ///    scheduler (DESIGN.md §11): bit s is set iff some command's key maps
+  ///    to shard s under shard_of_key(key, S); S ≤ 64 so it fits one word;
+  ///  - when maps.class_map != null, the touched-conflict-class set under
+  ///    that map (DESIGN.md §13): bit c is set iff some command classifies
+  ///    as class c, bit 63 (ConflictClassMap::kUnclassifiedBit) iff some
+  ///    command matches no rule; plus the map's fingerprint.
+  /// Idempotent; skipped halves leave the existing stamps untouched.
   void stamp(const PlacementMaps& maps);
 
-  /// Deprecated-doc alias: build_shard_mask(S) == stamp({S, nullptr}).
-  /// Builds the touched-shard set for an S-shard scheduler (DESIGN.md §11):
-  /// bit s is set iff some command's key maps to shard s under
-  /// shard_of_key(key, S). Computed at batch-formation time like the Bloom
-  /// digest — one pass over the commands, off the delivery critical path.
-  /// Idempotent; S ≤ 64 so the set fits one mask word.
-  void build_shard_mask(unsigned shards);
-
   /// Touched-shard bitmask, and the shard count it was computed for
-  /// (0 = build_shard_mask never ran; the scheduler recomputes on the
-  /// spot when its S differs — correctness never depends on the proxy
-  /// and replica agreeing, only cost does).
+  /// (0 = never stamped; the scheduler recomputes on the spot when its S
+  /// differs — correctness never depends on the proxy and replica
+  /// agreeing, only cost does).
   std::uint64_t shard_mask() const noexcept { return shard_mask_; }
   unsigned shard_count() const noexcept { return shard_count_; }
 
-  /// Deprecated-doc alias: build_class_mask(m) == stamp({0, &m}).
-  /// Builds the touched-conflict-class set under `map` (DESIGN.md §13):
-  /// bit c is set iff some command classifies as class c; bit 63
-  /// (ConflictClassMap::kUnclassifiedBit) iff some command matches no rule.
-  /// Computed at batch-formation time in the Proxy, exactly like
-  /// build_shard_mask — one pass over the commands, off the delivery
-  /// critical path. Idempotent.
-  void build_class_mask(const ConflictClassMap& map);
-
   /// Touched-class bitmask and the fingerprint of the map it was computed
-  /// under (0 = build_class_mask never ran). The EarlyScheduler recomputes
+  /// under (0 = never stamped). The EarlyScheduler recomputes
   /// on the spot when the fingerprint differs from its configured map —
   /// correctness never depends on proxy/replica agreement, only cost does.
   std::uint64_t class_mask() const noexcept { return class_mask_; }
@@ -156,12 +143,12 @@ using BatchPtr = std::shared_ptr<const Batch>;
 /// hash — so all replicas agree on every batch's touched-shard set.
 std::size_t shard_of_key(Key key, unsigned shards) noexcept;
 
-/// One-pass touched-shard set of a batch (what build_shard_mask caches).
+/// One-pass touched-shard set of a batch (what stamp() caches).
 /// Used by the scheduler when a delivered batch carries no mask, or one
 /// computed for a different shard count.
 std::uint64_t compute_shard_mask(const Batch& batch, unsigned shards) noexcept;
 
-/// One-pass touched-class set of a batch (what build_class_mask caches).
+/// One-pass touched-class set of a batch (what stamp() caches).
 /// Used by the EarlyScheduler when a delivered batch carries no class
 /// stamp, or one computed under a different map.
 std::uint64_t compute_class_mask(const Batch& batch,

@@ -70,14 +70,7 @@ class Proxy {
   /// consensus adapter).
   using BroadcastFn = std::function<void(std::unique_ptr<Batch>)>;
 
-  /// How this proxy packs commands into batches (DESIGN.md §15). Groups
-  /// the formation-time knobs that previously sat flat in Config: the old
-  /// field names survive as deprecated-doc aliases —
-  ///   config.batch_size  -> config.formation.batch_size
-  ///   config.use_bitmap  -> config.formation.use_bitmap
-  ///   config.bitmap      -> config.formation.bitmap
-  ///   config.shards      -> config.formation.shards
-  ///   config.class_map   -> config.formation.class_map
+  /// How this proxy packs commands into batches (DESIGN.md §15).
   struct FormationConfig {
     /// Commands drawn per round (the paper evaluates 1, 100, 200). Under
     /// kOblivious each round is exactly one batch of this size; under
@@ -107,9 +100,7 @@ class Proxy {
     std::shared_ptr<const ConflictClassMap> class_map;
   };
 
-  /// Retransmission discipline (deprecated-doc aliases:
-  /// config.retry -> config.reliability.retry,
-  /// config.honor_retry_after -> config.reliability.honor_retry_after).
+  /// Retransmission discipline.
   struct ReliabilityConfig {
     /// Retransmission policy for lost batches/responses.
     RetryConfig retry;
@@ -122,8 +113,7 @@ class Proxy {
     bool honor_retry_after = true;
   };
 
-  /// Pre-order admission control (deprecated-doc alias:
-  /// config.admission -> config.admission.controller).
+  /// Pre-order admission control.
   struct AdmissionConfig {
     /// When set, every round acquires credits BEFORE broadcast and
     /// releases them when the round completes (or is abandoned). A
@@ -134,10 +124,8 @@ class Proxy {
     std::shared_ptr<AdmissionController> controller;
   };
 
-  /// Cohesive proxy configuration (API redesign, PR 9 — the PR-4
-  /// SchedulerOptions consolidation applied to the proxy): the grown flat
-  /// surface is regrouped into formation / reliability / admission
-  /// sub-configs; each old flat field name is documented at its new home.
+  /// Proxy configuration, grouped into formation / reliability /
+  /// admission sub-configs.
   struct Config {
     std::uint64_t proxy_id = 0;
     /// Simulated clients behind this proxy; commands are drawn round-robin.

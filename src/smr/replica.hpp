@@ -78,8 +78,6 @@ class Replica {
   /// `worker.N.*`) AND the replica's own metrics (`replica.*`) — they share
   /// one registry.
   obs::Snapshot stats() const { return scheduler_.stats(); }
-  /// Deprecated name for stats(), kept while call sites migrate.
-  obs::Snapshot scheduler_stats() const { return stats(); }
   std::uint32_t id() const noexcept { return config_.replica_id; }
 
   /// The exactly-once session table. Part of the replicated state: capture

@@ -251,7 +251,7 @@ TEST(Backpressure, ShardedMultiShardRejectLeavesNoOrphanLegs) {
       c.key = k;
       return c;
     }()});
-    probe.build_shard_mask(2);
+    probe.stamp(smr::PlacementMaps{2, nullptr});
     if (probe.shard_mask() == 0b01 && key_a == 0) key_a = k;
     if (probe.shard_mask() == 0b10 && key_b == 0) key_b = k;
   }

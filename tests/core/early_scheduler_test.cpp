@@ -25,7 +25,7 @@ namespace psmr::core {
 namespace {
 
 smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
-                         const smr::ConflictClassMap* stamp = nullptr) {
+                         std::shared_ptr<const smr::ConflictClassMap> stamp = nullptr) {
   std::vector<smr::Command> cmds;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     smr::Command c;
@@ -36,7 +36,7 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp != nullptr) b->build_class_mask(*stamp);
+  if (stamp != nullptr) b->stamp(smr::PlacementMaps{0, std::move(stamp)});
   return b;
 }
 
@@ -71,7 +71,7 @@ std::shared_ptr<const smr::ConflictClassMap> hot_range_map() {
 template <typename S>
 std::vector<std::pair<smr::Key, smr::Value>> run_stream(
     SchedulerOptions cfg, const std::vector<std::vector<smr::Key>>& stream,
-    const smr::ConflictClassMap* stamp = nullptr) {
+    const std::shared_ptr<const smr::ConflictClassMap>& stamp = nullptr) {
   kv::KvStore store;
   S s(cfg, [&](const smr::Batch& b) {
     for (const smr::Command& c : b.commands()) store.update(c.key, c.value);
@@ -117,7 +117,7 @@ TEST(EarlySchedulerTest, LockstepWithPrecomputedClassMasks) {
   SchedulerOptions cfg;
   cfg.workers = 4;
   cfg.class_map = hot_range_map();
-  EXPECT_EQ(run_stream<EarlyScheduler>(cfg, stream, cfg.class_map.get()),
+  EXPECT_EQ(run_stream<EarlyScheduler>(cfg, stream, cfg.class_map),
             reference);
 }
 
@@ -129,11 +129,12 @@ TEST(EarlySchedulerTest, StaleClassStampIsRecomputed) {
   SchedulerOptions ref_cfg;
   ref_cfg.workers = 4;
   const auto reference = run_stream<Scheduler>(ref_cfg, stream);
-  const auto foreign = smr::ConflictClassMap::uniform(3);
+  const auto foreign =
+      std::make_shared<const smr::ConflictClassMap>(smr::ConflictClassMap::uniform(3));
   SchedulerOptions cfg;
   cfg.workers = 4;
   cfg.class_map = hot_range_map();
-  EXPECT_EQ(run_stream<EarlyScheduler>(cfg, stream, &foreign), reference);
+  EXPECT_EQ(run_stream<EarlyScheduler>(cfg, stream, foreign), reference);
 }
 
 TEST(EarlySchedulerTest, DeterministicAcrossWorkerCounts) {
@@ -281,33 +282,6 @@ TEST(EarlySchedulerTest, FailureFiresOnFailureOnceAndIsolates) {
   EXPECT_EQ(st.counter("scheduler.batches_failed"), 1u);
   EXPECT_EQ(st.counter("scheduler.batches_executed"), 5u);
   EXPECT_FALSE(s.degraded());
-}
-
-TEST(EarlySchedulerTest, CircuitBreakerTripsAndRecovers) {
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.circuit_failure_threshold = 3;
-  cfg.circuit_recovery_threshold = 2;
-  cfg.class_map = std::make_shared<const smr::ConflictClassMap>(
-      smr::ConflictClassMap::uniform(1));
-  EarlyScheduler s(cfg, [&](const smr::Batch& b) {
-    if (b.sequence() <= 3) throw std::runtime_error("poison");
-  });
-  s.start();
-  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {smr::Key{0}})));
-  }
-  s.wait_idle();
-  EXPECT_TRUE(s.degraded());  // circuit tripped after 3 consecutive failures
-  for (std::uint64_t seq = 4; seq <= 5; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {smr::Key{0}})));
-  }
-  s.wait_idle();
-  const auto st = s.stats();
-  EXPECT_FALSE(s.degraded());  // 2 consecutive successes closed it
-  s.stop();
-  EXPECT_EQ(st.counter("scheduler.circuit.trips"), 1u);
-  EXPECT_EQ(st.counter("scheduler.circuit.recoveries"), 1u);
 }
 
 TEST(EarlySchedulerTest, BarrierQuiescesAtSequence) {

@@ -1,8 +1,10 @@
-// The pipelined scheduler must be behaviourally indistinguishable from the
-// monitor scheduler: same per-key ordering guarantees, same drain/stop
-// semantics, same concurrency for independent batches. Shared tests run
-// against BOTH implementations via typed tests, plus a cross-implementation
-// equivalence check.
+// The pipelined and early schedulers must be behaviourally
+// indistinguishable from the monitor scheduler: same per-key ordering
+// guarantees, same drain/stop semantics, same concurrency for independent
+// batches, and the same failure isolation and circuit breaker (one
+// CircuitBreaker serves all three). Shared tests run against every
+// implementation via typed tests, plus a cross-implementation equivalence
+// check.
 #include "core/pipelined_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -51,7 +54,7 @@ struct KeyOrderRecorder {
 template <typename S>
 class AnySchedulerTest : public ::testing::Test {};
 
-using SchedulerTypes = ::testing::Types<Scheduler, PipelinedScheduler>;
+using SchedulerTypes = ::testing::Types<Scheduler, PipelinedScheduler, EarlyScheduler>;
 TYPED_TEST_SUITE(AnySchedulerTest, SchedulerTypes);
 
 TYPED_TEST(AnySchedulerTest, ExecutesEverything) {
@@ -177,7 +180,7 @@ TYPED_TEST(AnySchedulerTest, BackpressureBlocksProducer) {
 }
 
 TYPED_TEST(AnySchedulerTest, FailureIsolationParity) {
-  // Both scheduler variants must isolate a throwing executor identically:
+  // Every scheduler variant must isolate a throwing executor identically:
   // the batch counts as failed (never executed), dependents still run,
   // on_failure fires once, and the worker survives.
   std::atomic<std::uint64_t> executed{0};

@@ -30,7 +30,7 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp_shards != 0) b->build_shard_mask(stamp_shards);
+  if (stamp_shards != 0) b->stamp(smr::PlacementMaps{stamp_shards, nullptr});
   return b;
 }
 

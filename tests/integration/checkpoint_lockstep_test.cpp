@@ -101,7 +101,7 @@ RunResult run_variant(core::SchedulerOptions cfg, unsigned stamp_shards,
     auto batch = std::make_shared<smr::Batch>(
         std::vector<smr::Command>(stream[seq - 1]));
     batch->set_sequence(seq);
-    if (stamp_shards != 0) batch->build_shard_mask(stamp_shards);
+    if (stamp_shards != 0) batch->stamp(smr::PlacementMaps{stamp_shards, nullptr});
     EXPECT_TRUE(sched.deliver(std::move(batch)));
     // Mid-run repartition in Replica::deliver order: the control sequence
     // applies the map, then advances the checkpoint clock.

@@ -202,9 +202,10 @@ TEST(Batch, BuildBitmapIsIdempotent) {
 }
 
 TEST(BatchStamp, MatchesLegacyBuildersOnRandomBatches) {
-  // Parity contract for the PR-9 unification: one stamp() pass must compute
-  // exactly what sequential build_shard_mask + build_class_mask did, for
-  // any command mix (classified, unclassified, reads, every shard count).
+  // Parity contract: one stamp() pass must compute exactly what the
+  // independent one-pass references compute_shard_mask and
+  // compute_class_mask do, for any command mix (classified, unclassified,
+  // reads, every shard count).
   util::Xoshiro256 rng(911);
   auto map = std::make_shared<ConflictClassMap>();
   map->add_range(0, 31, 0);
@@ -219,15 +220,12 @@ TEST(BatchStamp, MatchesLegacyBuildersOnRandomBatches) {
         if (rng.next_bool(0.3)) c.type = OpType::kRead;
         cmds.push_back(c);
       }
-      Batch legacy{std::vector<Command>(cmds)};
-      legacy.build_shard_mask(shards);
-      legacy.build_class_mask(*map);
-      Batch unified{std::vector<Command>(cmds)};
+      Batch unified{std::move(cmds)};
       unified.stamp(PlacementMaps{shards, map});
-      EXPECT_EQ(unified.shard_mask(), legacy.shard_mask());
-      EXPECT_EQ(unified.shard_count(), legacy.shard_count());
-      EXPECT_EQ(unified.class_mask(), legacy.class_mask());
-      EXPECT_EQ(unified.class_map_fingerprint(), legacy.class_map_fingerprint());
+      EXPECT_EQ(unified.shard_mask(), compute_shard_mask(unified, shards));
+      EXPECT_EQ(unified.shard_count(), shards);
+      EXPECT_EQ(unified.class_mask(), compute_class_mask(unified, *map));
+      EXPECT_EQ(unified.class_map_fingerprint(), map->fingerprint());
     }
   }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "smr/batch.hpp"
 
 namespace psmr::smr {
@@ -88,18 +90,18 @@ TEST(ConflictClassMapTest, FingerprintDistinguishesMaps) {
 }
 
 TEST(ConflictClassMapTest, BatchStampMirrorsShardMask) {
-  ConflictClassMap map;
-  map.add_range(0, 9, 0);
-  map.add_range(10, 19, 3);
+  auto map = std::make_shared<ConflictClassMap>();
+  map->add_range(0, 9, 0);
+  map->add_range(10, 19, 3);
   Batch b({cmd(5), cmd(12), cmd(5000)});
   b.set_sequence(1);
   EXPECT_EQ(b.class_mask(), 0u);  // never stamped
   EXPECT_EQ(b.class_map_fingerprint(), 0u);
-  b.build_class_mask(map);
+  b.stamp(PlacementMaps{0, map});
   EXPECT_EQ(b.class_mask(), (std::uint64_t{1} << 0) | (std::uint64_t{1} << 3) |
                                 ConflictClassMap::kUnclassifiedBit);
-  EXPECT_EQ(b.class_map_fingerprint(), map.fingerprint());
-  EXPECT_EQ(compute_class_mask(b, map), b.class_mask());
+  EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());
+  EXPECT_EQ(compute_class_mask(b, *map), b.class_mask());
 }
 
 }  // namespace
