@@ -25,10 +25,12 @@
 // PSMR_WORKERS=<n> scheduler workers (default 4).
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -187,16 +189,43 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
       [&admission] { return admission->inflight() > 0; });
   watchdog.start();
 
-  psmr::workload::GeneratorConfig gcfg;
-  gcfg.disjoint_keys = true;
-  gcfg.batch_size = 1;
-  psmr::workload::Generator gen(gcfg, /*proxy_index=*/0, nullptr);
+  // Admitted arrivals go to a bench-local delivery thread, which builds and
+  // broadcasts them. LocalOrderer runs Replica::deliver on the caller's
+  // thread, so broadcasting from the arrival loop would let the server
+  // throttle the arrivals — a closed loop in disguise. The queue needs no
+  // cap of its own: every queued client holds an admission credit until its
+  // response, so it never exceeds global_credits entries.
+  std::mutex queue_mu;
+  std::condition_variable queue_cv;
+  std::deque<std::uint64_t> queue;  // admitted clients, arrival order
+  bool arrivals_done = false;
+  std::thread delivery([&] {
+    psmr::workload::GeneratorConfig gcfg;
+    gcfg.disjoint_keys = true;
+    gcfg.batch_size = 1;
+    psmr::workload::Generator gen(gcfg, /*proxy_index=*/0, nullptr);
+    std::vector<std::uint64_t> seq(opt.clients, 0);
+    std::deque<std::uint64_t> ready;
+    for (;;) {
+      {
+        std::unique_lock lk(queue_mu);
+        queue_cv.wait(lk, [&] { return arrivals_done || !queue.empty(); });
+        if (queue.empty()) return;  // arrivals_done and fully drained
+        ready.swap(queue);
+      }
+      for (const std::uint64_t client : ready) {
+        std::vector<psmr::smr::Command> cmds;
+        cmds.push_back(make_command(gen, client, ++seq[client]));
+        orderer.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+      }
+      ready.clear();
+    }
+  });
 
   RunResult res;
   res.multiplier = multiplier;
   res.offered_rate = rate;
 
-  std::vector<std::uint64_t> seq(opt.clients, 0);
   const double inter_ns = 1e9 / rate;
   const std::uint64_t t0 = now_ns();
   const std::uint64_t end = t0 + static_cast<std::uint64_t>(opt.seconds * 1e9);
@@ -221,10 +250,17 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
     }
     ++res.admitted;
     arrival[client].store(now, std::memory_order_release);
-    std::vector<psmr::smr::Command> cmds;
-    cmds.push_back(make_command(gen, client, ++seq[client]));
-    orderer.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+    std::lock_guard lk(queue_mu);
+    // The delivery thread only sleeps on an empty queue.
+    if (queue.empty()) queue_cv.notify_one();
+    queue.push_back(client);
   }
+  {
+    std::lock_guard lk(queue_mu);
+    arrivals_done = true;
+  }
+  queue_cv.notify_one();
+  delivery.join();
 
   // Drain: everything admitted must complete (bounded, by construction).
   const std::uint64_t drain_deadline = now_ns() + 5'000'000'000ULL;

@@ -80,7 +80,7 @@ void Acceptor::on_accept(net::ProcessId from, const Accept& msg) {
     return;
   }
   promised_ = msg.ballot;
-  accepted_[msg.instance] = PromiseEntry{msg.instance, msg.ballot, msg.value};
+  accepted_[msg.instance] = PromiseEntry{msg.instance, msg.ballot, msg.request_id, msg.value};
   lk.unlock();
 
   if (msg.ring) {

@@ -86,21 +86,17 @@ void PaxosGroup::client_loop() {
     // Drain decide notifications addressed to the client.
     while (auto env = client_endpoint_->try_recv()) {
       if (const auto* decide = std::get_if<Decide>(&env->msg)) {
-        std::uint64_t request_id = 0;
-        if (peek_request_id(decide->value, request_id)) {
-          bool erased = false;
-          {
-            std::lock_guard lk(mu_);
-            erased = unacked_.erase(request_id) != 0;
-            if (erased) {
-              metrics_->gauge("consensus.unacked")
-                  .set(static_cast<double>(unacked_.size()));
-            }
+        bool erased = false;
+        {
+          std::lock_guard lk(mu_);
+          erased = unacked_.erase(decide->request_id) != 0;
+          if (erased) {
+            metrics_->gauge("consensus.unacked").set(static_cast<double>(unacked_.size()));
           }
-          // A decision drained a slot — release any broadcaster blocked on
-          // the max_unacked_broadcasts cap.
-          if (erased) unacked_cv_.notify_all();
         }
+        // A decision drained a slot — release any broadcaster blocked on
+        // the max_unacked_broadcasts cap.
+        if (erased) unacked_cv_.notify_all();
       }
     }
     const auto now = std::chrono::steady_clock::now();
@@ -191,11 +187,15 @@ void PaxosGroup::broadcast(Value payload) {
     unacked_.emplace(request_id, payload);
     metrics_->gauge("consensus.unacked").set(static_cast<double>(unacked_.size()));
   }
-  // Send to every proposer: the leader proposes, followers queue + forward,
-  // so the request survives any single proposer failure. The client thread
-  // retransmits until the decision is observed.
+  // A fresh request goes to the leader alone; with no leader it goes to
+  // every proposer (followers queue it and forward it to the leader they
+  // elect). The client thread's retransmit goes to every proposer, so the
+  // request survives the failure of the proposer it was first sent to.
+  const int leader = leader_index();
   for (unsigned i = 0; i < config_.proposers; ++i) {
-    network_->send(kClientId, proposer_id(i), ClientRequest{request_id, payload});
+    if (leader < 0 || static_cast<unsigned>(leader) == i) {
+      network_->send(kClientId, proposer_id(i), ClientRequest{request_id, payload});
+    }
   }
 }
 

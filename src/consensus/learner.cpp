@@ -48,7 +48,7 @@ void Learner::run() {
 void Learner::on_decide(const Decide& msg) {
   std::unique_lock lk(mu_);
   if (msg.instance < next_instance_) return;  // duplicate of delivered work
-  pending_.emplace(msg.instance, msg.value);
+  pending_.emplace(msg.instance, msg);
 
   // Deliver the contiguous prefix. The callback runs outside the lock so it
   // may block (scheduler backpressure) without stalling decide ingestion
@@ -57,19 +57,17 @@ void Learner::on_decide(const Decide& msg) {
   while (true) {
     auto it = pending_.find(next_instance_);
     if (it == pending_.end()) break;
-    Value wire = std::move(it->second);
+    const std::uint64_t request_id = it->second.request_id;
+    Value value = std::move(it->second.value);
     pending_.erase(it);
     ++next_instance_;
 
-    std::uint64_t request_id = 0;
-    std::vector<std::uint8_t> payload;
-    if (!unwrap_request(wire, request_id, payload)) continue;  // malformed: skip slot
-    if (request_id == 0) continue;  // leader-change no-op filler
-    if (!delivered_requests_.insert(request_id).second) continue;  // duplicate request
+    // Skips the leader-change no-op filler (id 0) and duplicate requests.
+    if (!delivered_requests_.insert(request_id)) continue;
 
     const std::uint64_t seq = next_seq_++;
     lk.unlock();
-    deliver_(seq, std::make_shared<const std::vector<std::uint8_t>>(std::move(payload)));
+    deliver_(seq, std::move(value));
     delivered_count_.fetch_add(1, std::memory_order_relaxed);
     lk.lock();
   }

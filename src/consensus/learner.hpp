@@ -16,7 +16,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/types.hpp"
@@ -26,7 +25,7 @@ namespace psmr::consensus {
 class Learner {
  public:
   /// Delivery callback: sequential delivery index (1-based, gap-free) and
-  /// the application payload (request header already stripped).
+  /// the application payload — the very buffer the client broadcast.
   using DeliverFn = std::function<void(std::uint64_t seq, Value payload)>;
 
   /// `first_instance` > 1 starts delivery mid-log — the snapshot-recovery
@@ -63,10 +62,10 @@ class Learner {
   std::chrono::milliseconds gap_timeout_;
 
   mutable std::mutex mu_;
-  std::map<InstanceId, Value> pending_;   // out-of-order decisions
+  std::map<InstanceId, Decide> pending_;  // out-of-order decisions
   InstanceId next_instance_ = 1;          // next undelivered instance
   std::uint64_t next_seq_ = 1;            // application-visible sequence
-  std::unordered_set<std::uint64_t> delivered_requests_;
+  RequestDedup delivered_requests_;
 
   std::atomic<std::uint64_t> delivered_count_{0};
   std::chrono::steady_clock::time_point gap_since_{};

@@ -41,12 +41,6 @@ std::uint64_t Proposer::decided_count() const {
 void Proposer::truncate_decided_below(InstanceId instance) {
   std::lock_guard lk(mu_);
   decided_.erase(decided_.begin(), decided_.lower_bound(instance));
-  // decided_by_id_ entries pointing below the horizon can no longer serve
-  // client-ack resends; drop them too so memory stays bounded.
-  for (auto it = decided_by_id_.begin(); it != decided_by_id_.end();) {
-    if (it->second < instance) it = decided_by_id_.erase(it);
-    else ++it;
-  }
 }
 
 std::size_t Proposer::retained_decided() const {
@@ -104,18 +98,19 @@ void Proposer::on_client_request(const ClientRequest& msg) {
   std::lock_guard lk(mu_);
   if (proposed_or_decided_.contains(msg.request_id)) {
     // A retransmission of something already decided means the client lost
-    // the ack; re-send it.
-    const auto it = decided_by_id_.find(msg.request_id);
-    if (it != decided_by_id_.end() && config_.client != 0) {
-      const auto dit = decided_.find(it->second);
-      if (dit != decided_.end()) {
-        network_.send(endpoint_->id(), config_.client, Decide{dit->first, dit->second});
+    // the ack; re-send it. Its Decide is found newest first: the client
+    // retransmits within a few periods, so it is near the end of the log.
+    if (config_.client != 0 && decided_requests_.contains(msg.request_id)) {
+      for (auto it = decided_.rbegin(); it != decided_.rend(); ++it) {
+        if (it->second.request_id != msg.request_id) continue;
+        network_.send(endpoint_->id(), config_.client,
+                      Decide{it->first, it->second.request_id, it->second.value});
+        break;
       }
     }
     return;
   }
-  Value wire = wrap_request(msg.request_id, msg.value);
-  pending_requests_[msg.request_id] = wire;
+  pending_requests_[msg.request_id] = msg.value;
   if (role_ == Role::kLeader) {
     flush_pending_locked();
   } else {
@@ -164,29 +159,27 @@ void Proposer::become_leader() {
   // learn their request ids for dedup.
   for (const auto& [instance, entry] : recovered_) {
     if (decided_.contains(instance)) continue;
-    std::uint64_t request_id = 0;
-    if (peek_request_id(entry.value, request_id)) {
-      proposed_or_decided_.insert(request_id);
-      pending_requests_.erase(request_id);
+    if (entry.request_id != 0) {
+      proposed_or_decided_.insert(entry.request_id);
+      pending_requests_.erase(entry.request_id);
     }
     next_instance_ = std::max(next_instance_, instance + 1);
     auto& flight = in_flight_[instance];
-    flight.wire = entry.value;
+    flight.request_id = entry.request_id;
+    flight.value = entry.value;
     flight.votes.clear();
     flight.ring_votes = 0;
     send_accept_locked(instance);
   }
   recovered_.clear();
-  // Fill log holes with no-ops (request id 0, empty payload; learners skip
+  // Fill log holes with no-ops (request id 0, null value; learners skip
   // them). A hole below next_instance_ that neither we nor any promising
   // acceptor knows a value for cannot have been decided — a decided value
   // is accepted by a majority, which intersects our promise quorum — so
   // writing a no-op there is safe and unblocks in-order delivery.
-  static const Value kNoop = wrap_request(0, nullptr);
   for (InstanceId i = 1; i < next_instance_; ++i) {
     if (decided_.contains(i) || in_flight_.contains(i)) continue;
-    auto& flight = in_flight_[i];
-    flight.wire = kNoop;
+    in_flight_[i];  // default InFlight: the no-op
     send_accept_locked(i);
   }
   flush_pending_locked();
@@ -209,17 +202,18 @@ void Proposer::flush_pending_locked() {
   }
 }
 
-void Proposer::propose_locked(std::uint64_t /*request_id*/, Value wire) {
+void Proposer::propose_locked(std::uint64_t request_id, Value value) {
   const InstanceId instance = next_instance_++;
   auto& flight = in_flight_[instance];
-  flight.wire = std::move(wire);
+  flight.request_id = request_id;
+  flight.value = std::move(value);
   send_accept_locked(instance);
 }
 
 void Proposer::send_accept_locked(InstanceId instance) {
   auto& flight = in_flight_[instance];
   flight.last_send = Clock::now();
-  Accept accept{ballot_, instance, flight.wire, 0, config_.ring};
+  Accept accept{ballot_, instance, flight.request_id, flight.value, 0, config_.ring};
   if (config_.ring) {
     // Chain the Accept around the acceptor ring starting at the successor
     // of... the ring is anchored at acceptor 0 for simplicity; the chain
@@ -249,17 +243,15 @@ void Proposer::on_accepted(net::ProcessId from, const Accepted& msg) {
 void Proposer::decide_locked(InstanceId instance) {
   auto it = in_flight_.find(instance);
   PSMR_CHECK(it != in_flight_.end());
-  Value wire = it->second.wire;
+  const Decide decide{instance, it->second.request_id, std::move(it->second.value)};
   in_flight_.erase(it);
-  decided_.emplace(instance, wire);
+  decided_.emplace(instance, DecidedValue{decide.request_id, decide.value});
   decided_counter_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t request_id = 0;
-  if (peek_request_id(wire, request_id)) {
-    proposed_or_decided_.insert(request_id);
-    decided_by_id_.emplace(request_id, instance);
-    pending_requests_.erase(request_id);
+  if (decide.request_id != 0) {
+    proposed_or_decided_.insert(decide.request_id);
+    decided_requests_.insert(decide.request_id);
+    pending_requests_.erase(decide.request_id);
   }
-  const Decide decide{instance, wire};
   for (net::ProcessId l : config_.learners) network_.send(endpoint_->id(), l, decide);
   for (net::ProcessId p : config_.proposers) {
     if (p != endpoint_->id()) network_.send(endpoint_->id(), p, decide);
@@ -283,14 +275,13 @@ void Proposer::on_nack(const Nack& msg) {
 
 void Proposer::on_decide(const Decide& msg) {
   std::lock_guard lk(mu_);
-  decided_.emplace(msg.instance, msg.value);
+  decided_.emplace(msg.instance, DecidedValue{msg.request_id, msg.value});
   in_flight_.erase(msg.instance);
   next_instance_ = std::max(next_instance_, msg.instance + 1);
-  std::uint64_t request_id = 0;
-  if (peek_request_id(msg.value, request_id)) {
-    proposed_or_decided_.insert(request_id);
-    decided_by_id_.emplace(request_id, msg.instance);
-    pending_requests_.erase(request_id);
+  if (msg.request_id != 0) {
+    proposed_or_decided_.insert(msg.request_id);
+    decided_requests_.insert(msg.request_id);
+    pending_requests_.erase(msg.request_id);
   }
 }
 
@@ -300,7 +291,8 @@ void Proposer::on_learn_request(net::ProcessId from, const LearnRequest& msg) {
   std::size_t sent = 0;
   for (auto it = decided_.lower_bound(msg.from_instance);
        it != decided_.end() && sent < 64; ++it, ++sent) {
-    network_.send(endpoint_->id(), from, Decide{it->first, it->second});
+    network_.send(endpoint_->id(), from,
+                  Decide{it->first, it->second.request_id, it->second.value});
   }
 }
 
@@ -316,18 +308,10 @@ void Proposer::on_heartbeat(net::ProcessId from, const Heartbeat& msg) {
     election_deadline_ = last_heartbeat_ + config_.election_timeout +
                          std::chrono::milliseconds(rng_.next_below(100));
     // Keep forwarding anything we hold to the live leader.
-    for (const auto& [id, wire] : pending_requests_) {
-      std::uint64_t request_id = 0;
-      std::vector<std::uint8_t> payload;
-      if (unwrap_request(wire, request_id, payload)) {
-        network_.send(endpoint_->id(), from,
-                      ClientRequest{request_id,
-                                    std::make_shared<const std::vector<std::uint8_t>>(
-                                        std::move(payload))});
-      }
+    for (const auto& [id, value] : pending_requests_) {
+      network_.send(endpoint_->id(), from, ClientRequest{id, value});
     }
   }
-  (void)from;
 }
 
 void Proposer::tick() {

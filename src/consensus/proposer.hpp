@@ -9,8 +9,8 @@
 //     with a higher ballot (randomized backoff avoids duels);
 //   * Nacks carry the higher promised ballot so a deposed leader catches
 //     up and steps down.
-// Request handling is at-least-once with dedup: values carry an 8-byte
-// request id; a leader never proposes an id it has seen proposed/decided
+// Request handling is at-least-once with dedup: every value travels with
+// its request id; a leader never proposes an id it has seen proposed/decided
 // (including ids recovered from Phase 1 promises), and learners drop
 // duplicate ids identically (see learner.hpp). Accepts and Prepares are
 // retransmitted on a timer, which makes the protocol live under the
@@ -23,7 +23,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -94,7 +93,7 @@ class Proposer {
 
   void become_candidate();
   void become_leader();
-  void propose_locked(std::uint64_t request_id, Value wire);
+  void propose_locked(std::uint64_t request_id, Value value);
   void send_accept_locked(InstanceId instance);
   void decide_locked(InstanceId instance);
   void flush_pending_locked();
@@ -117,18 +116,25 @@ class Proposer {
   std::map<InstanceId, PromiseEntry> recovered_;  // phase-1 recovered values
 
   struct InFlight {
-    Value wire;
+    std::uint64_t request_id = 0;  // 0 = no-op
+    Value value;
     std::unordered_set<net::ProcessId> votes;
     std::uint32_t ring_votes = 0;
     std::chrono::steady_clock::time_point last_send{};
   };
   std::map<InstanceId, InFlight> in_flight_;
-  std::map<InstanceId, Value> decided_;  // retained for learner catch-up
+  struct DecidedValue {
+    std::uint64_t request_id = 0;
+    Value value;
+  };
+  std::map<InstanceId, DecidedValue> decided_;  // retained for learner catch-up
   InstanceId next_instance_ = 1;
 
-  std::unordered_map<std::uint64_t, Value> pending_requests_;  // id -> wire
-  std::unordered_set<std::uint64_t> proposed_or_decided_;
-  std::unordered_map<std::uint64_t, InstanceId> decided_by_id_;
+  // Ordered by id so a leader proposes each client's requests in order,
+  // which keeps proposed_or_decided_ at its floor.
+  std::map<std::uint64_t, Value> pending_requests_;  // id -> value
+  RequestDedup proposed_or_decided_;
+  RequestDedup decided_requests_;
 
   std::chrono::steady_clock::time_point last_heartbeat_;
   std::chrono::steady_clock::time_point last_prepare_send_;

@@ -6,16 +6,17 @@
 
 namespace psmr::consensus {
 
-// ----------------------------------------------------------------- server --
+namespace {
 
-bool BroadcastRelayServer::ClientDedup::insert(std::uint64_t id) {
-  if (id <= floor || above.contains(id)) return false;
-  above.insert(id);
-  // Advance the contiguous floor over whatever it now touches, shrinking
-  // the stored set (client request ids are assigned 1, 2, 3, ...).
-  while (above.erase(floor + 1) != 0) ++floor;
-  return true;
-}
+/// A subscriber that does not broadcast has no data frame to carry its
+/// progress, so it reports it with a kSubscribe every this many deliveries
+/// (besides every retransmit period). A quarter of the relay's default
+/// window keeps its stream flowing without a stall.
+constexpr std::uint64_t kProgressStride = 64;
+
+}  // namespace
+
+// ----------------------------------------------------------------- server --
 
 BroadcastRelayServer::BroadcastRelayServer(net::SocketTransport& transport,
                                            AtomicBroadcast& inner,
@@ -33,7 +34,8 @@ void BroadcastRelayServer::start() {
   inner_.subscribe([this](std::uint64_t seq, Value payload) {
     std::lock_guard lk(mu_);
     // The inner stream is gap-free and 1-based; retain every entry so late
-    // or restarted subscribers can replay from any sequence.
+    // or restarted subscribers can replay from any sequence. The entry is
+    // the buffer the inner broadcast delivered, not a copy.
     PSMR_DCHECK(seq == log_.size() + 1);
     if (seq > log_.size()) log_.resize(seq);
     log_[seq - 1] = std::move(payload);
@@ -54,75 +56,94 @@ std::uint64_t BroadcastRelayServer::log_size() const {
 }
 
 void BroadcastRelayServer::serve_loop() {
-  auto last_retx = std::chrono::steady_clock::now();
+  auto last_tick = Clock::now();
   while (!stop_.load(std::memory_order_relaxed)) {
     if (auto env = endpoint_->recv_for(config_.retransmit_period)) {
-      handle(*env);
+      handle(std::move(*env));
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_retx >= config_.retransmit_period) {
-      last_retx = now;
+    const auto now = Clock::now();
+    if (now - last_tick >= config_.retransmit_period) {
+      last_tick = now;
       std::lock_guard lk(mu_);
-      // Unacked window entries may have been shed by the transport (dead
-      // connection, buffer cap): pull every stream back to its ack point
-      // and replay. Subscribers drop the duplicates by sequence.
-      for (auto& [id, sub] : subscribers_) sub.sent_until = sub.acked;
-      pump_locked();
+      tick_locked();
     }
   }
 }
 
-void BroadcastRelayServer::handle(const net::SocketEnvelope& env) {
-  const auto msg = relay::decode(env.msg);
+void BroadcastRelayServer::handle(net::SocketEnvelope env) {
+  auto msg = relay::decode(std::move(env.msg));
   if (!msg) return;  // malformed: drop; retransmission covers real traffic
+  if (msg->kind != relay::kSubscribe && msg->kind != relay::kBroadcast) return;
   std::unique_lock lk(mu_);
-  switch (msg->kind) {
-    case relay::kSubscribe: {
-      // arg = first sequence wanted. Doubles as the periodic NACK: the
-      // client repeats it with its current progress, and the replay point
-      // snaps back there.
-      Subscriber& sub = subscribers_[env.from];
-      sub.acked = msg->arg == 0 ? 0 : msg->arg - 1;
-      sub.sent_until = sub.acked;
-      pump_locked();
-      break;
+  Peer& peer = peers_[env.from];
+  if (msg->kind == relay::kSubscribe) {
+    const std::uint64_t acked = msg->arg == 0 ? 0 : msg->arg - 1;
+    if (!peer.subscribed || acked < peer.acked) {
+      // A new subscriber, or a restarted one asking for an earlier point:
+      // its stream (re)starts there.
+      peer.subscribed = true;
+      peer.acked = acked;
+      peer.sent_until = acked;
+    } else {
+      advance_ack_locked(peer, acked);
     }
-    case relay::kAck: {
-      auto it = subscribers_.find(env.from);
-      if (it == subscribers_.end()) break;
-      it->second.acked = std::max(it->second.acked, msg->arg);
-      it->second.sent_until = std::max(it->second.sent_until, it->second.acked);
-      pump_locked();
-      break;
-    }
-    case relay::kBroadcast: {
-      const bool fresh = seen_requests_[env.from].insert(msg->arg);
-      Value payload;
-      if (fresh) {
-        payload = std::make_shared<const std::vector<std::uint8_t>>(msg->payload);
-      }
-      lk.unlock();
-      // inner_.broadcast may block (consensus backpressure) — never under mu_.
-      if (fresh) inner_.broadcast(std::move(payload));
-      // Always ack, including duplicates: the first ack may have been lost.
-      (void)transport_.send(config_.process, env.from,
-                            relay::encode(relay::kBroadcastAck, msg->arg));
-      break;
-    }
-    default:
-      break;  // kDeliver / kBroadcastAck are client-bound; ignore
+    pump_locked();
+    return;
   }
+  // kBroadcast: the ack it carries may open the subscriber's window.
+  if (peer.subscribed && msg->ack > peer.acked) {
+    advance_ack_locked(peer, msg->ack);
+    pump_locked();
+  }
+  const bool fresh = peer.requests.insert(msg->arg);
+  lk.unlock();
+  // inner_.broadcast may block (consensus backpressure) — never under mu_.
+  // No ack frame: the next kDeliver to this client, or the tick, carries the
+  // advanced dedup floor.
+  if (fresh) inner_.broadcast(std::move(msg->payload));
+}
+
+void BroadcastRelayServer::advance_ack_locked(Peer& peer, std::uint64_t acked) {
+  if (acked <= peer.acked) return;
+  peer.acked = acked;
+  peer.sent_until = std::max(peer.sent_until, acked);
+  peer.acked_at = Clock::now();
+}
+
+void BroadcastRelayServer::tick_locked() {
+  const auto now = Clock::now();
+  for (auto& [id, peer] : peers_) {
+    if (peer.subscribed && peer.sent_until > peer.acked &&
+        now - peer.acked_at >= config_.retransmit_period) {
+      // The ack stalled with frames outstanding: some were shed (dead
+      // connection, buffer cap). Replay from the ack point; the subscriber
+      // drops any duplicates by sequence.
+      peer.sent_until = peer.acked;
+    }
+    const std::uint64_t floor = peer.requests.floor();
+    if (floor > peer.floor_sent) {
+      // No kDeliver carried this client's advanced floor (it does not
+      // subscribe, or its requests are still being ordered): ack them all
+      // in one frame.
+      (void)transport_.send(config_.process, id, relay::encode(relay::kBroadcastAck, 0, floor));
+      peer.floor_sent = floor;
+    }
+  }
+  pump_locked();
 }
 
 void BroadcastRelayServer::pump_locked() {
-  for (auto& [id, sub] : subscribers_) {
-    while (sub.sent_until < log_.size() &&
-           sub.sent_until - sub.acked < config_.window) {
-      const std::uint64_t seq = sub.sent_until + 1;
-      const Value& v = log_[seq - 1];
+  for (auto& [id, peer] : peers_) {
+    if (!peer.subscribed) continue;
+    while (peer.sent_until < log_.size() && peer.sent_until - peer.acked < config_.window) {
+      // Streaming resumes from idle: the stall clock starts now.
+      if (peer.sent_until == peer.acked) peer.acked_at = Clock::now();
+      const std::uint64_t seq = peer.sent_until + 1;
+      peer.floor_sent = peer.requests.floor();
       (void)transport_.send(config_.process, id,
-                            relay::encode(relay::kDeliver, seq, v->data(), v->size()));
-      ++sub.sent_until;
+                            relay::encode(relay::kDeliver, seq, peer.floor_sent,
+                                          log_[seq - 1].get()));
+      ++peer.sent_until;
     }
   }
 }
@@ -131,7 +152,11 @@ void BroadcastRelayServer::pump_locked() {
 
 RemoteBroadcastClient::RemoteBroadcastClient(net::SocketTransport& transport,
                                              RemoteClientConfig config)
-    : transport_(transport), config_(config), next_seq_(config.start_seq) {
+    : transport_(transport),
+      config_(config),
+      next_seq_(config.start_seq),
+      reported_(config.start_seq - 1) {
+  PSMR_CHECK(config_.start_seq >= 1);  // sequences are 1-based
   // Register (and bind the listener) at construction so the caller can read
   // transport.listen_port(process) and hand it to the relay's peer map
   // before any thread runs. Frames arriving before start() just buffer in
@@ -149,8 +174,10 @@ void RemoteBroadcastClient::subscribe(DeliverFn fn) {
 void RemoteBroadcastClient::start() {
   PSMR_CHECK(!started_);
   started_ = true;
-  (void)transport_.send(config_.process, config_.server,
-                        relay::encode(relay::kSubscribe, next_seq_));
+  if (!subscribers_.empty()) {
+    std::lock_guard lk(mu_);
+    send_subscribe_locked();
+  }
   recv_thread_ = std::thread([this] { recv_loop(); });
 }
 
@@ -162,14 +189,16 @@ void RemoteBroadcastClient::stop() {
 
 void RemoteBroadcastClient::broadcast(Value payload) {
   std::uint64_t id = 0;
+  std::uint64_t delivered = 0;
   {
     std::lock_guard lk(mu_);
     id = next_request_id_++;
-    unacked_broadcasts_.emplace(id, payload);
+    unacked_broadcasts_.emplace(id, Unacked{payload, Clock::now()});
+    delivered = next_seq_ - 1;
+    reported_ = std::max(reported_, delivered);
   }
   (void)transport_.send(config_.process, config_.server,
-                        relay::encode(relay::kBroadcast, id, payload->data(),
-                                      payload->size()));
+                        relay::encode(relay::kBroadcast, id, delivered, payload.get()));
 }
 
 std::uint64_t RemoteBroadcastClient::next_seq() const {
@@ -177,13 +206,18 @@ std::uint64_t RemoteBroadcastClient::next_seq() const {
   return next_seq_;
 }
 
+std::size_t RemoteBroadcastClient::unacked_broadcasts() const {
+  std::lock_guard lk(mu_);
+  return unacked_broadcasts_.size();
+}
+
 void RemoteBroadcastClient::recv_loop() {
-  auto last_retx = std::chrono::steady_clock::now();
+  auto last_retx = Clock::now();
   while (!stop_.load(std::memory_order_relaxed)) {
     if (auto env = endpoint_->recv_for(config_.retransmit_period)) {
-      handle(*env);
+      handle(std::move(*env));
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (now - last_retx >= config_.retransmit_period) {
       last_retx = now;
       std::lock_guard lk(mu_);
@@ -192,22 +226,34 @@ void RemoteBroadcastClient::recv_loop() {
   }
 }
 
-void RemoteBroadcastClient::retransmit_locked() {
-  // kSubscribe doubles as keepalive and NACK: it tells the relay exactly
-  // where this client's gap-free prefix ends, and snaps the replay stream
-  // back there. Covers lost deliveries AND relay-side subscriber loss
-  // (e.g. a restarted relay process).
+void RemoteBroadcastClient::send_subscribe_locked() {
+  // kSubscribe doubles as keepalive and progress report: it tells the relay
+  // exactly where this client's gap-free prefix ends. Covers lost progress
+  // reports AND relay-side subscriber loss (e.g. a restarted relay process).
   (void)transport_.send(config_.process, config_.server,
-                        relay::encode(relay::kSubscribe, next_seq_));
-  for (const auto& [id, payload] : unacked_broadcasts_) {
+                        relay::encode(relay::kSubscribe, next_seq_, 0));
+  reported_ = next_seq_ - 1;
+}
+
+void RemoteBroadcastClient::retransmit_locked() {
+  if (!subscribers_.empty()) send_subscribe_locked();
+  const auto now = Clock::now();
+  for (auto& [id, unacked] : unacked_broadcasts_) {
+    if (now - unacked.sent_at < config_.retransmit_period) continue;  // ack may be en route
+    unacked.sent_at = now;
     (void)transport_.send(config_.process, config_.server,
-                          relay::encode(relay::kBroadcast, id, payload->data(),
-                                        payload->size()));
+                          relay::encode(relay::kBroadcast, id, next_seq_ - 1,
+                                        unacked.payload.get()));
   }
 }
 
-void RemoteBroadcastClient::handle(const net::SocketEnvelope& env) {
-  auto msg = relay::decode(env.msg);
+void RemoteBroadcastClient::ack_broadcasts_locked(std::uint64_t floor) {
+  unacked_broadcasts_.erase(unacked_broadcasts_.begin(),
+                            unacked_broadcasts_.upper_bound(floor));
+}
+
+void RemoteBroadcastClient::handle(net::SocketEnvelope env) {
+  auto msg = relay::decode(std::move(env.msg));
   if (!msg) return;
   // Deliverables are collected under the lock but invoked outside it, so a
   // DeliverFn that calls back into broadcast() (or blocks) cannot deadlock.
@@ -216,8 +262,14 @@ void RemoteBroadcastClient::handle(const net::SocketEnvelope& env) {
     std::lock_guard lk(mu_);
     switch (msg->kind) {
       case relay::kDeliver: {
+        ack_broadcasts_locked(msg->ack);
         const std::uint64_t seq = msg->arg;
-        if (seq < next_seq_) break;  // duplicate: ack below re-advances relay
+        if (seq < next_seq_) {
+          // Duplicate: the relay is replaying from a stale ack point. Tell
+          // it where this client really is, once per replay.
+          if (reported_ + 1 < next_seq_) send_subscribe_locked();
+          break;
+        }
         if (seq > next_seq_) {
           // Out of order: hold until the gap fills, bounded; overflow is
           // dropped and re-covered by the relay's replay.
@@ -226,41 +278,28 @@ void RemoteBroadcastClient::handle(const net::SocketEnvelope& env) {
           }
           break;
         }
-        deliver.emplace_back(
-            seq, std::make_shared<const std::vector<std::uint8_t>>(
-                     std::move(msg->payload)));
+        deliver.emplace_back(seq, std::move(msg->payload));
         ++next_seq_;
         // The new arrival may have filled the gap in front of buffered
         // successors: drain the now-contiguous run.
         for (auto it = reorder_.find(next_seq_); it != reorder_.end();
              it = reorder_.find(next_seq_)) {
-          deliver.emplace_back(
-              it->first, std::make_shared<const std::vector<std::uint8_t>>(
-                             std::move(it->second)));
+          deliver.emplace_back(it->first, std::move(it->second));
           reorder_.erase(it);
           ++next_seq_;
         }
+        if (next_seq_ - 1 - reported_ >= kProgressStride) send_subscribe_locked();
         break;
       }
       case relay::kBroadcastAck:
-        unacked_broadcasts_.erase(msg->arg);
+        ack_broadcasts_locked(msg->ack);
         break;
       default:
-        break;  // kSubscribe/kAck/kBroadcast are server-bound; ignore
+        break;  // kSubscribe/kBroadcast are server-bound; ignore
     }
   }
-  if (!deliver.empty()) {
-    for (auto& [seq, value] : deliver) {
-      for (const DeliverFn& fn : subscribers_) fn(seq, value);
-    }
-    const std::uint64_t acked = deliver.back().first;
-    (void)transport_.send(config_.process, config_.server,
-                          relay::encode(relay::kAck, acked));
-  } else if (msg->kind == relay::kDeliver && msg->arg < next_seq()) {
-    // Pure duplicate: still ack so a relay replaying from an old point
-    // advances without waiting for the periodic resubscribe.
-    (void)transport_.send(config_.process, config_.server,
-                          relay::encode(relay::kAck, next_seq() - 1));
+  for (auto& [seq, value] : deliver) {
+    for (const DeliverFn& fn : subscribers_) fn(seq, value);
   }
 }
 

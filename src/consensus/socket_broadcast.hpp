@@ -6,18 +6,25 @@
 //
 //   * BroadcastRelayServer — runs in the ordering process. Wraps any inner
 //     AtomicBroadcast, retains its decided log, and streams it to remote
-//     subscribers as kDeliver frames, retransmitting past each subscriber's
-//     cumulative ack until acknowledged. Remote broadcast() calls arrive as
-//     kBroadcast frames, are deduplicated by (client process, request id),
-//     forwarded to the inner broadcast, and acknowledged.
+//     subscribers as kDeliver frames, replaying past a subscriber's
+//     cumulative ack when that ack stalls. Remote broadcast() calls arrive
+//     as kBroadcast frames, are deduplicated by (client process, request
+//     id) and forwarded to the inner broadcast.
 //
 //   * RemoteBroadcastClient — an AtomicBroadcast implementation for replica
 //     processes. subscribe/start/stop/broadcast have exactly the inner
 //     semantics, so the consensus adapter, replicas, and proxies run
 //     unmodified over it. Delivery is gap-free: frames arriving out of
-//     order are buffered until the gap fills (the relay retransmits), and
+//     order are buffered until the gap fills (the relay replays), and
 //     duplicates are dropped by sequence. broadcast() retransmits its
 //     kBroadcast until the relay acks the request id.
+//
+// Acks ride on data frames. A kBroadcast carries the client's delivered
+// prefix and a kDeliver carries the relay's dedup floor for that client, so
+// a client that both broadcasts and subscribes costs one frame each way per
+// request. Dedicated ack frames are the idle fallback only: the client's
+// periodic kSubscribe reports its progress, and the relay's tick sends one
+// cumulative kBroadcastAck to a client whose floor no kDeliver carried.
 //
 // Loss model: transport frames may vanish (connection death sheds buffered
 // frames; the send buffer sheds at its cap). Both halves therefore
@@ -37,7 +44,6 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/group.hpp"
@@ -48,44 +54,63 @@ namespace psmr::consensus {
 
 // ------------------------------------------------------------ wire format --
 // Relay messages ride inside transport frame payloads:
-//   [u8 kind][u64 arg][optional payload bytes]     (native endianness —
-// the transport targets same-host loopback; cross-arch wire compat is out
+//   [u8 kind][u64 arg][u64 ack][optional payload bytes]   (native endianness
+// — the transport targets same-host loopback; cross-arch wire compat is out
 // of scope, matching net/framing.hpp).
 namespace relay {
 
-constexpr std::uint8_t kSubscribe = 1;     // arg = first sequence wanted
-constexpr std::uint8_t kDeliver = 2;       // arg = sequence, payload = value
-constexpr std::uint8_t kAck = 3;           // arg = highest contiguous seq seen
-constexpr std::uint8_t kBroadcast = 4;     // arg = request id, payload = value
-constexpr std::uint8_t kBroadcastAck = 5;  // arg = request id
+// Client -> relay. arg = first sequence wanted. Sent on start, on every
+// retransmit period and between broadcasts (a stride of deliveries, a
+// replayed duplicate) as keepalive and progress report; an arg below what
+// the relay recorded means the client restarted, and its stream rewinds
+// there.
+constexpr std::uint8_t kSubscribe = 1;
+// Relay -> client. arg = sequence, ack = the relay's dedup floor for this
+// client's broadcasts, payload = value.
+constexpr std::uint8_t kDeliver = 2;
+// Client -> relay. arg = request id, ack = the client's highest contiguous
+// delivered sequence, payload = value.
+constexpr std::uint8_t kBroadcast = 3;
+// Relay -> client. ack = the relay's dedup floor for this client's
+// broadcasts (every request id <= ack has been received).
+constexpr std::uint8_t kBroadcastAck = 4;
 
-constexpr std::size_t kMsgHeaderBytes = 1 + 8;
+constexpr std::size_t kMsgHeaderBytes = 1 + 8 + 8;
 
 inline std::vector<std::uint8_t> encode(std::uint8_t kind, std::uint64_t arg,
-                                        const std::uint8_t* payload = nullptr,
-                                        std::size_t payload_len = 0) {
+                                        std::uint64_t ack,
+                                        const std::vector<std::uint8_t>* payload = nullptr) {
+  const std::size_t payload_len = payload != nullptr ? payload->size() : 0;
   std::vector<std::uint8_t> out(kMsgHeaderBytes + payload_len);
   out[0] = kind;
   std::memcpy(out.data() + 1, &arg, 8);
-  if (payload_len != 0) std::memcpy(out.data() + kMsgHeaderBytes, payload, payload_len);
+  std::memcpy(out.data() + 9, &ack, 8);
+  if (payload_len != 0) std::memcpy(out.data() + kMsgHeaderBytes, payload->data(), payload_len);
   return out;
 }
 
 struct Decoded {
   std::uint8_t kind = 0;
   std::uint64_t arg = 0;
-  std::vector<std::uint8_t> payload;
+  std::uint64_t ack = 0;
+  Value payload;  // kDeliver / kBroadcast: the frame's own buffer, header stripped
 };
 
 /// nullopt on malformed input (too short / unknown kind) — the receiver
-/// drops the message; retransmission covers anything legitimate.
-inline std::optional<Decoded> decode(const std::vector<std::uint8_t>& bytes) {
+/// drops the message; retransmission covers anything legitimate. Takes the
+/// frame by value and hands its buffer on as the payload: the value lives
+/// in the allocation the frame arrived in.
+inline std::optional<Decoded> decode(std::vector<std::uint8_t> bytes) {
   if (bytes.size() < kMsgHeaderBytes) return std::nullopt;
   Decoded d;
   d.kind = bytes[0];
   if (d.kind < kSubscribe || d.kind > kBroadcastAck) return std::nullopt;
   std::memcpy(&d.arg, bytes.data() + 1, 8);
-  d.payload.assign(bytes.begin() + kMsgHeaderBytes, bytes.end());
+  std::memcpy(&d.ack, bytes.data() + 9, 8);
+  if (d.kind == kDeliver || d.kind == kBroadcast) {
+    bytes.erase(bytes.begin(), bytes.begin() + kMsgHeaderBytes);
+    d.payload = std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+  }
   return d;
 }
 
@@ -96,7 +121,8 @@ inline std::optional<Decoded> decode(const std::vector<std::uint8_t>& bytes) {
 struct RelayServerConfig {
   /// Transport process id the server listens as.
   net::ProcessId process = 0;
-  /// Retransmission / housekeeping period of the serve loop.
+  /// Housekeeping period of the serve loop, and how long a subscriber's ack
+  /// may stall with frames outstanding before the relay replays them.
   std::chrono::milliseconds retransmit_period{20};
   /// Max unacked kDeliver frames streamed ahead per subscriber.
   std::size_t window = 256;
@@ -124,33 +150,32 @@ class BroadcastRelayServer {
   std::uint64_t log_size() const;
 
  private:
-  struct Subscriber {
+  using Clock = std::chrono::steady_clock;
+
+  /// One remote process: a subscriber to the stream, a broadcaster, or both.
+  struct Peer {
+    bool subscribed = false;
     std::uint64_t acked = 0;       // cumulative: all seq <= acked received
     std::uint64_t sent_until = 0;  // optimistically streamed ahead to here
+    Clock::time_point acked_at{};  // when acked last moved (or streaming resumed)
+    RequestDedup requests;         // its broadcasts seen so far
+    std::uint64_t floor_sent = 0;  // requests.floor() as last carried to it
   };
 
   void serve_loop();
-  void handle(const net::SocketEnvelope& env);
-  void pump_locked();  // stream/retransmit log entries to subscribers
+  void handle(net::SocketEnvelope env);
+  void advance_ack_locked(Peer& peer, std::uint64_t acked);
+  void tick_locked();
+  void pump_locked();  // stream log entries to subscribers, up to the window
 
   net::SocketTransport& transport_;
   AtomicBroadcast& inner_;
   RelayServerConfig config_;
   net::SocketEndpoint* endpoint_ = nullptr;
 
-  /// Dedup of remote broadcast requests: ids <= floor are all seen; only
-  /// the (small, out-of-order) ids above it are stored, so the set stays
-  /// bounded as the contiguous prefix advances.
-  struct ClientDedup {
-    std::uint64_t floor = 0;
-    std::unordered_set<std::uint64_t> above;
-    bool insert(std::uint64_t id);  // false if already seen
-  };
-
   mutable std::mutex mu_;
   std::vector<Value> log_;  // seq s lives at log_[s - 1]
-  std::unordered_map<net::ProcessId, Subscriber> subscribers_;
-  std::unordered_map<net::ProcessId, ClientDedup> seen_requests_;
+  std::unordered_map<net::ProcessId, Peer> peers_;
 
   bool started_ = false;
   std::atomic<bool> stop_{false};
@@ -167,7 +192,8 @@ struct RemoteClientConfig {
   /// First sequence to deliver — > 1 after installing a snapshot covering
   /// the prefix (mirrors PaxosGroup::add_learner's from_instance).
   std::uint64_t start_seq = 1;
-  /// (Re)subscribe + broadcast retransmission period.
+  /// (Re)subscribe period, and the age at which an unacked broadcast is
+  /// sent again.
   std::chrono::milliseconds retransmit_period{20};
   /// Cap on buffered out-of-order deliveries; overflow is dropped and
   /// re-covered by relay retransmission.
@@ -176,7 +202,8 @@ struct RemoteClientConfig {
 
 /// AtomicBroadcast over a relay connection — drop-in for LocalBroadcast /
 /// PaxosGroup in a remote replica process. Deliveries run on the client's
-/// receive thread, in sequence order, gap-free.
+/// receive thread, in sequence order, gap-free. A client with no
+/// subscribers never subscribes to the stream: it only broadcasts.
 ///
 /// The constructor registers `config.process` with the transport (binding
 /// its listener), so the resolved listen_port is available for wiring
@@ -193,11 +220,22 @@ class RemoteBroadcastClient final : public AtomicBroadcast {
 
   /// Next sequence this client will deliver (tests).
   std::uint64_t next_seq() const;
+  /// Broadcasts the relay has not acknowledged yet (tests).
+  std::size_t unacked_broadcasts() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  struct Unacked {
+    Value payload;
+    Clock::time_point sent_at;
+  };
+
   void recv_loop();
-  void handle(const net::SocketEnvelope& env);
+  void handle(net::SocketEnvelope env);
   void retransmit_locked();
+  void send_subscribe_locked();
+  void ack_broadcasts_locked(std::uint64_t floor);
 
   net::SocketTransport& transport_;
   RemoteClientConfig config_;
@@ -206,8 +244,9 @@ class RemoteBroadcastClient final : public AtomicBroadcast {
 
   mutable std::mutex mu_;
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> reorder_;  // seq -> payload
-  std::unordered_map<std::uint64_t, Value> unacked_broadcasts_;
+  std::uint64_t reported_ = 0;  // highest delivered seq the relay was told of
+  std::map<std::uint64_t, Value> reorder_;  // seq -> payload
+  std::map<std::uint64_t, Unacked> unacked_broadcasts_;  // request id -> copy
   std::uint64_t next_request_id_ = 1;
 
   bool started_ = false;

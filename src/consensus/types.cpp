@@ -1,31 +1,43 @@
 #include "consensus/types.hpp"
 
-#include <cstring>
+#include <iterator>
 
 namespace psmr::consensus {
 
-Value wrap_request(std::uint64_t request_id, Value payload) {
-  auto wire = std::make_shared<std::vector<std::uint8_t>>();
-  wire->resize(sizeof(request_id) + (payload ? payload->size() : 0));
-  std::memcpy(wire->data(), &request_id, sizeof(request_id));
-  if (payload && !payload->empty()) {
-    std::memcpy(wire->data() + sizeof(request_id), payload->data(), payload->size());
+bool RequestDedup::insert(std::uint64_t id) {
+  if (contains(id)) return false;
+  if (id == floor_ + 1) {
+    // The common case: ids arrive in order and only the floor moves. A run
+    // that now touches the floor becomes part of it.
+    floor_ = id;
+    if (!runs_.empty() && runs_.begin()->first == floor_ + 1) {
+      floor_ = runs_.begin()->second;
+      runs_.erase(runs_.begin());
+    }
+    return true;
   }
-  return wire;
-}
-
-bool unwrap_request(const Value& wire, std::uint64_t& request_id,
-                    std::vector<std::uint8_t>& payload) {
-  if (!wire || wire->size() < sizeof(request_id)) return false;
-  std::memcpy(&request_id, wire->data(), sizeof(request_id));
-  payload.assign(wire->begin() + sizeof(request_id), wire->end());
+  // Join the run ending just below `id` (or start one), then swallow the
+  // run starting just above it.
+  auto next = runs_.upper_bound(id);
+  std::map<std::uint64_t, std::uint64_t>::iterator run;
+  if (next != runs_.begin() && std::prev(next)->second + 1 == id) {
+    run = std::prev(next);
+    run->second = id;
+  } else {
+    run = runs_.emplace_hint(next, id, id);
+  }
+  if (next != runs_.end() && next->first == id + 1) {
+    run->second = next->second;
+    runs_.erase(next);
+  }
   return true;
 }
 
-bool peek_request_id(const Value& wire, std::uint64_t& request_id) {
-  if (!wire || wire->size() < sizeof(request_id)) return false;
-  std::memcpy(&request_id, wire->data(), sizeof(request_id));
-  return true;
+bool RequestDedup::contains(std::uint64_t id) const {
+  if (id == 0) return true;
+  if (id <= floor_) return true;
+  auto next = runs_.upper_bound(id);
+  return next != runs_.begin() && std::prev(next)->second >= id;
 }
 
 }  // namespace psmr::consensus

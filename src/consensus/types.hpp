@@ -4,12 +4,16 @@
 // (URingPaxos). We implement Multi-Paxos over the simulated network of
 // src/net, with an optional ring dissemination mode for Phase 2 (a
 // simplified Ring Paxos: Accepts chain through f+1 acceptors instead of
-// fanning out). Values are opaque byte payloads with an 8-byte request-id
-// header used for request dedup across leader failovers.
+// fanning out). Values are opaque byte payloads; every message that carries
+// one also carries its request id, the dedup key across leader failovers.
+// The payload buffer itself is never copied on the way through: the
+// proposer, acceptors, learners and the caller's delivery stream all hold
+// the one buffer the client broadcast.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <variant>
 #include <vector>
@@ -47,9 +51,12 @@ struct Prepare {
   InstanceId first_instance = 1;
 };
 
+/// Request id 0 with a null value is the no-op a new leader writes into a
+/// log hole; learners skip it.
 struct PromiseEntry {
   InstanceId instance = 0;
   Ballot vballot;
+  std::uint64_t request_id = 0;
   Value value;
 };
 
@@ -66,6 +73,7 @@ struct Promise {
 struct Accept {
   Ballot ballot;
   InstanceId instance = 0;
+  std::uint64_t request_id = 0;
   Value value;
   std::uint32_t votes = 0;
   bool ring = false;
@@ -89,6 +97,7 @@ struct Nack {
 /// set for dedup and retransmission).
 struct Decide {
   InstanceId instance = 0;
+  std::uint64_t request_id = 0;
   Value value;
 };
 
@@ -126,15 +135,25 @@ using Message = std::variant<ClientRequest, Prepare, Promise, Accept, Accepted, 
 using PaxosNetwork = net::Network<Message>;
 using PaxosEndpoint = net::Endpoint<Message>;
 
-/// Prefixes the 8-byte request id to a payload (the on-wire value layout).
-Value wrap_request(std::uint64_t request_id, Value payload);
+/// Exact set of request ids, bounded by how far out of order they arrive
+/// rather than by how many there are: every id in [1, floor()] is present,
+/// and the ids above the floor are kept as maximal runs of consecutive ids.
+/// Ids are assigned 1, 2, 3, ... by each client, so the runs stay few and
+/// short; a stream that starts mid-range (a learner joining after a
+/// snapshot) costs one run, not one entry per id. Id 0 is never stored.
+class RequestDedup {
+ public:
+  /// Adds `id`; false if it was already present (or is 0).
+  bool insert(std::uint64_t id);
+  bool contains(std::uint64_t id) const;
+  /// Every id in [1, floor()] is present.
+  std::uint64_t floor() const noexcept { return floor_; }
+  /// Runs stored above the floor (tests).
+  std::size_t runs() const noexcept { return runs_.size(); }
 
-/// Splits an on-wire value back into (request_id, payload view). Returns
-/// false on malformed (too-short) values.
-bool unwrap_request(const Value& wire, std::uint64_t& request_id,
-                    std::vector<std::uint8_t>& payload);
-
-/// Extracts just the request id.
-bool peek_request_id(const Value& wire, std::uint64_t& request_id);
+ private:
+  std::uint64_t floor_ = 0;
+  std::map<std::uint64_t, std::uint64_t> runs_;  // first -> last, gaps between
+};
 
 }  // namespace psmr::consensus

@@ -48,6 +48,16 @@ struct Frame {
   FramePayload payload;
 };
 
+/// Writes the kFrameHeaderBytes header of a frame carrying `len` payload
+/// bytes to `p` — for senders that write the payload from its own buffer.
+inline void write_frame_header(std::uint8_t* p, std::uint32_t from, std::uint32_t to,
+                               std::uint32_t len) {
+  std::memcpy(p + 0, &kFrameMagic, 4);
+  std::memcpy(p + 4, &from, 4);
+  std::memcpy(p + 8, &to, 4);
+  std::memcpy(p + 12, &len, 4);
+}
+
 /// Appends the framed encoding of (from, to, payload) to `out` — the send
 /// side of the protocol. The caller owns batching frames into one write.
 inline void append_frame(std::vector<std::uint8_t>& out, std::uint32_t from,
@@ -55,11 +65,7 @@ inline void append_frame(std::vector<std::uint8_t>& out, std::uint32_t from,
   const std::size_t base = out.size();
   out.resize(base + kFrameHeaderBytes + payload.size());
   std::uint8_t* p = out.data() + base;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  std::memcpy(p + 0, &kFrameMagic, 4);
-  std::memcpy(p + 4, &from, 4);
-  std::memcpy(p + 8, &to, 4);
-  std::memcpy(p + 12, &len, 4);
+  write_frame_header(p, from, to, static_cast<std::uint32_t>(payload.size()));
   if (!payload.empty()) std::memcpy(p + 16, payload.data(), payload.size());
 }
 

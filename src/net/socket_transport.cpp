@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -48,6 +49,7 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
       frames_sent_(&metrics_->counter("transport.frames_sent")),
       frames_received_(&metrics_->counter("transport.frames_received")),
       bytes_sent_(&metrics_->counter("transport.bytes_sent")),
+      write_through_frames_(&metrics_->counter("transport.write_through_frames")),
       bytes_received_(&metrics_->counter("transport.bytes_received")),
       local_deliveries_(&metrics_->counter("transport.local_deliveries")),
       sends_dropped_(&metrics_->counter("transport.sends_dropped")),
@@ -110,7 +112,6 @@ void SocketTransport::set_peer(ProcessId id, SocketAddr addr) {
 }
 
 bool SocketTransport::send(ProcessId from, ProcessId to, SocketMessage msg) {
-  bool need_wake = false;
   {
     std::lock_guard lk(mu_);
     if (shutdown_) return false;
@@ -137,6 +138,11 @@ bool SocketTransport::send(ProcessId from, ProcessId to, SocketMessage msg) {
       sends_dropped_->add();
       return true;
     }
+    // Write-through keeps the frame order: it runs only with nothing queued
+    // ahead, and under mu_, so no other sender or the IO thread interleaves.
+    const bool direct = ob.state == Outbound::State::kConnected && ob.pending.empty();
+    std::size_t written = 0;
+    if (direct && write_through(ob, from, to, msg, written)) return true;
     std::vector<std::uint8_t> framed;
     framed.reserve(framed_size);
     append_frame(framed, from, to, msg);
@@ -144,9 +150,35 @@ bool SocketTransport::send(ProcessId from, ProcessId to, SocketMessage msg) {
     ob.pending_bytes += framed_size;
     total_pending_bytes_ += framed_size;
     send_queue_bytes_->set(static_cast<double>(total_pending_bytes_));
-    need_wake = true;
+    if (direct) {
+      // A short write, EAGAIN or a hard error: the IO thread finishes the
+      // frame from `written` on when the socket turns writable, or fails the
+      // connection through its usual path (epoll reports the error).
+      ob.first_offset = written;
+      poller_.mod(ob.fd, EPOLLOUT, make_tag(kTagOutbound, ob.peer));
+      return true;
+    }
   }
-  if (need_wake) wake();
+  wake();
+  return true;
+}
+
+bool SocketTransport::write_through(Outbound& ob, ProcessId from, ProcessId to,
+                                    const SocketMessage& msg, std::size_t& written) {
+  std::array<std::uint8_t, kFrameHeaderBytes> header;
+  write_frame_header(header.data(), from, to, static_cast<std::uint32_t>(msg.size()));
+  std::array<iovec, 2> iov{iovec{header.data(), header.size()},
+                           iovec{const_cast<std::uint8_t*>(msg.data()), msg.size()}};
+  msghdr mh{};
+  mh.msg_iov = iov.data();
+  mh.msg_iovlen = msg.empty() ? 1 : 2;
+  const ssize_t n = ::sendmsg(ob.fd, &mh, MSG_NOSIGNAL | MSG_DONTWAIT);
+  if (n <= 0) return false;
+  written = static_cast<std::size_t>(n);
+  bytes_sent_->add(written);
+  if (written < header.size() + msg.size()) return false;
+  frames_sent_->add();
+  write_through_frames_->add();
   return true;
 }
 

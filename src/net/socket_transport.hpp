@@ -15,7 +15,9 @@
 // needs no per-sender state). Connections are non-blocking, serviced by one
 // IO thread over a level-triggered epoll (net/poller.hpp), with short-read /
 // short-write reassembly and per-peer reconnect under decorrelated-jitter
-// backoff. Delivery guarantees match the simulated net's fair-lossy model:
+// backoff. A send to a connected peer with nothing queued is written by the
+// caller's thread (write-through); the IO thread only finishes what the
+// socket would not take at once, and does the connecting and reading. Delivery guarantees match the simulated net's fair-lossy model:
 // frames buffered on a connection that dies are dropped, and the SMR layer's
 // retry/dedup path (proxy retransmission + replica session windows) restores
 // exactly-once end to end — identical to how it already absorbs simulated
@@ -97,8 +99,10 @@ class SocketTransport {
   void set_peer(ProcessId id, SocketAddr addr);
 
   /// Sends msg from -> to. Locally registered destinations are delivered
-  /// straight into the inbox (no socket); remote ones are framed and queued
-  /// on the peer connection (connect/reconnect is the IO thread's job).
+  /// straight into the inbox (no socket). A remote frame is written on the
+  /// caller's thread when its connection is up and idle; otherwise, and for
+  /// whatever a short write leaves, it is queued on the peer connection for
+  /// the IO thread (which also owns connect/reconnect).
   /// Returns false only for unknown destinations or after shutdown —
   /// best-effort queueing returns true even when the frame is shed at the
   /// buffer cap, exactly like the simulated net's fair-lossy send.
@@ -145,6 +149,10 @@ class SocketTransport {
   void io_loop();
   void wake();
   void start_connect(Outbound& ob);
+  /// Write-through: one non-blocking sendmsg of header + payload. False when
+  /// the frame was not written whole; `written` says how much of it was.
+  bool write_through(Outbound& ob, ProcessId from, ProcessId to, const SocketMessage& msg,
+                     std::size_t& written);
   void flush_outbound(Outbound& ob);
   void fail_outbound(Outbound& ob);
   void close_outbound_fd(Outbound& ob);
@@ -160,6 +168,7 @@ class SocketTransport {
   obs::Counter* frames_sent_;
   obs::Counter* frames_received_;
   obs::Counter* bytes_sent_;
+  obs::Counter* write_through_frames_;
   obs::Counter* bytes_received_;
   obs::Counter* local_deliveries_;
   obs::Counter* sends_dropped_;

@@ -66,7 +66,7 @@ TEST_F(AcceptorFixture, NacksLowerPrepare) {
 TEST_F(AcceptorFixture, AcceptsAtOrAbovePromise) {
   send(Prepare{Ballot{3, 1}, 1});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{3, 1}, /*instance=*/7, bytes(0xAB), 0, false});
+  send(Accept{Ballot{3, 1}, /*instance=*/7, /*request_id=*/1, bytes(0xAB), 0, false});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   const auto* accepted = std::get_if<Accepted>(&*m);
@@ -78,7 +78,7 @@ TEST_F(AcceptorFixture, AcceptsAtOrAbovePromise) {
 TEST_F(AcceptorFixture, RejectsAcceptBelowPromise) {
   send(Prepare{Ballot{9, 1}, 1});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{4, 1}, 1, bytes(0x01), 0, false});
+  send(Accept{Ballot{4, 1}, 1, /*request_id=*/1, bytes(0x01), 0, false});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   EXPECT_NE(std::get_if<Nack>(&*m), nullptr);
@@ -88,7 +88,7 @@ TEST_F(AcceptorFixture, RejectsAcceptBelowPromise) {
 TEST_F(AcceptorFixture, AcceptWithoutPriorPrepareRaisesPromise) {
   // Multi-Paxos steady state: the leader skips Phase 1 for new instances;
   // an Accept at a ballot >= promised both accepts and raises the promise.
-  send(Accept{Ballot{2, 1}, 3, bytes(0x02), 0, false});
+  send(Accept{Ballot{2, 1}, 3, /*request_id=*/1, bytes(0x02), 0, false});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   EXPECT_NE(std::get_if<Accepted>(&*m), nullptr);
@@ -98,9 +98,9 @@ TEST_F(AcceptorFixture, AcceptWithoutPriorPrepareRaisesPromise) {
 TEST_F(AcceptorFixture, PromiseReportsAcceptedEntriesFromFirstInstance) {
   // Accept values at instances 2 and 5 under ballot 1; a Prepare at ballot
   // 2 with first_instance=3 must report ONLY instance 5.
-  send(Accept{Ballot{1, 1}, 2, bytes(0x22), 0, false});
+  send(Accept{Ballot{1, 1}, 2, /*request_id=*/22, bytes(0x22), 0, false});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{1, 1}, 5, bytes(0x55), 0, false});
+  send(Accept{Ballot{1, 1}, 5, /*request_id=*/55, bytes(0x55), 0, false});
   ASSERT_TRUE(recv().has_value());
 
   send(Prepare{Ballot{2, 1}, /*first_instance=*/3});
@@ -111,14 +111,15 @@ TEST_F(AcceptorFixture, PromiseReportsAcceptedEntriesFromFirstInstance) {
   ASSERT_EQ(promise->accepted.size(), 1u);
   EXPECT_EQ(promise->accepted[0].instance, 5u);
   EXPECT_EQ(promise->accepted[0].vballot, (Ballot{1, 1}));
+  EXPECT_EQ(promise->accepted[0].request_id, 55u);  // recovery keeps the dedup key
   ASSERT_NE(promise->accepted[0].value, nullptr);
   EXPECT_EQ(promise->accepted[0].value->at(0), 0x55);
 }
 
 TEST_F(AcceptorFixture, ReacceptUnderHigherBallotOverwrites) {
-  send(Accept{Ballot{1, 1}, 4, bytes(0x01), 0, false});
+  send(Accept{Ballot{1, 1}, 4, /*request_id=*/1, bytes(0x01), 0, false});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{3, 1}, 4, bytes(0x02), 0, false});
+  send(Accept{Ballot{3, 1}, 4, /*request_id=*/2, bytes(0x02), 0, false});
   ASSERT_TRUE(recv().has_value());
   send(Prepare{Ballot{4, 1}, 1});
   auto m = recv();
@@ -126,6 +127,7 @@ TEST_F(AcceptorFixture, ReacceptUnderHigherBallotOverwrites) {
   ASSERT_NE(promise, nullptr);
   ASSERT_EQ(promise->accepted.size(), 1u);
   EXPECT_EQ(promise->accepted[0].vballot, (Ballot{3, 1}));
+  EXPECT_EQ(promise->accepted[0].request_id, 2u);
   EXPECT_EQ(promise->accepted[0].value->at(0), 0x02);
 }
 
@@ -141,7 +143,7 @@ TEST(AcceptorRing, ChainsAcceptUntilMajorityThenReportsToLeader) {
   acc1.start();
   acc2.start();
 
-  Accept accept{Ballot{1, 7}, 1,
+  Accept accept{Ballot{1, 7}, 1, /*request_id=*/11,
                 std::make_shared<const std::vector<std::uint8_t>>(
                     std::vector<std::uint8_t>{0x11}),
                 0, /*ring=*/true};

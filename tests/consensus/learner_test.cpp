@@ -20,6 +20,7 @@ struct LearnerFixture : ::testing::Test {
 
   std::mutex mu;
   std::vector<std::pair<std::uint64_t, std::uint8_t>> delivered;  // (seq, payload[0])
+  std::vector<Value> delivered_values;
 
   std::unique_ptr<Learner> learner;
 
@@ -29,6 +30,7 @@ struct LearnerFixture : ::testing::Test {
         [this](std::uint64_t seq, Value v) {
           std::lock_guard lk(mu);
           delivered.emplace_back(seq, v && !v->empty() ? v->at(0) : 0);
+          delivered_values.push_back(v);
         },
         gap_timeout, first);
     learner->start();
@@ -41,10 +43,9 @@ struct LearnerFixture : ::testing::Test {
 
   void decide(InstanceId instance, std::uint64_t request_id, std::uint8_t payload) {
     net.send(100, 300,
-             Message{Decide{instance,
-                            wrap_request(request_id,
-                                         std::make_shared<const std::vector<std::uint8_t>>(
-                                             std::vector<std::uint8_t>{payload}))}});
+             Message{Decide{instance, request_id,
+                            std::make_shared<const std::vector<std::uint8_t>>(
+                                std::vector<std::uint8_t>{payload})}});
   }
 
   std::size_t delivered_count() {
@@ -116,11 +117,38 @@ TEST_F(LearnerFixture, DuplicateRequestIdSkippedButConsumesInstance) {
 
 TEST_F(LearnerFixture, NoopFillerSkipped) {
   start();
-  net.send(100, 300, Message{Decide{1, wrap_request(0, nullptr)}});  // no-op
+  net.send(100, 300, Message{Decide{1, 0, nullptr}});  // no-op
   decide(2, 12, 0xB);
   ASSERT_TRUE(eventually([&] { return delivered_count() == 1; }));
   std::lock_guard lk(mu);
   EXPECT_EQ(delivered[0], (std::pair<std::uint64_t, std::uint8_t>{1, 0xB}));
+}
+
+TEST_F(LearnerFixture, NoopBetweenValuesConsumesItsInstanceOnly) {
+  // A leader change fills holes with no-ops (request id 0, null value) in
+  // the middle of the log: they are skipped, the values around them are
+  // delivered with a dense application sequence.
+  start();
+  decide(1, 11, 0xA);
+  net.send(100, 300, Message{Decide{2, 0, nullptr}});
+  net.send(100, 300, Message{Decide{3, 0, nullptr}});
+  decide(4, 14, 0xD);
+  ASSERT_TRUE(eventually([&] { return delivered_count() == 2; }));
+  std::lock_guard lk(mu);
+  EXPECT_EQ(delivered[0], (std::pair<std::uint64_t, std::uint8_t>{1, 0xA}));
+  EXPECT_EQ(delivered[1], (std::pair<std::uint64_t, std::uint8_t>{2, 0xD}));
+  EXPECT_EQ(learner->next_instance(), 5u);
+}
+
+TEST_F(LearnerFixture, DeliversTheDecidedBufferItself) {
+  // The learner hands on the decided value, not a copy of it.
+  start();
+  const Value v = std::make_shared<const std::vector<std::uint8_t>>(
+      std::vector<std::uint8_t>{0x5, 0x6});
+  net.send(100, 300, Message{Decide{1, 21, v}});
+  ASSERT_TRUE(eventually([&] { return delivered_count() == 1; }));
+  std::lock_guard lk(mu);
+  EXPECT_EQ(delivered_values[0].get(), v.get());
 }
 
 TEST_F(LearnerFixture, GapTriggersLearnRequestToProposers) {

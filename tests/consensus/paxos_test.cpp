@@ -89,6 +89,53 @@ TEST(PaxosGroup, DecidesASingleValue) {
   group.stop();
 }
 
+TEST(PaxosGroup, DeliversTheBroadcastBufferItself) {
+  // One payload buffer per ordered value: the learner delivers the very
+  // buffer the client handed to broadcast(), through the leader's
+  // ClientRequest, Phase 2 and the Decide.
+  GroupConfig cfg;
+  PaxosGroup group(cfg);
+  std::mutex mu;
+  std::vector<Value> delivered;
+  group.subscribe([&](std::uint64_t, Value v) {
+    std::lock_guard lk(mu);
+    delivered.push_back(std::move(v));
+  });
+  group.start();
+  const Value v = payload_of(7);
+  group.broadcast(v);
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard lk(mu);
+    return !delivered.empty();
+  }));
+  std::lock_guard lk(mu);
+  EXPECT_EQ(delivered[0].get(), v.get());
+  group.stop();
+}
+
+TEST(PaxosGroup, StableLeaderOrdersARequestInTenMessages) {
+  // A fresh request goes to the leader alone: 1 ClientRequest, 3 Accepts,
+  // 3 Accepteds and 3 Decides (learner, standby, client) — no standby copy,
+  // no forward back to the leader, no duplicate Decide to the client.
+  GroupConfig cfg;
+  cfg.proposers = 2;
+  PaxosGroup group(cfg);
+  Sink sink;
+  group.subscribe(sink.fn());
+  group.start();
+  group.broadcast(payload_of(1));
+  ASSERT_TRUE(eventually([&] { return sink.size() >= 1 && group.leader_index() >= 0; }));
+  constexpr std::uint64_t kRequests = 400;
+  const std::uint64_t before = group.network().messages_delivered();
+  for (std::uint64_t i = 2; i <= kRequests + 1; ++i) group.broadcast(payload_of(i));
+  ASSERT_TRUE(eventually([&] { return sink.size() >= kRequests + 1; }));
+  const double per_request =
+      static_cast<double>(group.network().messages_delivered() - before) / kRequests;
+  // Heartbeats, learner probes and late Accepteds in flight add a little.
+  EXPECT_LE(per_request, 10.5);
+  group.stop();
+}
+
 TEST(PaxosGroup, TotalOrderUnderConcurrentBroadcasts) {
   GroupConfig cfg;
   PaxosGroup group(cfg);

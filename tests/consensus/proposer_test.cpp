@@ -10,6 +10,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 namespace psmr::consensus {
@@ -17,9 +18,8 @@ namespace {
 
 using namespace std::chrono_literals;
 
-Value bytes_value(std::uint64_t request_id, std::uint8_t b) {
-  return wrap_request(request_id, std::make_shared<const std::vector<std::uint8_t>>(
-                                      std::vector<std::uint8_t>{b}));
+Value bytes_value(std::uint8_t b) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::vector<std::uint8_t>{b});
 }
 
 struct ProposerFixture : ::testing::Test {
@@ -83,10 +83,7 @@ struct ProposerFixture : ::testing::Test {
 
   bool saw_accept(InstanceId instance, std::uint64_t want_rid) const {
     for (const Accept& a : accepts_seen) {
-      std::uint64_t rid = ~0ull;
-      if (a.instance == instance && peek_request_id(a.value, rid) && rid == want_rid) {
-        return true;
-      }
+      if (a.instance == instance && a.request_id == want_rid) return true;
     }
     return false;
   }
@@ -110,9 +107,7 @@ TEST_F(ProposerFixture, ProposesClientValueAndDecidesOnMajority) {
   const auto* decide = std::get_if<Decide>(&env->msg);
   ASSERT_NE(decide, nullptr);
   EXPECT_EQ(decide->instance, 1u);
-  std::uint64_t rid = 0;
-  ASSERT_TRUE(peek_request_id(decide->value, rid));
-  EXPECT_EQ(rid, 7u);
+  EXPECT_EQ(decide->request_id, 7u);
 }
 
 TEST_F(ProposerFixture, RetransmitsAcceptUntilQuorum) {
@@ -131,7 +126,7 @@ TEST_F(ProposerFixture, RetransmitsAcceptUntilQuorum) {
 }
 
 TEST_F(ProposerFixture, RecoversAcceptedValuesDuringPhase1) {
-  recovered[200] = {PromiseEntry{1, Ballot{1, 99}, bytes_value(55, 0xAA)}};
+  recovered[200] = {PromiseEntry{1, Ballot{1, 99}, 55, bytes_value(0xAA)}};
   start();
   reply_accepts = false;
   ASSERT_TRUE(pump_until([&] { return saw_accept(1, 55); }));
@@ -144,12 +139,49 @@ TEST_F(ProposerFixture, RecoversAcceptedValuesDuringPhase1) {
 }
 
 TEST_F(ProposerFixture, FillsHolesWithNoops) {
-  recovered[200] = {PromiseEntry{3, Ballot{1, 99}, bytes_value(66, 0xBB)}};
+  recovered[200] = {PromiseEntry{3, Ballot{1, 99}, 66, bytes_value(0xBB)}};
   start();
   reply_accepts = false;
   ASSERT_TRUE(pump_until([&] {
     return saw_accept(1, 0) && saw_accept(2, 0) && saw_accept(3, 66);
   })) << "expected no-ops at the holes (1, 2) and the recovered value at 3";
+}
+
+TEST_F(ProposerFixture, DecidesHoleNoopsWithRequestIdZero) {
+  // The no-ops a new leader writes into log holes reach the learners as
+  // request id 0 with a null value — the mark they skip.
+  recovered[200] = {PromiseEntry{3, Ballot{1, 99}, 66, bytes_value(0xBB)}};
+  start();
+  ASSERT_TRUE(pump_until([&] { return proposer->decided_count() >= 3; }));
+  std::map<InstanceId, Decide> decides;
+  while (decides.size() < 3) {
+    auto env = learner->recv_for(2000ms);
+    ASSERT_TRUE(env.has_value());
+    if (const auto* d = std::get_if<Decide>(&env->msg)) decides[d->instance] = *d;
+  }
+  EXPECT_EQ(decides[1].request_id, 0u);
+  EXPECT_EQ(decides[1].value, nullptr);
+  EXPECT_EQ(decides[2].request_id, 0u);
+  EXPECT_EQ(decides[2].value, nullptr);
+  EXPECT_EQ(decides[3].request_id, 66u);
+  ASSERT_NE(decides[3].value, nullptr);
+  EXPECT_EQ(decides[3].value->at(0), 0xBB);
+}
+
+TEST_F(ProposerFixture, DecidesTheClientBufferItself) {
+  // The leader forwards the client's buffer through Phase 2 and the Decide
+  // without copying it.
+  start();
+  ASSERT_TRUE(pump_until([&] { return proposer->is_leader(); }));
+  const Value v = bytes_value(0x42);
+  net.send(1, 100, Message{ClientRequest{7, v}});
+  ASSERT_TRUE(pump_until([&] { return proposer->decided_count() >= 1; }));
+  auto env = learner->recv_for(2000ms);
+  ASSERT_TRUE(env.has_value());
+  const auto* decide = std::get_if<Decide>(&env->msg);
+  ASSERT_NE(decide, nullptr);
+  EXPECT_EQ(decide->value.get(), v.get());
+  for (const Accept& a : accepts_seen) EXPECT_EQ(a.value.get(), v.get());
 }
 
 TEST_F(ProposerFixture, StepsDownOnHigherBallotNack) {
@@ -175,6 +207,28 @@ TEST_F(ProposerFixture, AnswersLearnRequestsFromDecidedLog) {
   const auto* decide = std::get_if<Decide>(&env->msg);
   ASSERT_NE(decide, nullptr);
   EXPECT_EQ(decide->instance, 1u);
+}
+
+TEST_F(ProposerFixture, ResendsTheDecideWhenTheClientRetransmitsADecidedRequest) {
+  // The client lost the Decide for request 7 and sends the request again:
+  // the leader answers with the decision instead of proposing it twice.
+  start();
+  ASSERT_TRUE(pump_until([&] { return proposer->is_leader(); }));
+  net.send(1, 100, Message{ClientRequest{7, bytes_value(0x7)}});
+  ASSERT_TRUE(pump_until([&] { return proposer->decided_count() >= 1; }));
+  const auto next_decide = [&]() -> std::optional<Decide> {
+    while (auto env = client->recv_for(2000ms)) {
+      if (const auto* d = std::get_if<Decide>(&env->msg)) return *d;
+    }
+    return std::nullopt;
+  };
+  ASSERT_TRUE(next_decide().has_value());  // the original, "lost"
+  net.send(1, 100, Message{ClientRequest{7, bytes_value(0x7)}});
+  const auto again = next_decide();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->instance, 1u);
+  EXPECT_EQ(again->request_id, 7u);
+  EXPECT_EQ(proposer->decided_count(), 1u);
 }
 
 TEST_F(ProposerFixture, DeduplicatesClientRequests) {

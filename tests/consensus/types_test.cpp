@@ -5,10 +5,6 @@
 namespace psmr::consensus {
 namespace {
 
-Value bytes(std::initializer_list<std::uint8_t> b) {
-  return std::make_shared<const std::vector<std::uint8_t>>(b);
-}
-
 TEST(Ballot, TotalOrder) {
   EXPECT_LT((Ballot{1, 5}), (Ballot{2, 1}));   // counter dominates
   EXPECT_LT((Ballot{2, 1}), (Ballot{2, 5}));   // node breaks ties
@@ -17,37 +13,52 @@ TEST(Ballot, TotalOrder) {
   EXPECT_FALSE((Ballot{0, 1}).is_zero());
 }
 
-TEST(RequestWire, RoundTrip) {
-  const Value wire = wrap_request(0xdeadbeefcafef00dULL, bytes({1, 2, 3}));
-  std::uint64_t id = 0;
-  std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(unwrap_request(wire, id, payload));
-  EXPECT_EQ(id, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(payload, (std::vector<std::uint8_t>{1, 2, 3}));
+TEST(RequestDedup, InOrderIdsOnlyMoveTheFloor) {
+  RequestDedup d;
+  for (std::uint64_t id = 1; id <= 1000; ++id) EXPECT_TRUE(d.insert(id));
+  EXPECT_EQ(d.floor(), 1000u);
+  EXPECT_EQ(d.runs(), 0u);
+  EXPECT_FALSE(d.insert(1));
+  EXPECT_FALSE(d.insert(1000));
+  EXPECT_TRUE(d.contains(500));
+  EXPECT_FALSE(d.contains(1001));
 }
 
-TEST(RequestWire, EmptyPayload) {
-  const Value wire = wrap_request(7, nullptr);
-  std::uint64_t id = 0;
-  std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(unwrap_request(wire, id, payload));
-  EXPECT_EQ(id, 7u);
-  EXPECT_TRUE(payload.empty());
+TEST(RequestDedup, OutOfOrderIdsJoinRunsAndFillTheFloor) {
+  RequestDedup d;
+  EXPECT_TRUE(d.insert(3));
+  EXPECT_TRUE(d.insert(5));
+  EXPECT_EQ(d.floor(), 0u);
+  EXPECT_EQ(d.runs(), 2u);
+  EXPECT_TRUE(d.insert(4));  // joins 3 and 5 into one run
+  EXPECT_EQ(d.runs(), 1u);
+  EXPECT_FALSE(d.insert(4));
+  EXPECT_FALSE(d.contains(2));
+  EXPECT_TRUE(d.insert(2));
+  EXPECT_EQ(d.runs(), 1u);
+  EXPECT_TRUE(d.insert(1));  // the floor swallows the run
+  EXPECT_EQ(d.floor(), 5u);
+  EXPECT_EQ(d.runs(), 0u);
 }
 
-TEST(RequestWire, PeekMatchesUnwrap) {
-  const Value wire = wrap_request(42, bytes({9}));
-  std::uint64_t id = 0;
-  ASSERT_TRUE(peek_request_id(wire, id));
-  EXPECT_EQ(id, 42u);
+TEST(RequestDedup, MidRangeStreamCostsOneRun) {
+  // A stream that starts far above 1 (a learner joining mid-log) is stored
+  // as one run, not one entry per id.
+  RequestDedup d;
+  for (std::uint64_t id = 10'000; id < 20'000; ++id) EXPECT_TRUE(d.insert(id));
+  EXPECT_EQ(d.floor(), 0u);
+  EXPECT_EQ(d.runs(), 1u);
+  EXPECT_TRUE(d.contains(15'000));
+  EXPECT_FALSE(d.contains(9'999));
+  EXPECT_FALSE(d.insert(19'999));
 }
 
-TEST(RequestWire, RejectsShortValues) {
-  std::uint64_t id = 0;
-  std::vector<std::uint8_t> payload;
-  EXPECT_FALSE(unwrap_request(nullptr, id, payload));
-  EXPECT_FALSE(unwrap_request(bytes({1, 2, 3}), id, payload));
-  EXPECT_FALSE(peek_request_id(bytes({}), id));
+TEST(RequestDedup, IdZeroIsNeverStored) {
+  // Request id 0 is the leader-change no-op: never a fresh request.
+  RequestDedup d;
+  EXPECT_FALSE(d.insert(0));
+  EXPECT_TRUE(d.contains(0));
+  EXPECT_EQ(d.floor(), 0u);
 }
 
 }  // namespace

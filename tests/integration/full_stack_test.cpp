@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
@@ -127,8 +128,11 @@ TEST(FullStack, TwoReplicasConvergeOverPaxos) {
 
 TEST(FullStack, ThreeReplicasThreeProxiesKeyMode) {
   Deployment d(3, core::ConflictMode::kKeysNested);
-  util::Xoshiro256 rng(2);
-  for (int p = 0; p < 3; ++p) {
+  // One generator per proxy: each proxy's source runs on that proxy's own
+  // thread, so a shared generator would be a data race.
+  std::vector<util::Xoshiro256> rngs{util::Xoshiro256(2), util::Xoshiro256(3),
+                                     util::Xoshiro256(4)};
+  for (auto& rng : rngs) {
     d.add_proxy(10, /*use_bitmap=*/false, [&rng](std::uint64_t, std::uint64_t) {
       smr::Command c;
       c.type = smr::OpType::kUpdate;

@@ -3,11 +3,16 @@
 // kernel-assigned ports, so parallel ctest runs cannot collide.
 #include "net/socket_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace psmr::net {
@@ -110,6 +115,107 @@ TEST(SocketTransport, ManyMessagesArriveInSendOrder) {
   }
 }
 
+TEST(SocketTransport, IdleConnectionSendsOnTheCallersThread) {
+  // Once the connection is up and drained, a send is written by the caller
+  // (write-through), with no IO-thread hop; the byte and frame counters
+  // count it exactly like an IO-thread write.
+  Pair p;
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  const auto send_one = [&](const std::string& text) {
+    ASSERT_TRUE(p.a->send(1, 2, bytes_of(text)));
+    ++frames;
+    bytes += kFrameHeaderBytes + text.size();
+    auto env = p.ep2->recv_for(5s);
+    ASSERT_TRUE(env.has_value());
+    EXPECT_EQ(string_of(env->msg), text);
+  };
+  send_one("connect");
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  for (int i = 0; p.a->stats().counter("transport.write_through_frames") == 0 &&
+                  std::chrono::steady_clock::now() < deadline;
+       ++i) {
+    send_one("m" + std::to_string(i));
+  }
+  EXPECT_GE(p.a->stats().counter("transport.write_through_frames"), 1u);
+  // frames_sent is bumped after bytes_sent: once it is complete, so is bytes.
+  while (p.a->stats().counter("transport.frames_sent") < frames &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(p.a->stats().counter("transport.frames_sent"), frames);
+  EXPECT_EQ(p.a->stats().counter("transport.bytes_sent"), bytes);
+}
+
+TEST(SocketTransport, ShortWriteThroughIsFinishedByTheIoThreadInOrder) {
+  // The peer is a bare socket that reads nothing until told, so the kernel
+  // buffers fill: the write-through of a frame far larger than them must
+  // stop short, queue the rest, and let the IO thread finish it once the
+  // peer reads — with the frames sent after it still arriving behind it.
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr), 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+
+  SocketTransportConfig cfg;
+  cfg.peers[1] = {};
+  cfg.peers[2] = SocketAddr{"127.0.0.1", ntohs(sa.sin_port)};
+  cfg.send_buffer_bytes = std::size_t{64} << 20;
+  SocketTransport t(cfg);
+  t.register_process(1);
+  const auto counter = [&](const char* name) { return t.stats().counter(name); };
+
+  // First frame: the IO thread connects and writes it.
+  ASSERT_TRUE(t.send(1, 2, bytes_of("first")));
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (counter("transport.frames_sent") < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(counter("transport.frames_sent"), 1u);
+
+  SocketMessage big(std::size_t{32} << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  const std::uint64_t bytes_before = counter("transport.bytes_sent");
+  ASSERT_TRUE(t.send(1, 2, big));
+  // The caller wrote part of it; the unread peer stalls the rest.
+  const std::uint64_t written = counter("transport.bytes_sent") - bytes_before;
+  EXPECT_GT(written, 0u);
+  EXPECT_LT(written, kFrameHeaderBytes + big.size());
+  EXPECT_EQ(counter("transport.write_through_frames"), 0u);
+  constexpr int kAfter = 100;
+  for (int i = 0; i < kAfter; ++i) ASSERT_TRUE(t.send(1, 2, bytes_of(std::to_string(i))));
+
+  // Now read: every frame, whole and in send order.
+  timeval tv{10, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  FrameReader reader;
+  std::vector<Frame> frames;
+  std::vector<std::uint8_t> buf(1 << 16);
+  while (frames.size() < 2 + kAfter) {
+    const ssize_t n = ::recv(peer, buf.data(), buf.size(), 0);
+    ASSERT_GT(n, 0) << "peer stream ended early";
+    ASSERT_TRUE(reader.feed(std::span<const std::uint8_t>(buf.data(), static_cast<std::size_t>(n))));
+    while (auto f = reader.next()) frames.push_back(std::move(*f));
+  }
+  EXPECT_EQ(string_of(frames[0].payload), "first");
+  EXPECT_TRUE(frames[1].payload == big);
+  for (int i = 0; i < kAfter; ++i) {
+    EXPECT_EQ(string_of(frames[2 + static_cast<std::size_t>(i)].payload), std::to_string(i));
+  }
+  EXPECT_EQ(counter("transport.frames_sent"), 2u + kAfter);
+  t.shutdown();
+  ::close(peer);
+  ::close(listener);
+}
+
 TEST(SocketTransport, ReconnectsAfterReceiverRestart) {
   SocketTransportConfig cfg;
   cfg.peers[1] = {};
@@ -193,7 +299,8 @@ TEST(SocketTransport, StatsExposeTransportMetricNames) {
         "transport.bytes_received", "transport.local_deliveries",
         "transport.sends_dropped", "transport.frames_misrouted",
         "transport.protocol_errors", "transport.connects", "transport.reconnects",
-        "transport.connect_failures", "transport.accepts"}) {
+        "transport.connect_failures", "transport.accepts",
+        "transport.write_through_frames"}) {
     EXPECT_TRUE(snap.has_counter(name)) << name;
   }
 }

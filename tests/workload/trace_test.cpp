@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -14,8 +16,10 @@ namespace {
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "trace_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".bin";
+    // pid + test name: unique across the parallel processes of one ctest
+    // run and across the tests of one binary (an address is neither).
+    path_ = ::testing::TempDir() + "trace_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
