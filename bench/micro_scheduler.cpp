@@ -1153,6 +1153,31 @@ void write_checkpoint_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metric
   }
 }
 
+/// The run's host and build, so every committed row says where it came
+/// from: CPU count, CPU model (first /proc/cpuinfo "model name"), and the
+/// CMake build type the bench was compiled with.
+std::string host_json() {
+  std::string model = "unknown";
+  if (FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) continue;
+      model.clear();
+      for (const char* c = colon + 1; *c != '\0'; ++c) {
+        // Drops the newline and anything that would need JSON escaping.
+        if (*c != '\n' && *c != '"' && *c != '\\' && !(model.empty() && *c == ' ')) {
+          model += *c;
+        }
+      }
+      break;
+    }
+    std::fclose(cpuinfo);
+  }
+  return "{\"cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + model + "\", \"build_type\": \"" PSMR_BUILD_TYPE "\"}";
+}
+
 /// `--checkpoints` mode: only the checkpoint-interval sweep, written to
 /// BENCH_scheduler_checkpoints.json (+ the psmr.metrics.v1 export carrying
 /// the `checkpoint.*` metrics for the schema fixture).
@@ -1162,6 +1187,7 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
                             "{\"workers\": 4, \"mode\": \"keys-nested\", "
                             "\"intervals\": [0, 200, 50, 10]}");
   if (f == nullptr) return 1;
+  std::fprintf(f, "  \"host\": %s,\n", host_json().c_str());
   std::fprintf(f, "  \"checkpoint_sweep\": [\n");
   psmr::obs::Snapshot last_metrics;
   write_checkpoint_rows(f, smoke, &last_metrics);
@@ -1249,31 +1275,6 @@ int zipf_main(bool smoke, double extra_theta) {
   std::fclose(f);
   std::printf("wrote BENCH_scheduler_zipf.json\n");
   return 0;
-}
-
-/// The run's host and build, so every committed row says where it came
-/// from: CPU count, CPU model (first /proc/cpuinfo "model name"), and the
-/// CMake build type the bench was compiled with.
-std::string host_json() {
-  std::string model = "unknown";
-  if (FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
-    char line[512];
-    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
-      const char* colon = std::strchr(line, ':');
-      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) continue;
-      model.clear();
-      for (const char* c = colon + 1; *c != '\0'; ++c) {
-        // Drops the newline and anything that would need JSON escaping.
-        if (*c != '\n' && *c != '"' && *c != '\\' && !(model.empty() && *c == ' ')) {
-          model += *c;
-        }
-      }
-      break;
-    }
-    std::fclose(cpuinfo);
-  }
-  return "{\"cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"cpu_model\": \"" + model + "\", \"build_type\": \"" PSMR_BUILD_TYPE "\"}";
 }
 
 int json_main(bool smoke, const char* metrics_path) {

@@ -13,11 +13,13 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x50534d53;  // "PSMS"
 
+/// id, floor, last_seq, status, value, |above| — before the `above` list.
+constexpr std::size_t kEntryFixedBytes = 8 + 8 + 8 + 1 + 8 + 4;
+
 template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
-  const std::size_t n = out.size();
-  out.resize(n + sizeof(T));
-  std::memcpy(out.data() + n, &v, sizeof(T));
+std::uint8_t* put(std::uint8_t* at, T v) {
+  std::memcpy(at, &v, sizeof(T));
+  return at + sizeof(T);
 }
 
 template <typename T>
@@ -130,28 +132,37 @@ std::uint64_t SessionTable::digest() const {
 }
 
 std::vector<std::uint8_t> SessionTable::serialize() const {
-  std::vector<std::pair<std::uint64_t, Entry>> entries;
+  // Hold every stripe (in index order, so no lock cycle with the one-stripe
+  // paths) while the entry pointers are in use, and sort (id, pointer)
+  // pairs instead of copying entries and their `above` sets.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(stripes_.size());
+  std::vector<std::pair<std::uint64_t, const Entry*>> entries;
+  std::size_t bytes = sizeof(kMagic) + sizeof(std::uint64_t);
   for (const Stripe& s : stripes_) {
-    std::lock_guard lk(s.mu);
+    locks.emplace_back(s.mu);
     for (const auto& [id, e] : s.clients) {
-      if (e.last_seq != 0) entries.emplace_back(id, e);
+      if (e.last_seq == 0) continue;
+      entries.emplace_back(id, &e);
+      bytes += kEntryFixedBytes + sizeof(std::uint64_t) * e.above.size();
     }
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + entries.size() * 48);
-  put(out, kMagic);
-  put(out, static_cast<std::uint64_t>(entries.size()));
+  std::vector<std::uint8_t> out(bytes);
+  std::uint8_t* at = out.data();
+  at = put(at, kMagic);
+  at = put(at, static_cast<std::uint64_t>(entries.size()));
   for (const auto& [id, e] : entries) {
-    put(out, id);
-    put(out, e.floor);
-    put(out, e.last_seq);
-    put(out, static_cast<std::uint8_t>(e.last_response.status));
-    put(out, e.last_response.value);
-    put(out, static_cast<std::uint32_t>(e.above.size()));
-    for (const std::uint64_t seq : e.above) put(out, seq);  // std::set: ascending
+    at = put(at, id);
+    at = put(at, e->floor);
+    at = put(at, e->last_seq);
+    at = put(at, static_cast<std::uint8_t>(e->last_response.status));
+    at = put(at, e->last_response.value);
+    at = put(at, static_cast<std::uint32_t>(e->above.size()));
+    for (const std::uint64_t seq : e->above) at = put(at, seq);  // std::set: ascending
   }
+  PSMR_CHECK(at == out.data() + out.size());
   return out;
 }
 

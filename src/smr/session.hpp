@@ -91,8 +91,9 @@ class SessionTable {
   std::uint64_t digest() const;
 
   /// Serializes the table (sorted by client id) for state transfer. Callers
-  /// must quiesce execution first, exactly like KvStore::serialize — an
-  /// in-flight claim would be lost.
+  /// must quiesce execution first — in a replica the checkpoint barrier
+  /// does — or an in-flight claim would be lost. Holds every stripe lock
+  /// for the duration.
   std::vector<std::uint8_t> serialize() const;
 
   /// Replaces the table with a snapshot produced by serialize(). Returns

@@ -1,11 +1,15 @@
 // Shared teardown helper for chaos deployments: after the proxies stop, the
 // learners may still be gap-recovering lost Decides, so replicas are
-// quiesced until every one of them reports the same, stable execution
-// counts before the transport is torn down.
+// drained until every one of them has consumed the same delivery prefix,
+// stably, and finished executing it, before the transport is torn down.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -13,21 +17,45 @@
 
 namespace psmr::chaos {
 
+/// Batches a replica has consumed from its delivery stream. Every batch
+/// Replica::deliver accepts lands in exactly one of these counters, and
+/// every replica sees the same stream, so the sum converges to the same
+/// value everywhere. Execution counts do not: the dedup fast path answers a
+/// fully duplicated batch on one replica while another, further behind in
+/// execution, schedules it and skips its commands one by one.
+inline std::uint64_t batches_consumed(const obs::Snapshot& st) {
+  return st.counter("scheduler.batches_delivered") + st.counter("replica.batches_deduped") +
+         st.counter("replica.repartitions_applied");
+}
+
+/// Returns once every replica reports the same batches_consumed() for four
+/// consecutive 50 ms polls and has then gone idle. Reaching `cap` first
+/// fails the calling test and prints each replica's counts.
 inline void drain_replicas(const std::vector<smr::Replica*>& replicas,
                            std::chrono::seconds cap = std::chrono::seconds(15)) {
   const auto deadline = std::chrono::steady_clock::now() + cap;
-  std::uint64_t stable_count = 0;
+  std::uint64_t stable_count = ~std::uint64_t{0};
   int stable_rounds = 0;
-  while (std::chrono::steady_clock::now() < deadline && stable_rounds < 4) {
+  while (stable_rounds < 4) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      std::ostringstream report;
+      for (std::size_t i = 0; i < replicas.size(); ++i) {
+        const auto st = replicas[i]->stats();
+        report << "\n  replica " << i << ": batches_delivered "
+               << st.counter("scheduler.batches_delivered") << ", batches_deduped "
+               << st.counter("replica.batches_deduped") << ", repartitions_applied "
+               << st.counter("replica.repartitions_applied") << ", commands_executed "
+               << st.counter("scheduler.commands_executed") << ", batches_failed "
+               << st.counter("scheduler.batches_failed");
+      }
+      ADD_FAILURE() << "replicas did not converge on one delivery prefix within "
+                    << cap.count() << " s:" << report.str();
+      return;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    for (smr::Replica* r : replicas) r->wait_idle();
     std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
     for (smr::Replica* r : replicas) {
-      // Count failed batches too: a deterministic injected fault advances
-      // both replicas identically without touching commands_executed.
-      const auto st = r->stats();
-      const auto n = st.counter("scheduler.commands_executed") +
-                     st.counter("scheduler.batches_failed");
+      const std::uint64_t n = batches_consumed(r->stats());
       lo = std::min(lo, n);
       hi = std::max(hi, n);
     }
@@ -35,9 +63,10 @@ inline void drain_replicas(const std::vector<smr::Replica*>& replicas,
       ++stable_rounds;
     } else {
       stable_rounds = 0;
-      stable_count = hi;
+      stable_count = lo == hi ? hi : ~std::uint64_t{0};
     }
   }
+  for (smr::Replica* r : replicas) r->wait_idle();
 }
 
 }  // namespace psmr::chaos

@@ -6,7 +6,9 @@
 // the property covers both record sections end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -52,6 +54,119 @@ std::vector<std::vector<smr::Command>> command_stream(std::uint64_t seed) {
   return out;
 }
 
+/// A stream whose key set changes only in alternate checkpoint intervals.
+/// Intervals 1 and 3 create, remove and update keys. Some creates hit a
+/// live key and some removes miss, and removed keys come back. Intervals 2
+/// and 4 only update live keys. So the checkpoints alternate between
+/// KvStore::serialize's sorting path (key set changed since the last
+/// capture) and its rank path (unchanged).
+std::vector<std::vector<smr::Command>> churn_stream(std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<smr::Key> live;     // the key set after the stream so far
+  std::vector<smr::Key> removed;  // keys that were live once
+  auto pick = [&rng](const std::vector<smr::Key>& keys) {
+    return keys[rng.next_below(keys.size())];
+  };
+  std::vector<std::vector<smr::Command>> out;
+  std::uint64_t client_seq[5] = {0, 0, 0, 0, 0};
+  smr::Key fresh = 1u << 18;
+  for (std::uint64_t seq = 1; seq <= kBatches; ++seq) {
+    const bool churn = (seq - 1) / kInterval % 2 == 0;
+    std::vector<smr::Command> cmds;
+    const std::size_t n = 1 + rng.next_below(3);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t client = rng.next_below(5);
+      smr::Command c;
+      c.value = seq * 1000 + i;
+      c.client_id = client + 1;
+      c.sequence = ++client_seq[client];
+      const std::uint64_t roll = rng.next_below(100);
+      if (!live.empty() && (!churn || roll < 40)) {
+        // A hot head of the live set keeps real write-write dependencies.
+        c.type = smr::OpType::kUpdate;
+        c.key = rng.next_bool(0.4) ? live[rng.next_below(std::min<std::size_t>(live.size(), 8))]
+                                   : pick(live);
+      } else if (roll < 75) {
+        c.type = smr::OpType::kCreate;
+        const std::uint64_t source = rng.next_below(10);
+        c.key = source < 2 && !live.empty()      ? pick(live)
+                : source < 5 && !removed.empty() ? pick(removed)
+                                                 : fresh++;
+        if (std::find(live.begin(), live.end(), c.key) == live.end()) live.push_back(c.key);
+      } else {
+        c.type = smr::OpType::kRemove;
+        if (live.size() > 8 && rng.next_bool(0.8)) {
+          const std::size_t at = rng.next_below(live.size());
+          c.key = live[at];
+          live[at] = live.back();
+          live.pop_back();
+          removed.push_back(c.key);
+        } else {
+          c.key = (1u << 30) + rng.next_below(100);  // never created
+        }
+      }
+      cmds.push_back(c);
+    }
+    out.push_back(std::move(cmds));
+  }
+  return out;
+}
+
+/// The frames a sequential replica takes at the checkpoint sequences: one
+/// thread, batches in delivery order, the state kept in a std::map and
+/// encoded by hand, so the reference shares no code with KvStore.
+std::vector<std::vector<std::uint8_t>> sequential_frames(
+    const std::vector<std::vector<smr::Command>>& stream,
+    std::vector<std::vector<smr::Key>>* key_sets) {
+  std::map<smr::Key, smr::Value> state;
+  smr::SessionTable sessions;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t seq = 1; seq <= stream.size(); ++seq) {
+    for (const smr::Command& c : stream[seq - 1]) {
+      if (sessions.begin(c.client_id, c.sequence, nullptr) !=
+          smr::SessionTable::Gate::kExecute) {
+        continue;
+      }
+      smr::Response r;  // what KvService answers for these kinds
+      r.client_id = c.client_id;
+      r.sequence = c.sequence;
+      switch (c.type) {
+        case smr::OpType::kCreate:
+          r.status = state.emplace(c.key, c.value).second ? smr::Status::kOk
+                                                          : smr::Status::kAlreadyExists;
+          break;
+        case smr::OpType::kRemove:
+          r.status = state.erase(c.key) != 0 ? smr::Status::kOk : smr::Status::kNotFound;
+          break;
+        default:
+          state[c.key] = c.value;
+          break;
+      }
+      sessions.finish(r);
+    }
+    if (seq % kInterval != 0) continue;
+    smr::CheckpointRecord record;
+    record.sequence = seq;
+    record.log_horizon = seq + 1;
+    auto put = [&record](std::uint64_t v) {
+      const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
+      record.state.insert(record.state.end(), b, b + sizeof(v));
+    };
+    put(0x50534d524b560001ull);  // "PSMRKV" v1
+    put(state.size());
+    std::vector<smr::Key> keys;
+    for (const auto& [k, v] : state) {
+      put(k);
+      put(v);
+      keys.push_back(k);
+    }
+    record.sessions = sessions.serialize();
+    frames.push_back(smr::encode_checkpoint(record));
+    key_sets->push_back(std::move(keys));
+  }
+  return frames;
+}
+
 struct RunResult {
   std::vector<std::vector<std::uint8_t>> frames;  // encoded checkpoints, in order
   std::vector<std::pair<smr::Key, smr::Value>> final_state;
@@ -65,6 +180,7 @@ RunResult run_variant(core::SchedulerOptions cfg, unsigned stamp_shards,
                       std::shared_ptr<const smr::ConflictClassMap> swap_map =
                           nullptr) {
   kv::KvStore store;
+  kv::KvService service(store);
   smr::SessionTable sessions;
   auto executor = [&](const smr::Batch& b) {
     for (const smr::Command& c : b.commands()) {
@@ -72,12 +188,7 @@ RunResult run_variant(core::SchedulerOptions cfg, unsigned stamp_shards,
           smr::SessionTable::Gate::kExecute) {
         continue;
       }
-      smr::Response r;
-      r.client_id = c.client_id;
-      r.sequence = c.sequence;
-      r.status = store.update(c.key, c.value);
-      r.value = c.value;
-      sessions.finish(r);
+      sessions.finish(service.execute(c));
     }
   };
   S sched(cfg, executor);
@@ -169,6 +280,42 @@ TEST(CheckpointLockstep, BitIdenticalAcrossSchedulersAndIndexModes) {
       EXPECT_EQ(decoded->log_horizon, (f + 1) * kInterval + 1);
       EXPECT_FALSE(decoded->state.empty());
       EXPECT_FALSE(decoded->sessions.empty());
+    }
+  }
+}
+
+TEST(CheckpointLockstep, KeySetChurnKeepsFramesIdenticalToSequential) {
+  for (const std::uint64_t seed : {5ull, 23ull}) {
+    const auto stream = churn_stream(seed);
+    std::vector<std::vector<smr::Key>> key_sets;
+    const auto expected = sequential_frames(stream, &key_sets);
+    ASSERT_EQ(expected.size(), kBatches / kInterval);
+    // The stream does what it claims: the key set moves into checkpoints 1
+    // and 3 (sorting path) and stands still into checkpoints 2 and 4 (rank
+    // path).
+    ASSERT_EQ(key_sets.size(), 4u);
+    EXPECT_FALSE(key_sets[0].empty());
+    EXPECT_EQ(key_sets[1], key_sets[0]);
+    EXPECT_NE(key_sets[2], key_sets[1]);
+    EXPECT_EQ(key_sets[3], key_sets[2]);
+
+    for (const core::IndexMode index :
+         {core::IndexMode::kScan, core::IndexMode::kIndexed, core::IndexMode::kAuto}) {
+      core::SchedulerOptions cfg;
+      cfg.workers = 4;
+      cfg.index = index;
+      std::vector<RunResult> results;
+      results.push_back(run_variant<core::Scheduler>(cfg, 0, stream));
+      results.push_back(run_variant<core::PipelinedScheduler>(cfg, 0, stream));
+      for (std::size_t v = 0; v < results.size(); ++v) {
+        ASSERT_EQ(results[v].frames.size(), expected.size());
+        for (std::size_t f = 0; f < expected.size(); ++f) {
+          EXPECT_EQ(results[v].frames[f], expected[f])
+              << "checkpoint " << f << " of variant " << v << " (index mode "
+              << static_cast<int>(index) << ", seed " << seed
+              << ") differs from the sequential reference";
+        }
+      }
     }
   }
 }

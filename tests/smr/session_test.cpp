@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,41 @@ TEST(SessionTable, SerializeRoundTripPreservesDigestAndGates) {
   EXPECT_EQ(restored.begin(99, 1, nullptr), SessionTable::Gate::kExecute);
   // Serialization is canonical (sorted): same state, same bytes.
   EXPECT_EQ(restored.serialize(), bytes);
+}
+
+TEST(SessionTable, SerializeBytesMatchRecordedFrame) {
+  // The frame below was recorded from the field-by-field encoder that
+  // predates the pointer-sorting one; checkpoints and state transfer need
+  // the bytes unchanged. The table mixes in-order, out-of-order, failed and
+  // claimed-but-unfinished clients (the last is not serialized).
+  SessionTable t;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    ASSERT_EQ(t.begin(7, seq, nullptr), SessionTable::Gate::kExecute);
+    t.finish(make_response(7, seq, 70 + seq));
+  }
+  for (const std::uint64_t seq : {1u, 4u, 6u}) {  // floor 1, above {4, 6}
+    ASSERT_EQ(t.begin(2, seq, nullptr), SessionTable::Gate::kExecute);
+    t.finish(make_response(2, seq, 20 + seq));
+  }
+  const std::uint64_t big = (std::uint64_t{1} << 40) | 5;
+  ASSERT_EQ(t.begin(big, 1, nullptr), SessionTable::Gate::kExecute);
+  t.finish(make_response(big, 1, 0, Status::kFailed));
+  ASSERT_EQ(t.begin(11, 3, nullptr), SessionTable::Gate::kExecute);
+  t.finish(make_response(11, 3, 0, Status::kNotFound));
+  ASSERT_EQ(t.begin(9, 1, nullptr), SessionTable::Gate::kExecute);
+
+  const char* const recorded =
+      "534d535004000000000000000200000000000000010000000000000006000000"
+      "00000000001a0000000000000002000000040000000000000006000000000000"
+      "0007000000000000000300000000000000030000000000000000490000000000"
+      "0000000000000b00000000000000000000000000000003000000000000000100"
+      "0000000000000001000000030000000000000005000000000100000100000000"
+      "000000010000000000000003000000000000000000000000";
+  std::vector<std::uint8_t> expected;
+  for (const char* p = recorded; *p != '\0'; p += 2) {
+    expected.push_back(static_cast<std::uint8_t>(std::stoul(std::string(p, 2), nullptr, 16)));
+  }
+  EXPECT_EQ(t.serialize(), expected);
 }
 
 TEST(SessionTable, DeserializeRejectsGarbage) {
