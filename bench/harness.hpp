@@ -1,9 +1,10 @@
 // Shared throughput harness for the figure benches.
 //
 // Builds the full replica pipeline of the paper's evaluation: N closed-loop
-// client proxies -> total order (LocalOrderer; optionally padded with a
-// per-broadcast cost to model the transport) -> one replica running the
-// scheduler under test -> in-memory KV store -> responses back to proxies.
+// client proxies -> total order (LocalBroadcast behind the ConsensusAdapter;
+// optionally padded with a per-broadcast cost to model the transport) -> one
+// replica running the scheduler under test -> in-memory KV store ->
+// responses back to proxies.
 // Runs for a fixed wall-clock window and reports commands/s plus scheduler
 // statistics.
 #pragma once
@@ -17,10 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "consensus/group.hpp"
 #include "core/scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
-#include "smr/local_orderer.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/proxy.hpp"
 #include "smr/replica.hpp"
 #include "util/spin.hpp"
@@ -75,7 +77,13 @@ struct HarnessResult {
 };
 
 inline HarnessResult run_throughput(const HarnessConfig& cfg) {
-  smr::LocalOrderer orderer;
+  smr::BitmapConfig bitmap;
+  bitmap.bits = cfg.bitmap_bits;
+  bitmap.hashes = cfg.bitmap_hashes;
+  bitmap.split_read_write = cfg.split_read_write;
+
+  consensus::LocalBroadcast broadcast;
+  smr::ConsensusAdapter order(broadcast, bitmap);
   kv::KvStore store(1024);
   kv::KvService service(store);
 
@@ -94,13 +102,8 @@ inline HarnessResult run_throughput(const HarnessConfig& cfg) {
   };
 
   smr::Replica replica(rcfg, service, sink);
-  orderer.subscribe([&](smr::BatchPtr b) { replica.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica.deliver(b); });
   replica.start();
-
-  smr::BitmapConfig bitmap;
-  bitmap.bits = cfg.bitmap_bits;
-  bitmap.hashes = cfg.bitmap_hashes;
-  bitmap.split_read_write = cfg.split_read_write;
 
   // Keep only the in-flight window of keys so injected conflicts hit
   // batches that are still pending (see exec_sim.cpp for the rationale).
@@ -130,9 +133,9 @@ inline HarnessResult run_throughput(const HarnessConfig& cfg) {
     proxies.push_back(std::make_unique<smr::Proxy>(
         pcfg,
         [gen](std::uint64_t client, std::uint64_t seq) { return gen->next(client, seq); },
-        [&orderer, overhead](std::unique_ptr<smr::Batch> b) {
+        [&order, overhead](std::unique_ptr<smr::Batch> b) {
           if (overhead > 0) util::busy_work(overhead);
-          orderer.broadcast(std::move(b));
+          order.broadcast(std::move(b));
         }));
   }
 

@@ -37,12 +37,13 @@
 #include <thread>
 #include <vector>
 
+#include "consensus/group.hpp"
 #include "core/scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "obs/watchdog.hpp"
 #include "smr/admission.hpp"
-#include "smr/local_orderer.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/replica.hpp"
 #include "stats/histogram.hpp"
 #include "util/time.hpp"
@@ -89,14 +90,15 @@ psmr::smr::Command make_command(psmr::workload::Generator& gen, std::uint64_t cl
 /// Phase A: closed-loop saturation throughput (cmds/s). One thread delivers
 /// back-to-back with blocking backpressure; the drain rate IS the capacity.
 double measure_capacity(const Options& opt) {
-  psmr::smr::LocalOrderer orderer;
+  // Unbitmapped batches: the default BitmapConfig is never used to rebuild.
+  psmr::consensus::LocalBroadcast broadcast;
+  psmr::smr::ConsensusAdapter order(broadcast, psmr::smr::BitmapConfig{});
   psmr::kv::KvStore store(1024);
   psmr::kv::KvService service(store);
 
   psmr::smr::Replica::Config rcfg;
   rcfg.scheduler.workers = opt.workers;
   rcfg.scheduler.max_pending_batches = opt.max_pending_batches;
-  rcfg.scheduler.backpressure = psmr::core::BackpressureMode::kBlock;
 
   std::atomic<std::uint64_t> completed{0};
   psmr::smr::Replica replica(
@@ -104,7 +106,7 @@ double measure_capacity(const Options& opt) {
       [&completed](const psmr::smr::Response&) {
         completed.fetch_add(1, std::memory_order_relaxed);
       });
-  orderer.subscribe([&](psmr::smr::BatchPtr b) { replica.deliver(b); });
+  order.subscribe_replica([&](psmr::smr::BatchPtr b) { replica.deliver(b); });
   replica.start();
 
   psmr::workload::GeneratorConfig gcfg;
@@ -120,7 +122,7 @@ double measure_capacity(const Options& opt) {
     ++seq;
     std::vector<psmr::smr::Command> cmds;
     cmds.push_back(make_command(gen, /*client=*/1 + (seq % opt.clients), seq));
-    orderer.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+    order.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
   }
   replica.wait_idle();
   const double elapsed =
@@ -135,7 +137,8 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
 
   auto registry = std::make_shared<psmr::obs::MetricsRegistry>();
 
-  psmr::smr::LocalOrderer orderer;
+  psmr::consensus::LocalBroadcast broadcast;
+  psmr::smr::ConsensusAdapter order(broadcast, psmr::smr::BitmapConfig{});
   psmr::kv::KvStore store(1024);
   psmr::kv::KvService service(store);
 
@@ -150,7 +153,6 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
   psmr::smr::Replica::Config rcfg;
   rcfg.scheduler.workers = opt.workers;
   rcfg.scheduler.max_pending_batches = opt.max_pending_batches;
-  rcfg.scheduler.backpressure = psmr::core::BackpressureMode::kBlock;
   rcfg.scheduler.metrics = registry;
 
   // Latency bookkeeping: per-client arrival stamp (per_client_inflight == 1
@@ -175,7 +177,7 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
         completed.fetch_add(1, std::memory_order_relaxed);
         admission->release(r.client_id, 1);
       });
-  orderer.subscribe([&](psmr::smr::BatchPtr b) { replica.deliver(b); });
+  order.subscribe_replica([&](psmr::smr::BatchPtr b) { replica.deliver(b); });
   replica.start();
 
   psmr::obs::Watchdog::Config wcfg;
@@ -190,7 +192,7 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
   watchdog.start();
 
   // Admitted arrivals go to a bench-local delivery thread, which builds and
-  // broadcasts them. LocalOrderer runs Replica::deliver on the caller's
+  // broadcasts them. LocalBroadcast runs Replica::deliver on the caller's
   // thread, so broadcasting from the arrival loop would let the server
   // throttle the arrivals — a closed loop in disguise. The queue needs no
   // cap of its own: every queued client holds an admission credit until its
@@ -216,7 +218,7 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
       for (const std::uint64_t client : ready) {
         std::vector<psmr::smr::Command> cmds;
         cmds.push_back(make_command(gen, client, ++seq[client]));
-        orderer.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+        order.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
       }
       ready.clear();
     }

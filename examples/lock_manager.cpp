@@ -14,8 +14,9 @@
 #include <mutex>
 #include <thread>
 
+#include "consensus/group.hpp"
 #include "kvstore/lock_service.hpp"
-#include "smr/local_orderer.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/replica.hpp"
 #include "util/rng.hpp"
 
@@ -24,7 +25,9 @@ using namespace std::chrono_literals;
 int main() {
   using namespace psmr;
 
-  smr::LocalOrderer orderer;
+  // No proxy bitmaps here, so the adapter's BitmapConfig is never used.
+  consensus::LocalBroadcast broadcast;
+  smr::ConsensusAdapter order(broadcast, smr::BitmapConfig{});
   kv::LockTable table_a, table_b;
   kv::LockService service_a(table_a), service_b(table_b);
 
@@ -42,8 +45,8 @@ int main() {
   rcfg.scheduler.mode = core::ConflictMode::kKeysNested;
   smr::Replica replica_a(rcfg, service_a, sink_a);
   smr::Replica replica_b(rcfg, service_b, [](const smr::Response&) {});
-  orderer.subscribe([&](smr::BatchPtr b) { replica_a.deliver(b); });
-  orderer.subscribe([&](smr::BatchPtr b) { replica_b.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica_a.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica_b.deliver(b); });
   replica_a.start();
   replica_b.start();
 
@@ -59,7 +62,7 @@ int main() {
     c.client_id = client;
     c.sequence = ++seq;
     auto batch = std::make_unique<smr::Batch>(std::vector<smr::Command>{c});
-    orderer.broadcast(std::move(batch));
+    order.broadcast(std::move(batch));
   };
 
   std::printf("Round 1: every client tries to grab every lock (random order)\n");

@@ -1,6 +1,6 @@
 // Quickstart: a parallel-SMR replicated key-value store in ~80 lines.
 //
-// Builds two replicas behind an in-process total order, drives them with
+// Builds two replicas behind an in-process atomic broadcast, drives them with
 // one client proxy using the paper's scheduler (batches + bitmap conflict
 // detection), and shows that both replicas converge to the same state while
 // executing independent commands in parallel.
@@ -9,8 +9,9 @@
 #include <cstdio>
 #include <memory>
 
+#include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
-#include "smr/local_orderer.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/proxy.hpp"
 #include "smr/replica.hpp"
 #include "util/rng.hpp"
@@ -18,9 +19,14 @@
 int main() {
   using namespace psmr;
 
-  // 1. A total-order source (stand-in for atomic broadcast; see
-  //    examples/replicated_kvstore.cpp for the real Paxos stack).
-  smr::LocalOrderer orderer;
+  // 1. A total-order source: the in-process atomic broadcast behind the
+  //    same adapter the Paxos stack plugs into (see
+  //    examples/replicated_kvstore.cpp). Replicas rebuild each batch's
+  //    bitmap with the proxy's BitmapConfig.
+  smr::BitmapConfig bitmap;
+  bitmap.bits = 1024000;
+  consensus::LocalBroadcast broadcast;
+  smr::ConsensusAdapter order(broadcast, bitmap);
 
   // 2. Two replicas, each with its own KV store and a 4-worker scheduler
   //    using bitmap conflict detection.
@@ -42,8 +48,8 @@ int main() {
   rcfg.replica_id = 1;
   smr::Replica replica_b(rcfg, service_b, sink);
 
-  orderer.subscribe([&](smr::BatchPtr b) { replica_a.deliver(b); });
-  orderer.subscribe([&](smr::BatchPtr b) { replica_b.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica_a.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica_b.deliver(b); });
   replica_a.start();
   replica_b.start();
 
@@ -54,7 +60,7 @@ int main() {
   pcfg.formation.batch_size = 100;
   pcfg.num_clients = 32;
   pcfg.formation.use_bitmap = true;
-  pcfg.formation.bitmap.bits = 1024000;
+  pcfg.formation.bitmap = bitmap;
 
   util::Xoshiro256 rng(2024);
   auto source = [&](std::uint64_t, std::uint64_t) {
@@ -66,7 +72,7 @@ int main() {
   };
 
   smr::Proxy proxy(pcfg, source, [&](std::unique_ptr<smr::Batch> b) {
-    orderer.broadcast(std::move(b));
+    order.broadcast(std::move(b));
   });
   proxy_ptr = &proxy;
 

@@ -3,8 +3,8 @@
 // (the ShardedScheduler's per-shard engines each own their own; they merge
 // under shard.N.backpressure.* like every other per-shard family).
 //
-// Thread-safety: update() and the wait/reject counters are called only from
-// the single delivery thread of the owning scheduler, which is the contract
+// Thread-safety: update() and the wait counters are called only from the
+// single delivery thread of the owning scheduler, which is the contract
 // everywhere deliver() already lives. The gauges/counters themselves are
 // registry handles and safe to snapshot concurrently.
 #pragma once
@@ -15,21 +15,26 @@
 #include <cstdint>
 #include <mutex>
 
-#include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
 #include "util/time.hpp"
 
 namespace psmr::core {
 
+/// Watermarks of a bounded delivery queue, as fractions of its capacity
+/// (SchedulerOptions::max_pending_batches). The `backpressure.above_high`
+/// gauge flips to 1 when resident depth reaches the high mark and back to 0
+/// once it drains to the low mark (hysteresis, so a queue oscillating near
+/// the threshold doesn't thrash the gauge);
+/// `backpressure.high_watermark_crossings` counts the 0→1 edges.
+inline constexpr double kHighWatermarkFraction = 0.875;
+inline constexpr double kLowWatermarkFraction = 0.5;
+
 class BackpressureMeter {
  public:
   // All metrics are registered eagerly so they appear (at zero) in every
   // snapshot — tools/check_metrics_json.py --require depends on that.
-  BackpressureMeter(obs::MetricsRegistry& registry, std::size_t capacity,
-                    double high_fraction, double low_fraction)
+  BackpressureMeter(obs::MetricsRegistry& registry, std::size_t capacity)
       : waits_(registry.counter("backpressure.waits")),
-        rejects_(registry.counter("backpressure.rejects")),
-        deadline_expired_(registry.counter("backpressure.deadline_expired")),
         crossings_(registry.counter("backpressure.high_watermark_crossings")),
         wait_ns_(registry.histogram("backpressure.wait_ns")),
         depth_(registry.gauge("backpressure.queue_depth")),
@@ -39,11 +44,11 @@ class BackpressureMeter {
         above_high_(registry.gauge("backpressure.above_high")) {
     capacity_gauge_.set(static_cast<double>(capacity));
     if (capacity != 0) {
+      const auto bound = static_cast<double>(capacity);
       high_mark_ = std::max<std::size_t>(
-          1, static_cast<std::size_t>(static_cast<double>(capacity) * high_fraction));
-      low_mark_ = std::min(
-          high_mark_ - 1,
-          static_cast<std::size_t>(static_cast<double>(capacity) * low_fraction));
+          1, static_cast<std::size_t>(bound * kHighWatermarkFraction));
+      low_mark_ = std::min(high_mark_ - 1,
+                           static_cast<std::size_t>(bound * kLowWatermarkFraction));
     }
     high_gauge_.set(static_cast<double>(high_mark_));
     low_gauge_.set(static_cast<double>(low_mark_));
@@ -67,43 +72,25 @@ class BackpressureMeter {
     }
   }
 
-  /// Runs the backpressure policy of a condition-variable-guarded queue:
-  /// while `have_space()` is false, kReject refuses at once, kBlock waits on
-  /// `cv`, kBlockWithDeadline waits up to `deadline`. Returns false when
-  /// the batch is refused; every wait, reject and expiry is counted. `lk`
-  /// holds the mutex that guards `have_space()`.
+  /// Blocks on `cv` until `have_space()` holds and counts the wait, if
+  /// there was one. `lk` holds the mutex that guards `have_space()`, which
+  /// must also turn true once the owner stops.
   template <typename HaveSpace>
-  bool wait_for_space(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
-                      BackpressureMode mode, std::chrono::milliseconds deadline,
+  void wait_for_space(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
                       HaveSpace have_space) {
-    if (have_space()) return true;
-    if (mode == BackpressureMode::kReject) {
-      rejects_.add(1);
-      return false;
-    }
+    if (have_space()) return;
     const std::uint64_t t0 = util::now_ns();
-    bool got = true;
-    if (mode == BackpressureMode::kBlockWithDeadline) {
-      got = cv.wait_for(lk, deadline, have_space);
-    } else {
-      cv.wait(lk, have_space);
-    }
+    cv.wait(lk, have_space);
     count_wait(util::now_ns() - t0);
-    if (!got) deadline_expired_.add(1);
-    return got;
   }
 
   void count_wait(std::uint64_t wait_ns) {
     waits_.add(1);
     wait_ns_.record(wait_ns);
   }
-  void count_reject() { rejects_.add(1); }
-  void count_deadline_expired() { deadline_expired_.add(1); }
 
  private:
   obs::Counter& waits_;
-  obs::Counter& rejects_;
-  obs::Counter& deadline_expired_;
   obs::Counter& crossings_;
   obs::HistogramMetric& wait_ns_;
   obs::Gauge& depth_;

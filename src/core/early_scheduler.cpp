@@ -22,8 +22,7 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
       multi_class_metric_(&metrics_->counter("early.batches_multi_class")),
       fallback_metric_(&metrics_->counter("early.batches_fallback")),
       tracer_(config_.trace_capacity),
-      bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
-          config_.low_watermark),
+      bp_(*metrics_, config_.max_pending_batches),
       breaker_(*metrics_, config_.circuit_failure_threshold,
                config_.circuit_recovery_threshold) {
   config_.validate();
@@ -58,8 +57,6 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
   sub.shards = 1;
   sub.class_map = nullptr;
   sub.trace_capacity = 0;
-  sub.workers = config_.fallback_workers != 0 ? config_.fallback_workers
-                                              : config_.workers;
   fallback_ = std::make_unique<Scheduler>(
       std::move(sub), [this](const smr::Batch& b) {
         tracer_.record(b.sequence(), obs::Stage::kReady);
@@ -117,7 +114,7 @@ std::uint64_t EarlyScheduler::participants_of(std::uint64_t class_mask) const no
 bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   PSMR_CHECK(batch != nullptr);
   PSMR_CHECK(batch->sequence() != 0);
-  std::lock_guard lifecycle(lifecycle_mu_);
+  std::unique_lock lifecycle(lifecycle_mu_);
   if (stopping_.load(std::memory_order_relaxed)) return false;
   const std::uint64_t seq = batch->sequence();
   tracer_.begin(seq);
@@ -133,17 +130,11 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   const int touched = std::popcount(pset);
   const std::uint64_t fallback_bit = std::uint64_t{1} << num_class_workers();
 
-  // Secure capacity on every touched participant BEFORE pushing any leg —
-  // all-or-nothing admission, so the rejecting modes never strand a gate
-  // with some legs queued.
-  if (!wait_for_capacity(pset)) return false;
-  if (stopping_.load(std::memory_order_relaxed)) return false;
-
   if (touched == 1 && pset != fallback_bit) {
     // FAST PATH: one owning worker — the scheduling decision was made at
     // configuration time; delivery is a FIFO push.
     const auto w = static_cast<std::size_t>(std::countr_zero(pset));
-    push_item(w, Item{std::move(batch), nullptr, 0});
+    if (!push_item(lifecycle, w, Item{std::move(batch), nullptr, 0})) return false;
     tracer_.record(seq, obs::Stage::kInserted);
     m_.batches_delivered.add(1);
     fast_path_metric_->add(1);
@@ -151,7 +142,9 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
     return true;
   }
   if (pset == fallback_bit) {
-    // Every command unclassified: plain graph insertion.
+    // Every command unclassified: plain graph insertion. The engine blocks
+    // while its graph is full, so stop() must be able to begin meanwhile.
+    lifecycle.unlock();
     if (!fallback_->deliver(std::move(batch))) return false;
     tracer_.record(seq, obs::Stage::kInserted);
     m_.batches_delivered.add(1);
@@ -162,22 +155,33 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   // MULTI-CLASS (and/or mixed classified+unclassified): register the
   // delivery-sequence-keyed gate FIRST, then hand the batch to every
   // touched participant in ascending order. All replicas deliver in the
-  // same total order, so every participant sees the same subsequence.
+  // same total order, so every participant sees the same subsequence. Each
+  // leg blocks while its participant is full; legs already handed over
+  // park their workers in the gate until the rest arrive.
   const auto leader = static_cast<std::size_t>(std::countr_zero(pset));
   const std::shared_ptr<RendezvousGate> gate =
       gates_.open(seq, static_cast<unsigned>(touched), leader);
+  std::uint64_t delivered = 0;
   for (std::uint64_t rest = pset & (fallback_bit - 1); rest != 0; rest &= rest - 1) {
     const auto w = static_cast<std::size_t>(std::countr_zero(rest));
-    push_item(w, Item{batch, gate, 0});
+    if (!push_item(lifecycle, w, Item{batch, gate, 0})) break;
+    delivered |= std::uint64_t{1} << w;
   }
-  if ((pset & fallback_bit) != 0) {
-    if (!fallback_->deliver(batch)) {
-      // Raced stop(): the engine rejected its leg. The class-worker legs
-      // are already queued and drain before the workers join, so shrink
-      // the gate to the participants that actually hold the batch. The
-      // fallback participant has the highest id, so the leader stands.
-      gate->shrink(static_cast<unsigned>(touched) - 1, leader);
+  if ((pset & fallback_bit) != 0 && delivered == (pset & (fallback_bit - 1))) {
+    lifecycle.unlock();
+    if (fallback_->deliver(batch)) delivered |= fallback_bit;
+  }
+  if (delivered != pset) {
+    // stop() refused a leg: resolve the gate over the participants that
+    // hold the batch, so their workers never wait for a leg that will not
+    // come.
+    if (delivered == 0) {
+      gates_.close(seq);
+    } else {
+      gate->shrink(static_cast<unsigned>(std::popcount(delivered)),
+                   static_cast<std::size_t>(std::countr_zero(delivered)));
     }
+    return false;
   }
   tracer_.record(seq, obs::Stage::kInserted);
   m_.batches_delivered.add(1);
@@ -197,86 +201,36 @@ void EarlyScheduler::publish_depth() {
   bp_.update(static_cast<std::size_t>(deepest));
 }
 
-bool EarlyScheduler::wait_for_capacity(std::uint64_t pset) {
-  const std::uint64_t fallback_bit = std::uint64_t{1} << num_class_workers();
-  if (config_.max_pending_batches != 0) {
-    // `pending` counts pushed-but-uncompleted items, an upper bound on ring
-    // occupancy — conservative, so a push after this check cannot find the
-    // ring full in the rejecting modes.
-    const auto workers_have_space = [&] {
-      for (std::uint64_t rest = pset & (fallback_bit - 1); rest != 0;
-           rest &= rest - 1) {
-        const auto w = static_cast<std::size_t>(std::countr_zero(rest));
-        if (workers_[w]->pending.load(std::memory_order_acquire) >= queue_capacity_) {
-          return false;
-        }
-      }
-      return true;
-    };
-    if (!workers_have_space()) {
-      switch (config_.backpressure) {
-        case BackpressureMode::kReject:
-          bp_.count_reject();
-          return false;
-        case BackpressureMode::kBlockWithDeadline: {
-          const std::uint64_t t0 = util::now_ns();
-          const std::uint64_t deadline_ns =
-              t0 + static_cast<std::uint64_t>(
-                       std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           config_.backpressure_deadline)
-                           .count());
-          while (!workers_have_space()) {
-            if (stopping_.load(std::memory_order_relaxed)) return false;
-            if (util::now_ns() >= deadline_ns) {
-              bp_.count_wait(util::now_ns() - t0);
-              bp_.count_deadline_expired();
-              return false;
-            }
-            std::this_thread::yield();
-          }
-          bp_.count_wait(util::now_ns() - t0);
-          break;
-        }
-        case BackpressureMode::kBlock: {
-          const std::uint64_t t0 = util::now_ns();
-          while (!workers_have_space()) {
-            if (stopping_.load(std::memory_order_relaxed)) return false;
-            std::this_thread::yield();
-          }
-          bp_.count_wait(util::now_ns() - t0);
-          break;
-        }
-      }
-    }
-  }
-  // The fallback engine applies its own (identically configured) policy;
-  // space it grants persists because this thread is its sole inserter.
-  if ((pset & fallback_bit) != 0) return fallback_->wait_for_space();
-  return true;
-}
-
-void EarlyScheduler::push_item(std::size_t w, Item item) {
+bool EarlyScheduler::push_item(std::unique_lock<std::mutex>& lifecycle, std::size_t w,
+                               Item item) {
   Worker& worker = *workers_[w];
+  // `pending` counts pushed-but-uncompleted items, an upper bound on ring
+  // occupancy: once it is below capacity, the push below finds room.
+  if (worker.pending.load(std::memory_order_acquire) >= queue_capacity_) {
+    const std::uint64_t t0 = util::now_ns();
+    do {
+      // Wait without the lifecycle lock so stop() can begin; the worker
+      // keeps draining its queue either way.
+      lifecycle.unlock();
+      std::this_thread::yield();
+      lifecycle.lock();
+      if (stopping_.load(std::memory_order_relaxed)) return false;
+    } while (worker.pending.load(std::memory_order_acquire) >= queue_capacity_);
+    bp_.count_wait(util::now_ns() - t0);
+  }
   item.pushed_ns = util::now_ns();
   worker.pending.fetch_add(1, std::memory_order_relaxed);
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   worker.depth_metric->record(worker.queue.approx_size());
-  // The queue is sized from max_pending_batches (or a large default):
-  // a full queue is backpressure, the same contract as Scheduler's
-  // deliver(). The worker keeps draining, so this terminates.
-  while (!worker.queue.try_push(item)) {
-    if (worker.sleeping.load(std::memory_order_seq_cst)) {
-      std::lock_guard lk(worker.mu);
-      worker.cv.notify_one();
-    }
-    std::this_thread::yield();
-  }
+  const bool pushed = worker.queue.try_push(std::move(item));
+  PSMR_CHECK(pushed);
   // Dekker-style wakeup: the push above is visible before this load; the
   // worker sets `sleeping` before its final empty re-check.
   if (worker.sleeping.load(std::memory_order_seq_cst)) {
     std::lock_guard lk(worker.mu);
     worker.cv.notify_one();
   }
+  return true;
 }
 
 void EarlyScheduler::worker_loop(std::size_t w) {
@@ -472,8 +426,12 @@ void EarlyScheduler::wait_idle() {
 }
 
 void EarlyScheduler::stop() {
-  std::lock_guard lifecycle(lifecycle_mu_);
-  stopping_.store(true, std::memory_order_seq_cst);
+  {
+    // Released before the joins below: a deliver() waiting for queue room
+    // must re-take it to see `stopping_` and resolve its gate.
+    std::lock_guard lifecycle(lifecycle_mu_);
+    stopping_.store(true, std::memory_order_seq_cst);
+  }
   // Unpark any barrier-held workers (contract: release_barrier() before
   // stop(); tolerated anyway — stopping drains everything).
   {

@@ -76,10 +76,9 @@ class EarlyScheduler {
   /// workers by ConflictClassMap::worker_of_class(cls, workers).
   /// `options.class_map` declares the classes (null = uniform hash
   /// partition with one class per worker — never unclassified).
-  /// `options.fallback_workers` sizes the embedded graph engine
-  /// (0 = `workers`); its conflict mode/index knobs come from the same
-  /// options. Circuit thresholds apply to the class workers and,
-  /// independently, inside the fallback engine.
+  /// The embedded graph engine gets a pool of the same size; its conflict
+  /// mode/index knobs come from the same options. Circuit thresholds apply
+  /// to the class workers and, independently, inside the fallback engine.
   EarlyScheduler(SchedulerOptions options, Executor executor);
   ~EarlyScheduler();
 
@@ -91,11 +90,10 @@ class EarlyScheduler {
   /// Hands over the next batch in atomic-broadcast order. MUST be called
   /// from one delivery thread in sequence order — per-worker FIFOs are
   /// delivery-order subsequences, which is the determinism argument.
-  /// When a touched worker's queue (or the fallback graph) is full, the
-  /// SchedulerOptions::backpressure mode decides: block, block up to the
-  /// deadline, or reject. Capacity is secured on EVERY touched participant
-  /// before any leg is pushed, so a rejected batch leaves no orphaned gate
-  /// legs. Returns false after stop() or on reject/deadline expiry.
+  /// Blocks while a touched worker's queue (or the fallback graph) is full.
+  /// Returns false only once stop() has begun and refused a leg; the
+  /// participants that already hold one still run the batch, so no gate is
+  /// left waiting.
   bool deliver(smr::BatchPtr batch);
 
   /// Blocks until every delivered batch has executed everywhere.
@@ -193,11 +191,10 @@ class EarlyScheduler {
   /// (breaker, on_failure); the fallback participant rethrows it so the
   /// embedded engine does.
   void run_batch(std::size_t participant, const smr::Batch& batch);
-  void push_item(std::size_t w, Item item);
-  /// Runs the configured backpressure policy over the class-worker legs of
-  /// `pset` (the fallback leg delegates to fallback_->wait_for_space()).
-  /// Returns false when the batch must be rejected. Delivery thread only.
-  bool wait_for_capacity(std::uint64_t pset);
+  /// Pushes `item` onto worker `w`'s FIFO, first waiting (with `lifecycle`
+  /// released) while that FIFO is full. Returns false, pushing nothing,
+  /// once stop() has begun during the wait. Delivery thread only.
+  bool push_item(std::unique_lock<std::mutex>& lifecycle, std::size_t w, Item item);
   /// Publishes the deepest class-worker queue into the meter.
   void publish_depth();
   void complete_one();
@@ -218,8 +215,8 @@ class EarlyScheduler {
   obs::Counter* multi_class_metric_;
   obs::Counter* fallback_metric_;
   obs::BatchTracer tracer_;
-  // Updated only from the delivery thread (under lifecycle_mu_); depth is
-  // the deepest class-worker queue, the binding resource of this variant.
+  // Updated only from the delivery thread; depth is the deepest
+  // class-worker queue, the binding resource of this variant.
   BackpressureMeter bp_;
   std::size_t queue_capacity_ = 0;
 
@@ -230,9 +227,9 @@ class EarlyScheduler {
   std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> outstanding_{0};  // class-worker items in flight
 
-  /// Serializes deliver() against stop(): stop() cannot flip `stopping_`
-  /// mid-deliver, so a batch is either fully handed to every touched
-  /// participant or rejected outright (no orphaned gate legs).
+  /// Serializes class-worker pushes against stop(): `stopping_` cannot flip
+  /// between deliver()'s check and its push, so every pushed item reaches a
+  /// live worker. deliver() releases it while it waits for queue room.
   std::mutex lifecycle_mu_;
 
   // wait_idle() parking.

@@ -14,8 +14,7 @@ PipelinedScheduler::PipelinedScheduler(SchedulerOptions options, Executor execut
                                           : std::make_shared<obs::MetricsRegistry>()),
       m_(*metrics_, config_.workers),
       tracer_(config_.trace_capacity),
-      bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
-          config_.low_watermark),
+      bp_(*metrics_, config_.max_pending_batches),
       graph_(config_.mode, config_.index),
       breaker_(*metrics_, config_.circuit_failure_threshold,
                config_.circuit_recovery_threshold) {
@@ -45,14 +44,10 @@ bool PipelinedScheduler::deliver(smr::BatchPtr batch) {
   PSMR_CHECK(batch->sequence() != 0);
   if (config_.max_pending_batches != 0) {
     std::unique_lock lk(idle_mu_);
-    if (!bp_.wait_for_space(lk, idle_cv_, config_.backpressure,
-                            config_.backpressure_deadline, [&] {
-                              return stopping_.load(std::memory_order_relaxed) ||
-                                     outstanding_.load(std::memory_order_relaxed) <
-                                         config_.max_pending_batches;
-                            })) {
-      return false;
-    }
+    bp_.wait_for_space(lk, idle_cv_, [&] {
+      return stopping_.load(std::memory_order_relaxed) ||
+             outstanding_.load(std::memory_order_relaxed) < config_.max_pending_batches;
+    });
     if (stopping_.load(std::memory_order_relaxed)) return false;
     // Admit under the lock: the watermark state machine is serialized on
     // idle_mu_ against the completion path's update below.

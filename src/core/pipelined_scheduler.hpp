@@ -63,10 +63,9 @@ class PipelinedScheduler {
 
   void start();
 
-  /// Same backpressure contract as Scheduler::deliver(): with
-  /// max_pending_batches set, the SchedulerOptions::backpressure mode
-  /// decides whether a full pipeline blocks, blocks up to the deadline, or
-  /// rejects (returns false without consuming the batch).
+  /// Same contract as Scheduler::deliver(): blocks while
+  /// max_pending_batches batches are outstanding, and returns false only
+  /// once stop() has begun.
   bool deliver(smr::BatchPtr batch);
   void wait_idle();
   void stop();

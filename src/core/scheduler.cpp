@@ -12,8 +12,7 @@ Scheduler::Scheduler(SchedulerOptions options, Executor executor)
                                           : std::make_shared<obs::MetricsRegistry>()),
       m_(*metrics_, config_.workers),
       tracer_(config_.trace_capacity),
-      bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
-          config_.low_watermark),
+      bp_(*metrics_, config_.max_pending_batches),
       breaker_(*metrics_, config_.circuit_failure_threshold,
                config_.circuit_recovery_threshold),
       graph_(config_.mode, config_.index) {
@@ -43,19 +42,19 @@ bool Scheduler::deliver(smr::BatchPtr batch) {
   PSMR_CHECK(batch->sequence() != 0);  // assigned by the total order
   // The lifecycle record starts at the scheduler's doorstep, before any
   // preparation or queueing — backpressure waits show up as delivered →
-  // inserted gaps (a rejected batch leaves a delivered-only record).
+  // inserted gaps.
   tracer_.begin(batch->sequence());
-  // Queue space is secured BEFORE prepare(): the delivery thread is the
-  // sole inserter and workers only shrink the graph, so space observed in
-  // wait_for_space() still exists at the insert below. Checking first also
-  // keeps the rejecting modes from consuming the caller's batch.
-  if (!wait_for_space()) return false;
   // Probe metadata (position hashing / digest positions) is computed BEFORE
   // taking the monitor — prepare() is const and reads only the immutable
   // configuration — so the serialized section pays only for the index
   // lookup and the candidate tests.
   DependencyGraph::Prepared probe = graph_.prepare(std::move(batch));
   std::unique_lock lk(mu_);
+  if (config_.max_pending_batches != 0) {
+    bp_.wait_for_space(lk, space_free_, [&] {
+      return stopping_ || graph_.size() < config_.max_pending_batches;
+    });
+  }
   if (stopping_) return false;
   graph_.insert(std::move(probe));
   bp_.update(graph_.size());
@@ -65,24 +64,6 @@ bool Scheduler::deliver(smr::BatchPtr batch) {
   lk.unlock();
   batch_ready_.notify_one();
   return true;
-}
-
-bool Scheduler::has_space() const {
-  if (config_.max_pending_batches == 0) return true;
-  std::lock_guard lk(mu_);
-  return graph_.size() < config_.max_pending_batches;
-}
-
-bool Scheduler::wait_for_space() {
-  if (config_.max_pending_batches == 0) return true;
-  std::unique_lock lk(mu_);
-  return bp_.wait_for_space(lk, space_free_, config_.backpressure,
-                            config_.backpressure_deadline,
-                            [&] {
-                              return stopping_ ||
-                                     graph_.size() < config_.max_pending_batches;
-                            }) &&
-         !stopping_;
 }
 
 void Scheduler::wait_idle() {

@@ -57,26 +57,11 @@ class Scheduler {
   /// Launches the worker pool. Must be called exactly once.
   void start();
 
-  /// Hands the scheduler the next batch in delivery order. Under
-  /// backpressure (max_pending_batches reached) the behaviour follows
-  /// SchedulerOptions::backpressure: kBlock waits, kBlockWithDeadline waits
-  /// up to the deadline, kReject returns immediately. Returns false when the
-  /// batch was NOT accepted (stop(), reject, or deadline expiry) — in the
-  /// rejecting modes the caller still holds the batch (shared_ptr) and may
-  /// re-offer it later, provided overall delivery order is preserved.
+  /// Hands the scheduler the next batch in delivery order. While the graph
+  /// holds max_pending_batches batches it blocks until a worker frees a
+  /// slot. Returns false only once stop() has begun; the batch was then not
+  /// inserted.
   bool deliver(smr::BatchPtr batch);
-
-  /// True when deliver() would accept a batch right now without waiting.
-  /// Advisory for arbitrary threads; authoritative from the delivery thread
-  /// (the sole inserter — workers only shrink the graph).
-  bool has_space() const;
-
-  /// Runs the configured backpressure policy without inserting anything:
-  /// returns true once the graph has room for one more batch (false on
-  /// reject/deadline/stop). Delivery thread only — the space secured here
-  /// persists until that thread's next insert. Used by the ShardedScheduler
-  /// to secure space on every touched shard before delivering any leg.
-  bool wait_for_space();
 
   /// Blocks until every delivered batch has been executed and removed.
   void wait_idle();

@@ -3,7 +3,6 @@
 // options struct.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <memory>
 
@@ -16,23 +15,6 @@ class MetricsRegistry;
 }  // namespace psmr::obs
 
 namespace psmr::core {
-
-/// What deliver() does when the delivery queue is at max_pending_batches
-/// (DESIGN.md §14). Replicated deployments must use a blocking mode: a
-/// batch rejected AFTER atomic broadcast has already been ordered, so
-/// dropping it would diverge replicas — load shedding belongs BEFORE the
-/// order (smr::AdmissionController). The rejecting modes exist for callers
-/// that own the order (benches, local pipelines) or re-offer the same batch
-/// later in sequence.
-enum class BackpressureMode : std::uint8_t {
-  /// Block until the queue drains below the bound (the pre-PR-8 behaviour).
-  kBlock = 0,
-  /// Block up to `backpressure_deadline`, then reject (deliver() returns
-  /// false, `backpressure.deadline_expired` counts it).
-  kBlockWithDeadline = 1,
-  /// Reject immediately while full (`backpressure.rejects` counts it).
-  kReject = 2,
-};
 
 struct SchedulerOptions {
   /// Number of worker threads N. For the ShardedScheduler this is the pool
@@ -56,25 +38,9 @@ struct SchedulerOptions {
   /// Backpressure: deliver() blocks while the graph holds this many batches
   /// (0 = unbounded). Keeps an over-driven scheduler from accumulating
   /// unbounded memory; the paper's closed-loop clients bound this naturally.
+  /// Blocking is the only policy: a batch is refused only before the total
+  /// order (smr::AdmissionController), never after it (DESIGN.md §14).
   std::size_t max_pending_batches = 0;
-
-  /// What deliver() does when `max_pending_batches` is reached (ignored when
-  /// the bound is 0). kBlock preserves the historical blocking behaviour and
-  /// is the only mode safe for replicated use (see the enum comment).
-  BackpressureMode backpressure = BackpressureMode::kBlock;
-
-  /// kBlockWithDeadline only: how long deliver() waits for space before
-  /// giving up and returning false.
-  std::chrono::milliseconds backpressure_deadline{100};
-
-  /// Watermark instrumentation of the delivery queue, as fractions of
-  /// `max_pending_batches`. The `backpressure.above_high` gauge flips to 1
-  /// when resident depth reaches high_watermark * bound and back to 0 once
-  /// it drains to low_watermark * bound (hysteresis, so a queue oscillating
-  /// near the threshold doesn't thrash the gauge);
-  /// `backpressure.high_watermark_crossings` counts the 0→1 edges.
-  double high_watermark = 0.875;
-  double low_watermark = 0.5;
 
   /// Worker fault isolation circuit breaker: after this many CONSECUTIVE
   /// failed batches (executor threw), the scheduler degrades to sequential
@@ -99,11 +65,6 @@ struct SchedulerOptions {
   /// configure the identical map (like the bitmap hash config).
   std::shared_ptr<const smr::ConflictClassMap> class_map;
 
-  /// Worker pool size of the EarlyScheduler's embedded graph engine, which
-  /// runs unclassified batches (the fallback path). 0 = same as `workers`.
-  /// Ignored by the other variants.
-  unsigned fallback_workers = 0;
-
   /// Ring capacity of the batch-lifecycle tracer (obs::BatchTracer),
   /// rounded up to a power of two. 0 disables tracing at runtime; building
   /// with -DPSMR_TRACE=OFF disables it at compile time regardless.
@@ -123,11 +84,6 @@ struct SchedulerOptions {
     PSMR_CHECK(shards >= 1 && shards <= 64);
     PSMR_CHECK(static_cast<unsigned>(mode) <= static_cast<unsigned>(ConflictMode::kBitmapSparse));
     PSMR_CHECK(static_cast<unsigned>(index) <= static_cast<unsigned>(IndexMode::kAuto));
-    PSMR_CHECK(static_cast<unsigned>(backpressure) <=
-               static_cast<unsigned>(BackpressureMode::kReject));
-    PSMR_CHECK(backpressure_deadline.count() >= 0);
-    PSMR_CHECK(high_watermark > 0.0 && high_watermark <= 1.0);
-    PSMR_CHECK(low_watermark >= 0.0 && low_watermark <= high_watermark);
   }
 };
 

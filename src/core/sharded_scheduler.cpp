@@ -70,19 +70,6 @@ bool ShardedScheduler::deliver(smr::BatchPtr batch) {
                            : smr::compute_shard_mask(*batch, S);
   if (mask == 0) mask = 1;  // empty batch: route to shard 0
   const int touched = std::popcount(mask);
-  if (touched > 1) {
-    // Secure queue space in EVERY touched shard before inserting any leg:
-    // with a rejecting backpressure mode, a batch turned away after a
-    // partial insert would leave its rendezvous gate unresolvable and the
-    // inserted legs wedged behind it. wait_for_space() runs each engine's
-    // configured policy; the space it secures persists because this
-    // delivery thread is the sole inserter everywhere. (The single-shard
-    // path needs no pre-check — the engine's own deliver() is atomic.)
-    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-      const auto s = static_cast<std::size_t>(std::countr_zero(rest));
-      if (!shards_[s]->wait_for_space()) return false;
-    }
-  }
   if (touched == 1) {
     // Fast path: the whole batch lives in one shard — no gate, no shared
     // state beyond that shard's own monitor.
@@ -100,21 +87,25 @@ bool ShardedScheduler::deliver(smr::BatchPtr batch) {
   const std::shared_ptr<RendezvousGate> gate =
       gates_.open(batch->sequence(), static_cast<unsigned>(touched),
                   static_cast<std::size_t>(std::countr_zero(mask)));
+  // Each leg blocks while its shard is full. Legs already inserted may be
+  // taken meanwhile and park their workers in the gate; they resolve once
+  // the full shard drains its older batches and takes its leg.
   std::uint64_t delivered = 0;
   for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
     const auto s = static_cast<std::size_t>(std::countr_zero(rest));
-    if (shards_[s]->deliver(batch)) delivered |= std::uint64_t{1} << s;
-  }
-  if (delivered == 0) {
-    // Raced stop() before any shard accepted it: the batch is nowhere.
-    gates_.close(batch->sequence());
-    return false;
+    if (!shards_[s]->deliver(batch)) break;  // stop() has begun
+    delivered |= std::uint64_t{1} << s;
   }
   if (delivered != mask) {
-    // Partial acceptance during shutdown: shrink the gate to the shards
-    // that actually hold the batch so the rendezvous still resolves.
-    gate->shrink(static_cast<unsigned>(std::popcount(delivered)),
-                 static_cast<std::size_t>(std::countr_zero(delivered)));
+    // stop() refused a leg: resolve the gate over the shards that hold the
+    // batch, so their workers never wait for a leg that will not come.
+    if (delivered == 0) {
+      gates_.close(batch->sequence());
+    } else {
+      gate->shrink(static_cast<unsigned>(std::popcount(delivered)),
+                   static_cast<std::size_t>(std::countr_zero(delivered)));
+    }
+    return false;
   }
   m_.batches_delivered.add(1);
   cross_shard_metric_->add(1);
@@ -182,8 +173,11 @@ void ShardedScheduler::wait_idle() {
 
 void ShardedScheduler::stop() {
   // Engines drain before joining; gates resolve because the not-yet-
-  // stopped shards' workers keep running until their own stop().
-  for (auto& shard : shards_) shard->stop();
+  // stopped shards' workers keep running until their own stop(). Highest
+  // shard first: deliver() inserts legs in ascending shard order, so a
+  // delivery blocked on a full shard holds legs only in lower shards, and
+  // stopping from the top refuses it before any of those is joined.
+  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) (*it)->stop();
 }
 
 bool ShardedScheduler::degraded() const {

@@ -69,7 +69,9 @@ class ShardedScheduler {
   /// from one delivery thread, in sequence order — multi-shard batches are
   /// enqueued into every touched shard inside this call, which is what
   /// keeps per-shard insertion order consistent with delivery order.
-  /// Returns false after stop().
+  /// Blocks while a touched shard is full. Returns false only once stop()
+  /// has begun and refused a leg; the shards that already hold one still
+  /// run the batch, so no gate is left waiting.
   bool deliver(smr::BatchPtr batch);
 
   /// Blocks until every delivered batch has executed in every shard.

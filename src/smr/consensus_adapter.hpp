@@ -2,8 +2,8 @@
 // with smr/codec and broadcast as opaque values; each replica subscribes a
 // delivery stream that decodes the bytes, rebuilds the Bloom digest, stamps
 // the atomic-broadcast sequence number, and hands the batch to the
-// replica's scheduler. This is the full paper pipeline (Figure 1(b)) over
-// an actual consensus protocol rather than the in-process LocalOrderer.
+// replica's scheduler. This is the full paper pipeline (Figure 1(b)) for
+// every deployment, in-process ones included.
 //
 // The AtomicBroadcast reference is the transport seam: LocalBroadcast and
 // PaxosGroup plug in for in-process deployments, and a

@@ -66,8 +66,8 @@ class Proxy {
   /// Produces the next command for (client_id, sequence). Must be
   /// thread-compatible (each proxy calls its source from one thread).
   using CommandSource = std::function<Command(std::uint64_t client_id, std::uint64_t seq)>;
-  /// Hands a finished batch to the total order (e.g. LocalOrderer or the
-  /// consensus adapter).
+  /// Hands a finished batch to the total order (e.g.
+  /// ConsensusAdapter::broadcast).
   using BroadcastFn = std::function<void(std::unique_ptr<Batch>)>;
 
   /// How this proxy packs commands into batches (DESIGN.md §15).

@@ -2,7 +2,7 @@
 // responses (Figure 1(b) of the paper).
 //
 // The replica owns a core::Scheduler; its deliver() is plugged into a total
-// order source (LocalOrderer or the consensus stack). Worker threads execute
+// order source (ConsensusAdapter::subscribe_replica). Worker threads execute
 // the commands of each batch in order against the Service and push each
 // response to the response sink, which routes it back to the originating
 // client proxy.

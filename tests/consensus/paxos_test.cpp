@@ -76,6 +76,32 @@ TEST(LocalBroadcast, DeliversInOrderToAllSubscribers) {
   }
 }
 
+TEST(LocalBroadcast, AllSubscribersSeeTheSameOrder) {
+  // Four threads broadcast concurrently: both subscribers still see one
+  // dense order, with every payload exactly once.
+  LocalBroadcast lb;
+  Sink a, b;
+  lb.subscribe(a.fn());
+  lb.subscribe(b.fn());
+  lb.start();
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&lb, t] {
+      for (std::uint64_t i = 0; i < 100; ++i) lb.broadcast(payload_of(t * 1000 + i));
+    });
+  }
+  for (auto& t : threads) t.join();
+  const auto order = a.snapshot();
+  EXPECT_EQ(order, b.snapshot());
+  ASSERT_EQ(order.size(), 400u);
+  std::set<std::uint64_t> values;
+  for (std::uint64_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i].first, i + 1);
+    values.insert(order[i].second);
+  }
+  EXPECT_EQ(values.size(), 400u);
+}
+
 TEST(PaxosGroup, DecidesASingleValue) {
   GroupConfig cfg;
   cfg.proposers = 1;

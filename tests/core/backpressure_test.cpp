@@ -1,13 +1,16 @@
 // Bounded, watermark-instrumented delivery queues (DESIGN.md §14) across
-// all four scheduler variants: every variant must honour the three
-// BackpressureMode policies on a full queue — block forever, block with a
-// deadline then report failure, or reject to the caller — and publish the
-// backpressure.* metric family while doing it.
+// all four scheduler variants: deliver() blocks while the queue is full,
+// completes once it drains, returns false only once stop() has begun, and
+// publishes the backpressure.* metric family while doing it. Cross-
+// participant batches (Sharded, Early) are delivered while one participant
+// is full, with their first legs already handed over.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -36,80 +39,66 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys) {
 }
 
 /// Executor that parks every worker until released — the deterministic way
-/// to hold a delivery queue at capacity.
+/// to hold a delivery queue at capacity. Counts the runs of each batch.
 struct GatedExecutor {
   std::atomic<bool> release{false};
   std::atomic<std::uint64_t> executed{0};
+  std::mutex mu;
+  std::map<std::uint64_t, int> runs_by_seq;
 
   Scheduler::Executor fn() {
-    return [this](const smr::Batch&) {
+    return [this](const smr::Batch& b) {
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(1ms);
       }
       executed.fetch_add(1, std::memory_order_relaxed);
+      std::lock_guard lk(mu);
+      ++runs_by_seq[b.sequence()];
     };
+  }
+
+  int runs(std::uint64_t seq) {
+    std::lock_guard lk(mu);
+    const auto it = runs_by_seq.find(seq);
+    return it == runs_by_seq.end() ? 0 : it->second;
   }
 };
 
-// ---------------------------------------------------------------- monitor
-
-TEST(Backpressure, MonitorRejectsWhenFull) {
-  GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.max_pending_batches = 4;
-  cfg.backpressure = BackpressureMode::kReject;
-  Scheduler s(cfg, gate.fn());
-  s.start();
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(s.deliver(make_batch(i, {i})));
+/// Waits until `cond` holds or 5 s elapse; returns cond's value.
+template <typename F>
+bool eventually(F cond) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!cond() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
   }
-  EXPECT_FALSE(s.deliver(make_batch(5, {5})));  // full: rejected, not queued
-  EXPECT_FALSE(s.deliver(make_batch(5, {5})));  // caller may re-offer later
-
-  gate.release.store(true);
-  s.wait_idle();
-  EXPECT_TRUE(s.deliver(make_batch(5, {5})));  // space again after drain
-  s.wait_idle();
-  EXPECT_EQ(gate.executed.load(), 5u);
-
-  const auto st = s.stats();
-  EXPECT_EQ(st.counter("backpressure.rejects"), 2u);
-  EXPECT_EQ(st.counter("scheduler.batches_executed"), 5u);
-  s.stop();
+  return cond();
 }
 
-TEST(Backpressure, MonitorBlockWithDeadlineExpires) {
-  GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kBlockWithDeadline;
-  cfg.backpressure_deadline = 50ms;
-  Scheduler s(cfg, gate.fn());
-  s.start();
-  ASSERT_TRUE(s.deliver(make_batch(1, {1})));
-  ASSERT_TRUE(s.deliver(make_batch(2, {2})));
+/// Runs deliver(batch) on its own thread; result() is -1 while it blocks,
+/// then 1 (accepted) or 0 (refused).
+class AsyncDeliver {
+ public:
+  template <typename S>
+  AsyncDeliver(S& s, smr::BatchPtr batch)
+      : thread_([this, &s, batch = std::move(batch)]() mutable {
+          result_.store(s.deliver(std::move(batch)) ? 1 : 0);
+        }) {}
+  ~AsyncDeliver() { thread_.join(); }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(s.deliver(make_batch(3, {3})));
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_GE(waited, 45ms);  // actually waited the deadline out
+  int result() const { return result_.load(); }
 
-  gate.release.store(true);
-  s.wait_idle();
-  const auto st = s.stats();
-  EXPECT_GE(st.counter("backpressure.deadline_expired"), 1u);
-  EXPECT_GE(st.counter("backpressure.waits"), 1u);
-  s.stop();
-}
+ private:
+  std::atomic<int> result_{-1};
+  std::thread thread_;
+};
+
+// ---------------------------------------------------------------- monitor
 
 TEST(Backpressure, MonitorBlockWaitsForSpace) {
   GatedExecutor gate;
   SchedulerOptions cfg;
   cfg.workers = 1;
   cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kBlock;
   Scheduler s(cfg, gate.fn());
   s.start();
   ASSERT_TRUE(s.deliver(make_batch(1, {1})));
@@ -138,7 +127,6 @@ TEST(Backpressure, MonitorWatermarkHysteresis) {
   SchedulerOptions cfg;
   cfg.workers = 1;
   cfg.max_pending_batches = 8;  // high mark 7, low mark 4
-  cfg.backpressure = BackpressureMode::kReject;
   Scheduler s(cfg, gate.fn());
   s.start();
   for (std::uint64_t i = 1; i <= 8; ++i) {
@@ -165,84 +153,34 @@ TEST(Backpressure, MonitorWatermarkHysteresis) {
 
 // -------------------------------------------------------------- pipelined
 
-TEST(Backpressure, PipelinedRejectsWhenFull) {
-  GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.max_pending_batches = 3;
-  cfg.backpressure = BackpressureMode::kReject;
-  PipelinedScheduler s(cfg, gate.fn());
-  s.start();
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(s.deliver(make_batch(i, {i})));
-  }
-  EXPECT_FALSE(s.deliver(make_batch(4, {4})));
-  gate.release.store(true);
-  s.wait_idle();
-  EXPECT_EQ(gate.executed.load(), 3u);
-  const auto st = s.stats();
-  EXPECT_GE(st.counter("backpressure.rejects"), 1u);
-  s.stop();
-}
-
-TEST(Backpressure, PipelinedBlockWithDeadlineThenBlockSucceeds) {
+TEST(Backpressure, PipelinedBlockWaitsForSpace) {
   GatedExecutor gate;
   SchedulerOptions cfg;
   cfg.workers = 1;
   cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kBlockWithDeadline;
-  cfg.backpressure_deadline = 40ms;
   PipelinedScheduler s(cfg, gate.fn());
   s.start();
   ASSERT_TRUE(s.deliver(make_batch(1, {1})));
   ASSERT_TRUE(s.deliver(make_batch(2, {2})));
-  EXPECT_FALSE(s.deliver(make_batch(3, {3})));  // deadline expires
+  {
+    AsyncDeliver third(s, make_batch(3, {3}));
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(third.result(), -1);  // blocked on the full pipeline
 
-  gate.release.store(true);
-  EXPECT_TRUE(s.deliver(make_batch(3, {3})));  // drains, then fits
+    gate.release.store(true);
+    ASSERT_TRUE(eventually([&] { return third.result() != -1; }));
+    EXPECT_EQ(third.result(), 1);  // drains, then fits
+  }
   s.wait_idle();
   EXPECT_EQ(gate.executed.load(), 3u);
-  const auto st = s.stats();
-  EXPECT_GE(st.counter("backpressure.deadline_expired"), 1u);
+  EXPECT_GE(s.stats().counter("backpressure.waits"), 1u);
   s.stop();
 }
 
 // ---------------------------------------------------------------- sharded
 
-TEST(Backpressure, ShardedRejectsOnFullShard) {
-  GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.shards = 2;
-  cfg.max_pending_batches = 2;  // per shard engine
-  cfg.backpressure = BackpressureMode::kReject;
-  ShardedScheduler s(cfg, gate.fn());
-  s.start();
-
-  std::uint64_t seq = 0;
-  std::uint64_t admitted = 0;
-  // Distinct keys spread over both shards; with 2-deep engines at most 4
-  // single-shard batches fit before SOME deliver is rejected.
-  for (std::uint64_t k = 1; k <= 16; ++k) {
-    if (s.deliver(make_batch(++seq, {k * 7919}))) ++admitted;
-  }
-  EXPECT_LT(admitted, 16u);
-  EXPECT_LE(admitted, 4u);
-
-  gate.release.store(true);
-  s.wait_idle();
-  // Exactly the admitted batches executed — a rejected deliver left nothing
-  // behind in any shard.
-  EXPECT_EQ(gate.executed.load(), admitted);
-  // Per-shard meters merge under shard.N.backpressure.*; sum the family.
-  const auto st = s.stats();
-  EXPECT_GE(st.counter_sum("backpressure.rejects"), 1u);
-  s.stop();
-}
-
-TEST(Backpressure, ShardedMultiShardRejectLeavesNoOrphanLegs) {
-  // Find two keys living in different shards (the batch spanning both gets
-  // shard mask 0b11).
+/// Two keys living in shards 0 and 1 of a 2-shard scheduler.
+std::pair<smr::Key, smr::Key> keys_in_two_shards() {
   smr::Key key_a = 0, key_b = 0;
   for (smr::Key k = 1; k < 1000 && (key_a == 0 || key_b == 0); ++k) {
     smr::Batch probe({[&] {
@@ -255,67 +193,85 @@ TEST(Backpressure, ShardedMultiShardRejectLeavesNoOrphanLegs) {
     if (probe.shard_mask() == 0b01 && key_a == 0) key_a = k;
     if (probe.shard_mask() == 0b10 && key_b == 0) key_b = k;
   }
-  ASSERT_NE(key_a, 0u);
-  ASSERT_NE(key_b, 0u);
+  return {key_a, key_b};
+}
 
-  GatedExecutor gate;
+SchedulerOptions two_shards_of_two() {
   SchedulerOptions cfg;
   cfg.workers = 1;
   cfg.shards = 2;
-  cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kReject;
-  ShardedScheduler s(cfg, gate.fn());
+  cfg.max_pending_batches = 2;  // per shard engine
+  return cfg;
+}
+
+TEST(Backpressure, ShardedCrossShardBatchBlocksOnFullShard) {
+  const auto [key_a, key_b] = keys_in_two_shards();
+  ASSERT_NE(key_a, 0u);
+  ASSERT_NE(key_b, 0u);
+  GatedExecutor gate;
+  ShardedScheduler s(two_shards_of_two(), gate.fn());
   s.start();
+  // Fill shard 1 to capacity.
+  ASSERT_TRUE(s.deliver(make_batch(1, {key_b})));
+  ASSERT_TRUE(s.deliver(make_batch(2, {key_b})));
+  {
+    // Shard 0 takes its leg at once; the shard-1 leg waits for room.
+    AsyncDeliver cross(s, make_batch(3, {key_a, key_b}));
+    ASSERT_TRUE(eventually([&] { return s.shard(0).graph_size() == 1; }));
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(cross.result(), -1);
 
-  // Fill shard A to capacity.
-  ASSERT_TRUE(s.deliver(make_batch(1, {key_a})));
-  ASSERT_TRUE(s.deliver(make_batch(2, {key_a})));
-  // A cross-shard batch must be rejected as a WHOLE: shard A is full, so
-  // shard B must not receive a gate leg either.
-  EXPECT_FALSE(s.deliver(make_batch(3, {key_a, key_b})));
-  // Shard B still has its full capacity — and no orphaned rendezvous leg
-  // that would wedge these batches forever.
-  ASSERT_TRUE(s.deliver(make_batch(4, {key_b})));
-  ASSERT_TRUE(s.deliver(make_batch(5, {key_b})));
-
-  gate.release.store(true);
+    gate.release.store(true);
+    ASSERT_TRUE(eventually([&] { return cross.result() != -1; }));
+    EXPECT_EQ(cross.result(), 1);
+  }
   s.wait_idle();
-  EXPECT_EQ(gate.executed.load(), 4u);
+  EXPECT_EQ(gate.runs(1), 1);
+  EXPECT_EQ(gate.runs(2), 1);
+  EXPECT_EQ(gate.runs(3), 1);  // once, by the gate leader
+  const auto st = s.stats();
+  EXPECT_EQ(st.counter("scheduler.batches_cross_shard"), 1u);
+  // Per-shard meters merge under shard.N.backpressure.*; sum the family.
+  EXPECT_GE(st.counter_sum("backpressure.waits"), 1u);
   s.stop();
+}
+
+TEST(Backpressure, ShardedStopDuringBlockedCrossShardDeliver) {
+  const auto [key_a, key_b] = keys_in_two_shards();
+  ASSERT_NE(key_a, 0u);
+  ASSERT_NE(key_b, 0u);
+  GatedExecutor gate;
+  ShardedScheduler s(two_shards_of_two(), gate.fn());
+  s.start();
+  ASSERT_TRUE(s.deliver(make_batch(1, {key_b})));
+  ASSERT_TRUE(s.deliver(make_batch(2, {key_b})));
+  {
+    AsyncDeliver cross(s, make_batch(3, {key_a, key_b}));
+    ASSERT_TRUE(eventually([&] { return s.shard(0).graph_size() == 1; }));
+    std::this_thread::sleep_for(20ms);
+    ASSERT_EQ(cross.result(), -1);
+
+    // stop() refuses the blocked leg before anything drains.
+    std::thread stopper([&] { s.stop(); });
+    EXPECT_TRUE(eventually([&] { return cross.result() == 0; }));
+    gate.release.store(true);  // lets stop() drain and join
+    stopper.join();
+  }
+  // The gate shrank to shard 0, which still ran the batch: nothing waits on
+  // the leg that never arrived.
+  EXPECT_EQ(gate.runs(1), 1);
+  EXPECT_EQ(gate.runs(2), 1);
+  EXPECT_EQ(gate.runs(3), 1);
+  EXPECT_FALSE(s.deliver(make_batch(4, {key_a})));
 }
 
 // ------------------------------------------------------------------ early
-
-TEST(Backpressure, EarlyRejectsWhenWorkerQueueFull) {
-  GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.max_pending_batches = 3;  // per class-worker FIFO depth
-  cfg.backpressure = BackpressureMode::kReject;
-  EarlyScheduler s(cfg, gate.fn());
-  s.start();
-  // Same key -> same conflict class -> same worker FIFO.
-  std::uint64_t admitted = 0;
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    if (s.deliver(make_batch(i, {42}))) ++admitted;
-  }
-  EXPECT_EQ(admitted, 3u);
-  EXPECT_FALSE(s.deliver(make_batch(4, {42})));
-
-  gate.release.store(true);
-  s.wait_idle();
-  EXPECT_EQ(gate.executed.load(), 3u);
-  const auto st = s.stats();
-  EXPECT_GE(st.counter("backpressure.rejects"), 1u);
-  s.stop();
-}
 
 TEST(Backpressure, EarlyBlockWaitsForSpace) {
   GatedExecutor gate;
   SchedulerOptions cfg;
   cfg.workers = 2;
   cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kBlock;
   EarlyScheduler s(cfg, gate.fn());
   s.start();
   ASSERT_TRUE(s.deliver(make_batch(1, {42})));
@@ -337,6 +293,83 @@ TEST(Backpressure, EarlyBlockWaitsForSpace) {
   const auto st = s.stats();
   EXPECT_GE(st.counter("backpressure.waits"), 1u);
   s.stop();
+}
+
+/// Two class workers: keys [0, 99] are class 0, [100, 199] class 1, every
+/// other key unclassified (the embedded graph engine). FIFOs hold 2.
+SchedulerOptions early_two_classes_and_fallback() {
+  auto map = std::make_shared<smr::ConflictClassMap>();
+  map->add_range(0, 99, 0);
+  map->add_range(100, 199, 1);
+  SchedulerOptions cfg;
+  cfg.workers = 2;
+  cfg.max_pending_batches = 2;
+  cfg.class_map = std::move(map);
+  return cfg;
+}
+
+constexpr smr::Key kUnclassifiedKey = smr::Key{1} << 30;
+
+/// Pushes recorded on class worker `w`'s FIFO.
+std::uint64_t pushes_to_worker(const EarlyScheduler& s, unsigned w) {
+  return s.stats().histogram("early.worker." + std::to_string(w) + ".queue_depth").count;
+}
+
+TEST(Backpressure, EarlyMixedBatchBlocksOnFullClassWorker) {
+  GatedExecutor gate;
+  EarlyScheduler s(early_two_classes_and_fallback(), gate.fn());
+  s.start();
+  // Fill class worker 1's FIFO to capacity.
+  ASSERT_TRUE(s.deliver(make_batch(1, {150})));
+  ASSERT_TRUE(s.deliver(make_batch(2, {150})));
+  {
+    // Classes 0 and 1 plus an unclassified key: worker 0 takes its leg at
+    // once, worker 1's leg waits for room, the fallback leg comes last.
+    AsyncDeliver mixed(s, make_batch(3, {5, 105, kUnclassifiedKey}));
+    ASSERT_TRUE(eventually([&] { return pushes_to_worker(s, 0) == 1; }));
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(mixed.result(), -1);
+
+    gate.release.store(true);
+    ASSERT_TRUE(eventually([&] { return mixed.result() != -1; }));
+    EXPECT_EQ(mixed.result(), 1);
+  }
+  s.wait_idle();
+  EXPECT_EQ(gate.runs(1), 1);
+  EXPECT_EQ(gate.runs(2), 1);
+  EXPECT_EQ(gate.runs(3), 1);  // once, by the gate leader
+  const auto st = s.stats();
+  EXPECT_EQ(st.counter("early.batches_multi_class"), 1u);
+  EXPECT_EQ(st.counter("early.batches_fallback"), 1u);
+  EXPECT_GE(st.counter("backpressure.waits"), 1u);
+  s.stop();
+}
+
+TEST(Backpressure, EarlyStopDuringBlockedMixedDeliver) {
+  GatedExecutor gate;
+  EarlyScheduler s(early_two_classes_and_fallback(), gate.fn());
+  s.start();
+  ASSERT_TRUE(s.deliver(make_batch(1, {150})));
+  ASSERT_TRUE(s.deliver(make_batch(2, {150})));
+  {
+    AsyncDeliver mixed(s, make_batch(3, {5, 105, kUnclassifiedKey}));
+    ASSERT_TRUE(eventually([&] { return pushes_to_worker(s, 0) == 1; }));
+    std::this_thread::sleep_for(20ms);
+    ASSERT_EQ(mixed.result(), -1);
+
+    // stop() refuses the blocked leg before anything drains.
+    std::thread stopper([&] { s.stop(); });
+    EXPECT_TRUE(eventually([&] { return mixed.result() == 0; }));
+    gate.release.store(true);  // lets stop() drain and join
+    stopper.join();
+  }
+  // The gate shrank to worker 0, which still ran the batch; the fallback
+  // engine never received a leg.
+  EXPECT_EQ(gate.runs(1), 1);
+  EXPECT_EQ(gate.runs(2), 1);
+  EXPECT_EQ(gate.runs(3), 1);
+  EXPECT_EQ(s.stats().counter("fallback.scheduler.batches_delivered"), 0u);
+  EXPECT_FALSE(s.deliver(make_batch(4, {5})));
 }
 
 }  // namespace

@@ -4,13 +4,13 @@
 // linearizability checking, and fault injection.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "chaos/chaos_util.hpp"
 #include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
 #include "kvstore/lock_service.hpp"
@@ -80,28 +80,11 @@ struct Deployment {
 
   void stop() {
     for (auto& p : proxies) p->stop();
-    // Drain: learners may still be gap-recovering lost Decides; wait until
-    // every replica has executed the same, stable number of commands before
-    // tearing the transport down (bounded by a 10s cap).
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    std::uint64_t stable_count = 0;
-    int stable_rounds = 0;
-    while (std::chrono::steady_clock::now() < deadline && stable_rounds < 4) {
-      std::this_thread::sleep_for(50ms);
-      for (auto& r : replicas) r->wait_idle();
-      std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-      for (auto& r : replicas) {
-        const auto n = r->stats().counter("scheduler.commands_executed");
-        lo = std::min(lo, n);
-        hi = std::max(hi, n);
-      }
-      if (lo == hi && hi == stable_count) {
-        ++stable_rounds;
-      } else {
-        stable_rounds = 0;
-        stable_count = hi;
-      }
-    }
+    // Learners may still be gap-recovering lost Decides: drain until every
+    // replica has consumed the same delivery prefix (the cap fails the test).
+    std::vector<smr::Replica*> rs;
+    for (auto& r : replicas) rs.push_back(r.get());
+    chaos::drain_replicas(rs);
     group->stop();
     for (auto& r : replicas) r->stop();
   }

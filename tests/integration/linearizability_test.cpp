@@ -15,9 +15,10 @@
 #include <mutex>
 #include <thread>
 
+#include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/history.hpp"
-#include "smr/local_orderer.hpp"
 #include "smr/proxy.hpp"
 #include "smr/replica.hpp"
 #include "util/rng.hpp"
@@ -42,7 +43,10 @@ class LinearizabilityTest : public ::testing::TestWithParam<LinParam> {};
 TEST_P(LinearizabilityTest, PipelineProducesLinearizableHistories) {
   const LinParam p = GetParam();
 
-  smr::LocalOrderer orderer;
+  smr::BitmapConfig bitmap;
+  bitmap.bits = 102400;
+  consensus::LocalBroadcast broadcast;
+  smr::ConsensusAdapter order(broadcast, bitmap);
   kv::KvStore store;
   kv::KvService service(store);
   smr::HistoryRecorder recorder;
@@ -68,11 +72,8 @@ TEST_P(LinearizabilityTest, PipelineProducesLinearizableHistories) {
   rcfg.scheduler.workers = p.workers;
   rcfg.scheduler.mode = p.mode;
   smr::Replica replica(rcfg, service, sink);
-  orderer.subscribe([&](smr::BatchPtr b) { replica.deliver(b); });
+  order.subscribe_replica([&](smr::BatchPtr b) { replica.deliver(b); });
   replica.start();
-
-  smr::BitmapConfig bitmap;
-  bitmap.bits = 102400;
 
   std::vector<std::unique_ptr<util::Xoshiro256>> rngs;
   for (unsigned i = 0; i < p.proxies; ++i) {
@@ -113,7 +114,7 @@ TEST_P(LinearizabilityTest, PipelineProducesLinearizableHistories) {
           open_tickets[{client, seq}] = ticket;
           return c;
         },
-        [&](std::unique_ptr<smr::Batch> b) { orderer.broadcast(std::move(b)); }));
+        [&](std::unique_ptr<smr::Batch> b) { order.broadcast(std::move(b)); }));
   }
 
   for (auto& proxy : proxies) proxy->start();

@@ -1,13 +1,15 @@
-// Tests for the SMR runtime pieces: LocalOrderer, Proxy, Replica,
-// SequentialReplica, wired in small in-process deployments.
+// Tests for the SMR runtime pieces: Proxy, Replica, SequentialReplica,
+// wired in small in-process deployments (LocalBroadcast behind the
+// ConsensusAdapter as the total order).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
-#include "smr/local_orderer.hpp"
+#include "smr/consensus_adapter.hpp"
 #include "smr/proxy.hpp"
 #include "smr/replica.hpp"
 #include "smr/sequential_replica.hpp"
@@ -33,32 +35,6 @@ std::unique_ptr<Batch> updates(std::initializer_list<Key> keys) {
     cmds.push_back(c);
   }
   return std::make_unique<Batch>(std::move(cmds));
-}
-
-TEST(LocalOrderer, AssignsDenseIncreasingSequences) {
-  LocalOrderer orderer;
-  std::vector<std::uint64_t> seen;
-  orderer.subscribe([&](BatchPtr b) { seen.push_back(b->sequence()); });
-  for (int i = 0; i < 10; ++i) orderer.broadcast(updates({1}));
-  ASSERT_EQ(seen.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i + 1);
-  EXPECT_EQ(orderer.batches_ordered(), 10u);
-}
-
-TEST(LocalOrderer, AllSubscribersSeeTheSameOrder) {
-  LocalOrderer orderer;
-  std::vector<std::uint64_t> a, b;
-  orderer.subscribe([&](BatchPtr batch) { a.push_back(batch->sequence()); });
-  orderer.subscribe([&](BatchPtr batch) { b.push_back(batch->sequence()); });
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) orderer.broadcast(updates({1}));
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 400u);
 }
 
 TEST(SequentialReplica, SynchronousApplyExecutesInOrder) {
@@ -105,7 +81,8 @@ TEST(Replica, ExecutesAndRoutesResponses) {
 }
 
 TEST(Proxy, ClosedLoopCompletesBatches) {
-  LocalOrderer orderer;
+  consensus::LocalBroadcast broadcast;
+  ConsensusAdapter order(broadcast, BitmapConfig{});
   kv::KvStore store;
   kv::KvService service(store);
   Proxy* proxy_ptr = nullptr;
@@ -114,7 +91,7 @@ TEST(Proxy, ClosedLoopCompletesBatches) {
   Replica replica(rcfg, service, [&](const Response& r) {
     if (proxy_ptr) proxy_ptr->on_response(r);
   });
-  orderer.subscribe([&](BatchPtr b) { replica.deliver(b); });
+  order.subscribe_replica([&](BatchPtr b) { replica.deliver(b); });
   replica.start();
 
   Proxy::Config pcfg;
@@ -130,7 +107,7 @@ TEST(Proxy, ClosedLoopCompletesBatches) {
         c.key = rng();
         return c;
       },
-      [&](std::unique_ptr<Batch> b) { orderer.broadcast(std::move(b)); });
+      [&](std::unique_ptr<Batch> b) { order.broadcast(std::move(b)); });
   proxy_ptr = &proxy;
   proxy.start();
   std::this_thread::sleep_for(100ms);
@@ -144,10 +121,13 @@ TEST(Proxy, ClosedLoopCompletesBatches) {
 }
 
 TEST(Proxy, AttachesBitmapWhenConfigured) {
-  LocalOrderer orderer;
+  BitmapConfig bitmap;
+  bitmap.bits = 1024;
+  consensus::LocalBroadcast broadcast;
+  ConsensusAdapter order(broadcast, bitmap);
   std::atomic<bool> saw_bitmap{false};
   std::atomic<bool> got_batch{false};
-  orderer.subscribe([&](BatchPtr b) {
+  order.subscribe_replica([&](BatchPtr b) {
     saw_bitmap.store(b->has_bitmap());
     got_batch.store(true);
   });
@@ -155,7 +135,7 @@ TEST(Proxy, AttachesBitmapWhenConfigured) {
   Proxy::Config pcfg;
   pcfg.formation.batch_size = 5;
   pcfg.formation.use_bitmap = true;
-  pcfg.formation.bitmap.bits = 1024;
+  pcfg.formation.bitmap = bitmap;
   Proxy proxy(
       pcfg,
       [](std::uint64_t, std::uint64_t seq) {
@@ -164,7 +144,7 @@ TEST(Proxy, AttachesBitmapWhenConfigured) {
         c.key = seq;
         return c;
       },
-      [&](std::unique_ptr<Batch> b) { orderer.broadcast(std::move(b)); });
+      [&](std::unique_ptr<Batch> b) { order.broadcast(std::move(b)); });
   proxy.start();
   // The proxy blocks on responses that never come; it must still have
   // broadcast its first batch.
@@ -175,7 +155,8 @@ TEST(Proxy, AttachesBitmapWhenConfigured) {
 }
 
 TEST(Proxy, DuplicateResponsesCountedOnce) {
-  LocalOrderer orderer;
+  consensus::LocalBroadcast broadcast;
+  ConsensusAdapter order(broadcast, BitmapConfig{});
   kv::KvStore store_a, store_b;
   kv::KvService svc_a(store_a), svc_b(store_b);
   Proxy* proxy_ptr = nullptr;
@@ -184,8 +165,8 @@ TEST(Proxy, DuplicateResponsesCountedOnce) {
   };
   Replica::Config rcfg;
   Replica ra(rcfg, svc_a, sink), rb(rcfg, svc_b, sink);
-  orderer.subscribe([&](BatchPtr b) { ra.deliver(b); });
-  orderer.subscribe([&](BatchPtr b) { rb.deliver(b); });
+  order.subscribe_replica([&](BatchPtr b) { ra.deliver(b); });
+  order.subscribe_replica([&](BatchPtr b) { rb.deliver(b); });
   ra.start();
   rb.start();
 
@@ -200,7 +181,7 @@ TEST(Proxy, DuplicateResponsesCountedOnce) {
         c.key = next_key.fetch_add(1);
         return c;
       },
-      [&](std::unique_ptr<Batch> b) { orderer.broadcast(std::move(b)); });
+      [&](std::unique_ptr<Batch> b) { order.broadcast(std::move(b)); });
   proxy_ptr = &proxy;
   proxy.start();
   std::this_thread::sleep_for(100ms);
