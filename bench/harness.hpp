@@ -34,13 +34,10 @@ struct HarnessConfig {
   // Scheduler under test.
   unsigned workers = 1;
   core::ConflictMode mode = core::ConflictMode::kKeysNested;
-  core::IndexMode index = core::IndexMode::kAuto;
   // Workload shape.
   std::size_t batch_size = 1;
   bool use_bitmap = false;
   std::size_t bitmap_bits = 1024000;
-  bool split_read_write = false;
-  unsigned bitmap_hashes = 1;
   double conflict_rate = 0.0;
   std::uint32_t cost_ns = 0;
   // Offered load.
@@ -79,8 +76,6 @@ struct HarnessResult {
 inline HarnessResult run_throughput(const HarnessConfig& cfg) {
   smr::BitmapConfig bitmap;
   bitmap.bits = cfg.bitmap_bits;
-  bitmap.hashes = cfg.bitmap_hashes;
-  bitmap.split_read_write = cfg.split_read_write;
 
   consensus::LocalBroadcast broadcast;
   smr::ConsensusAdapter order(broadcast, bitmap);
@@ -90,7 +85,6 @@ inline HarnessResult run_throughput(const HarnessConfig& cfg) {
   smr::Replica::Config rcfg;
   rcfg.scheduler.workers = cfg.workers;
   rcfg.scheduler.mode = cfg.mode;
-  rcfg.scheduler.index = cfg.index;
 
   std::vector<std::unique_ptr<smr::Proxy>> proxies;
   auto sink = [&proxies](const smr::Response& r) {

@@ -23,6 +23,7 @@
 #include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "core/sharded_scheduler.hpp"
+#include "host.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "smr/batch_former.hpp"
@@ -66,8 +67,7 @@ void BM_GraphInsert(benchmark::State& state) {
   const std::size_t graph_size = static_cast<std::size_t>(state.range(2));
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   // The paper's scan: the §IV cost grows with the pending batches (the
   // default kAuto would switch to the index past 8 of them).
@@ -103,7 +103,6 @@ void BM_GraphInsert(benchmark::State& state) {
 BENCHMARK(BM_GraphInsert)
     ->ArgsProduct({{0 /*keys-nested*/}, {1, 100, 200}, {1, 4, 16, 64}})
     ->ArgsProduct({{2 /*bitmap*/}, {100, 200}, {1, 4, 16, 64}})
-    ->ArgsProduct({{3 /*bitmap-sparse*/}, {100, 200}, {1, 4, 16, 64}})
     ->UseManualTime()
     ->Iterations(1000);
 
@@ -113,8 +112,7 @@ void BM_ConflictTest(benchmark::State& state) {
   const std::size_t batch_size = static_cast<std::size_t>(state.range(1));
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
   const auto a = make_batch(1, batch_size, 0, use_bitmap ? &bitmap : nullptr);
   const auto b = make_batch(2, batch_size, 1ull << 30, use_bitmap ? &bitmap : nullptr);
   psmr::core::ConflictDetector detect(mode);
@@ -123,7 +121,7 @@ void BM_ConflictTest(benchmark::State& state) {
   }
   state.SetLabel(psmr::core::to_string(mode));
 }
-BENCHMARK(BM_ConflictTest)->ArgsProduct({{0, 1, 2, 3}, {1, 10, 100, 200}});
+BENCHMARK(BM_ConflictTest)->ArgsProduct({{0, 2}, {1, 10, 100, 200}});
 
 /// args: {bits, batch_size} — the digest cost the CLIENT proxy pays (§VI).
 void BM_BitmapBuild(benchmark::State& state) {
@@ -138,7 +136,7 @@ void BM_BitmapBuild(benchmark::State& state) {
   psmr::smr::Batch batch(cmds);
   for (auto _ : state) {
     batch.build_bitmap(bitmap);
-    benchmark::DoNotOptimize(batch.write_bloom().bits_set());
+    benchmark::DoNotOptimize(batch.bloom().bits_set());
   }
 }
 BENCHMARK(BM_BitmapBuild)->ArgsProduct({{102400, 1024000}, {100, 200}});
@@ -231,8 +229,7 @@ InsertMeasurement measure_graph_insert(ConflictMode mode, IndexMode index,
                                        std::size_t iters, std::size_t reps) {
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   DependencyGraph graph(mode, index);
   std::uint64_t seq = 0;
@@ -323,18 +320,17 @@ struct ThroughputMeasurement {
 /// acceptance regime — low conflict, LARGE pending graph. The workers are
 /// pinned on sentinel batches (executor spins on a flag) so the
 /// conflict-free measurement batches accumulate in the graph while the
-/// delivery thread is timed: the scan pays O(resident) pair tests per
-/// insert, the index pays one aggregate probe. Batches are pre-built so no
-/// client-side digest cost pollutes the timing.
-ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode index,
-                                                   unsigned workers,
+/// delivery thread is timed: past kIndexActivateAbove residents the graph's
+/// index pays one aggregate probe per insert instead of O(resident) pair
+/// tests. Batches are pre-built so no client-side digest cost pollutes the
+/// timing.
+ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, unsigned workers,
                                                    std::size_t batch_size,
                                                    std::size_t n_batches,
                                                    std::size_t bitmap_bits) {
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = bitmap_bits;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   std::vector<psmr::smr::BatchPtr> pinned;
   for (unsigned w = 0; w < workers; ++w) {
@@ -353,7 +349,6 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode 
   psmr::core::Scheduler scheduler(
       psmr::core::SchedulerOptions{.workers = workers,
                                    .mode = mode,
-                                   .index = index,
                                    .max_pending_batches = 0},
       [&release, workers](const psmr::smr::Batch& b) {
         if (b.sequence() <= workers) {
@@ -397,9 +392,10 @@ struct ShardedMeasurement {
 
 /// Delivery throughput through the ShardedScheduler on a partition-friendly
 /// workload: conflict-free kUpdate batches whose keys all hash into one
-/// target shard (round-robin across shards), mode keys-nested + scan so the
-/// per-insert cost is O(resident-in-shard) — the serialization cost that
-/// sharding divides by S. Workers (total split across shards) are pinned on
+/// target shard (round-robin across shards), mode keys-nested. Each shard's
+/// graph runs kAuto like every scheduler's, so once the pinned backlog
+/// passes kIndexActivateAbove an insert is an index probe, not a scan of
+/// the shard. Workers (total split across shards) are pinned on
 /// per-shard sentinel batches while the delivery loop is timed, exactly
 /// like measure_scheduler_throughput; S=1 is the single-scheduler baseline.
 /// `cross_fraction` makes every (1/f)-th batch span two shards, paying the
@@ -465,7 +461,6 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
   sopts.workers = per_shard_workers;
   sopts.shards = shards;
   sopts.mode = ConflictMode::kKeysNested;
-  sopts.index = IndexMode::kScan;
   psmr::core::ShardedScheduler scheduler(
       std::move(sopts),
       [&release, n_sentinels](const psmr::smr::Batch& b) {
@@ -521,7 +516,7 @@ void write_sharded_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) 
     if (r.shards == 1) baseline = m.delivery_kcmds_per_sec;
     const double speedup = baseline > 0.0 ? m.delivery_kcmds_per_sec / baseline : 0.0;
     std::fprintf(f,
-                 "%s    {\"mode\": \"keys-nested\", \"index\": \"scan\", \"shards\": %u, "
+                 "%s    {\"mode\": \"keys-nested\", \"shards\": %u, "
                  "\"workers_per_shard\": %u, \"batch_size\": %zu, \"batches\": %zu, "
                  "\"cross_shard_fraction\": %.3f, "
                  "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_single\": %.2f}",
@@ -558,7 +553,8 @@ std::shared_ptr<psmr::smr::ConflictClassMap> make_range_class_map(unsigned class
 
 /// Delivery throughput on a single-class-dominant workload (the ISSUE 7
 /// acceptance regime), templated over the scheduler variant so the
-/// EarlyScheduler and the indexed graph Scheduler run the IDENTICAL batch
+/// EarlyScheduler and the graph Scheduler (indexed once the pinned backlog
+/// passes kIndexActivateAbove) run the IDENTICAL batch
 /// stream with identical sentinel pinning. Batch i touches only class
 /// (i % workers)'s key range with globally distinct keys (conflict-free),
 /// so the graph pays insert + aggregate probe per batch while the early
@@ -599,7 +595,6 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
   psmr::core::SchedulerOptions opts;
   opts.workers = workers;
   opts.mode = ConflictMode::kKeysNested;
-  opts.index = IndexMode::kIndexed;
   opts.class_map = map;  // the graph Scheduler ignores it
   S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
     if (b.sequence() <= workers) {
@@ -723,7 +718,6 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
   psmr::core::SchedulerOptions opts;
   opts.workers = workers;
   opts.mode = ConflictMode::kKeysNested;
-  opts.index = IndexMode::kIndexed;
   opts.class_map = map;
   S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
     if (b.sequence() <= workers) {
@@ -928,7 +922,6 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
   psmr::core::SchedulerOptions opts;
   opts.workers = kFormationWorkers;
   opts.mode = ConflictMode::kKeysNested;
-  opts.index = IndexMode::kIndexed;
   opts.class_map = map;
   opts.metrics = registry;  // former.* + scheduler.* + early.* in one export
   psmr::core::EarlyScheduler scheduler(
@@ -1153,31 +1146,6 @@ void write_checkpoint_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metric
   }
 }
 
-/// The run's host and build, so every committed row says where it came
-/// from: CPU count, CPU model (first /proc/cpuinfo "model name"), and the
-/// CMake build type the bench was compiled with.
-std::string host_json() {
-  std::string model = "unknown";
-  if (FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
-    char line[512];
-    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
-      const char* colon = std::strchr(line, ':');
-      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) continue;
-      model.clear();
-      for (const char* c = colon + 1; *c != '\0'; ++c) {
-        // Drops the newline and anything that would need JSON escaping.
-        if (*c != '\n' && *c != '"' && *c != '\\' && !(model.empty() && *c == ' ')) {
-          model += *c;
-        }
-      }
-      break;
-    }
-    std::fclose(cpuinfo);
-  }
-  return "{\"cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"cpu_model\": \"" + model + "\", \"build_type\": \"" PSMR_BUILD_TYPE "\"}";
-}
-
 /// `--checkpoints` mode: only the checkpoint-interval sweep, written to
 /// BENCH_scheduler_checkpoints.json (+ the psmr.metrics.v1 export carrying
 /// the `checkpoint.*` metrics for the schema fixture).
@@ -1187,7 +1155,7 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
                             "{\"workers\": 4, \"mode\": \"keys-nested\", "
                             "\"intervals\": [0, 200, 50, 10]}");
   if (f == nullptr) return 1;
-  std::fprintf(f, "  \"host\": %s,\n", host_json().c_str());
+  std::fprintf(f, "  \"host\": %s,\n", psmr::bench::host_json().c_str());
   std::fprintf(f, "  \"checkpoint_sweep\": [\n");
   psmr::obs::Snapshot last_metrics;
   write_checkpoint_rows(f, smoke, &last_metrics);
@@ -1207,8 +1175,7 @@ int shards_main(bool smoke, const char* metrics_path) {
   {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "{\"total_workers\": %u, \"mode\": \"keys-nested\", "
-                  "\"index\": \"scan\", \"rows\": [",
+                  "{\"total_workers\": %u, \"mode\": \"keys-nested\", \"rows\": [",
                   kShardTotalWorkers);
     config += buf;
     for (std::size_t i = 0; i < std::size(kShardRows); ++i) {
@@ -1291,7 +1258,6 @@ int json_main(bool smoke, const char* metrics_path) {
       {ConflictMode::kKeysNested, 16},  // the zipf-rw-ckpt / paxos-relay e2e batch
       {ConflictMode::kKeysNested, 100},
       {ConflictMode::kBitmap, 200},
-      {ConflictMode::kBitmapSparse, 200},
   };
   // Small sizes are the closed-loop e2e regime (graph.size_at_insert.avg
   // ~2); 64 is the large-graph regime the index targets. kAuto's
@@ -1301,7 +1267,7 @@ int json_main(bool smoke, const char* metrics_path) {
   FILE* f = open_bench_file("BENCH_scheduler.json", "micro_scheduler", smoke,
                             nullptr, "");
   if (f == nullptr) return 1;
-  std::fprintf(f, "  \"host\": %s,\n", host_json().c_str());
+  std::fprintf(f, "  \"host\": %s,\n", psmr::bench::host_json().c_str());
   std::fprintf(f, "  \"simd_backend\": \"%s\",\n", psmr::util::Bitmap::simd_backend());
   std::fprintf(f, "  \"graph_insert\": [\n");
   bool first = true;
@@ -1345,48 +1311,34 @@ int json_main(bool smoke, const char* metrics_path) {
     // configuration whose per-pair dense scan is most expensive, and its
     // sparser aggregate keeps the posting lists selective.
     const std::size_t bits = 1024000;
-    // Reps interleave the index modes, rotating which one runs first, so
-    // drift on the host spreads over all three rows instead of favouring
-    // one; each row reports its median rep (metrics too) with the spread.
-    constexpr IndexMode kIndexModes[] = {IndexMode::kScan, IndexMode::kIndexed,
-                                         IndexMode::kAuto};
-    constexpr std::size_t kNumModes = std::size(kIndexModes);
-    std::vector<ThroughputMeasurement> by_mode[kNumModes];
+    // The row reports its median rep (metrics too) with the spread.
+    std::vector<ThroughputMeasurement> runs;
     for (std::size_t r = 0; r < tput_reps; ++r) {
-      for (std::size_t k = 0; k < kNumModes; ++k) {
-        const std::size_t i = (r + k) % kNumModes;
-        by_mode[i].push_back(measure_scheduler_throughput(
-            mode, kIndexModes[i], /*workers=*/4, batch_size, n, bits));
-      }
+      runs.push_back(
+          measure_scheduler_throughput(mode, /*workers=*/4, batch_size, n, bits));
     }
-    for (std::size_t i = 0; i < kNumModes; ++i) {
-      const IndexMode index = kIndexModes[i];
-      std::vector<ThroughputMeasurement>& runs = by_mode[i];
-      std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
-        return a.delivery_kcmds_per_sec < b.delivery_kcmds_per_sec;
-      });
-      ThroughputMeasurement& m = runs[runs.size() / 2];
-      std::fprintf(f,
-                   "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"workers\": 4, "
-                   "\"batch_size\": %zu, \"batches\": %zu, \"bitmap_bits\": %zu, "
-                   "\"reps\": %zu, \"delivery_kcmds_per_sec\": %.1f, "
-                   "\"delivery_kcmds_per_sec_min\": %.1f, "
-                   "\"delivery_kcmds_per_sec_max\": %.1f, "
-                   "\"pair_tests_per_insert\": %.3f, \"avg_graph_size\": %.1f}",
-                   first ? "" : ",\n", psmr::core::to_string(mode),
-                   psmr::core::to_string(index), batch_size, n, bits, tput_reps,
-                   m.delivery_kcmds_per_sec, runs.front().delivery_kcmds_per_sec,
-                   runs.back().delivery_kcmds_per_sec, m.pair_tests_per_insert,
-                   m.avg_graph_size);
-      first = false;
-      std::printf("delivery     %-13s index=%-7s: %10.1f kCmds/s (min %.1f, max %.1f), "
-                  "%7.3f pair tests/insert, avg graph %.1f\n",
-                  psmr::core::to_string(mode), psmr::core::to_string(index),
-                  m.delivery_kcmds_per_sec, runs.front().delivery_kcmds_per_sec,
-                  runs.back().delivery_kcmds_per_sec, m.pair_tests_per_insert,
-                  m.avg_graph_size);
-      last_metrics = std::move(m.final_metrics);
-    }
+    std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+      return a.delivery_kcmds_per_sec < b.delivery_kcmds_per_sec;
+    });
+    ThroughputMeasurement& m = runs[runs.size() / 2];
+    std::fprintf(f,
+                 "%s    {\"mode\": \"%s\", \"workers\": 4, "
+                 "\"batch_size\": %zu, \"batches\": %zu, \"bitmap_bits\": %zu, "
+                 "\"reps\": %zu, \"delivery_kcmds_per_sec\": %.1f, "
+                 "\"delivery_kcmds_per_sec_min\": %.1f, "
+                 "\"delivery_kcmds_per_sec_max\": %.1f, "
+                 "\"pair_tests_per_insert\": %.3f, \"avg_graph_size\": %.1f}",
+                 first ? "" : ",\n", psmr::core::to_string(mode), batch_size, n, bits,
+                 tput_reps, m.delivery_kcmds_per_sec, runs.front().delivery_kcmds_per_sec,
+                 runs.back().delivery_kcmds_per_sec, m.pair_tests_per_insert,
+                 m.avg_graph_size);
+    first = false;
+    std::printf("delivery     %-13s: %10.1f kCmds/s (min %.1f, max %.1f), "
+                "%7.3f pair tests/insert, avg graph %.1f\n",
+                psmr::core::to_string(mode), m.delivery_kcmds_per_sec,
+                runs.front().delivery_kcmds_per_sec, runs.back().delivery_kcmds_per_sec,
+                m.pair_tests_per_insert, m.avg_graph_size);
+    last_metrics = std::move(m.final_metrics);
   }
   std::fprintf(f, "\n  ],\n  \"early_scheduler\": [\n");
   write_early_rows(f, smoke, nullptr);

@@ -8,13 +8,11 @@
 //       --bitmap-bits 1024000 --conflict 0.1 --proxies 8 --virtual
 //
 // Flags (defaults in brackets):
-//   --mode keys|keys-hashed|bitmap|bitmap-sparse   [bitmap]
+//   --mode keys|bitmap     conflict detection       [bitmap]
 //   --workers N        worker threads               [4]
 //   --batch N          commands per batch           [100]
 //   --bitmap-bits N    Bloom filter size m          [1024000]
-//   --split-rw         split read/write digests     [off]
 //   --conflict R       batch conflict rate 0..1     [0]
-//   --hot-reads N      hot read keys per batch      [0]
 //   --cost-ns N        synthetic per-command cost   [0]
 //   --proxies N        closed-loop client proxies   [8]
 //   --virtual          use the execution simulator  [off => wall clock]
@@ -37,9 +35,7 @@ namespace {
 
 psmr::core::ConflictMode parse_mode(const std::string& s) {
   if (s == "keys") return psmr::core::ConflictMode::kKeysNested;
-  if (s == "keys-hashed") return psmr::core::ConflictMode::kKeysHashed;
   if (s == "bitmap") return psmr::core::ConflictMode::kBitmap;
-  if (s == "bitmap-sparse") return psmr::core::ConflictMode::kBitmapSparse;
   usage_error("unknown --mode");
 }
 
@@ -48,8 +44,8 @@ psmr::core::ConflictMode parse_mode(const std::string& s) {
 int main(int argc, char** argv) {
   psmr::core::ConflictMode mode = psmr::core::ConflictMode::kBitmap;
   unsigned workers = 4, proxies = 8;
-  std::size_t batch = 100, bitmap_bits = 1024000, hot_reads = 0;
-  bool split_rw = false, use_virtual = false;
+  std::size_t batch = 100, bitmap_bits = 1024000;
+  bool use_virtual = false;
   double conflict = 0.0, seconds = 1.0;
   std::uint64_t cmds = 150'000;
   std::uint32_t cost_ns = 0;
@@ -64,9 +60,7 @@ int main(int argc, char** argv) {
     else if (arg == "--workers") workers = std::atoi(next());
     else if (arg == "--batch") batch = std::strtoull(next(), nullptr, 10);
     else if (arg == "--bitmap-bits") bitmap_bits = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--split-rw") split_rw = true;
     else if (arg == "--conflict") conflict = std::atof(next());
-    else if (arg == "--hot-reads") hot_reads = std::strtoull(next(), nullptr, 10);
     else if (arg == "--cost-ns") cost_ns = std::atoi(next());
     else if (arg == "--proxies") proxies = std::atoi(next());
     else if (arg == "--virtual") use_virtual = true;
@@ -74,14 +68,12 @@ int main(int argc, char** argv) {
     else if (arg == "--seconds") seconds = std::atof(next());
     else usage_error(("unknown flag " + arg).c_str());
   }
-  const bool use_bitmap = mode == psmr::core::ConflictMode::kBitmap ||
-                          mode == psmr::core::ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == psmr::core::ConflictMode::kBitmap;
 
-  std::printf("config: mode=%s workers=%u batch=%zu bitmap=%zu%s conflict=%.2f "
-              "hot-reads=%zu proxies=%u engine=%s\n\n",
-              psmr::core::to_string(mode), workers, batch,
-              use_bitmap ? bitmap_bits : 0, split_rw ? "(split)" : "", conflict,
-              hot_reads, proxies, use_virtual ? "virtual" : "wall-clock");
+  std::printf("config: mode=%s workers=%u batch=%zu bitmap=%zu conflict=%.2f "
+              "proxies=%u engine=%s\n\n",
+              psmr::core::to_string(mode), workers, batch, use_bitmap ? bitmap_bits : 0,
+              conflict, proxies, use_virtual ? "virtual" : "wall-clock");
 
   if (use_virtual) {
     psmr::sim::ExecSimConfig cfg;
@@ -90,9 +82,7 @@ int main(int argc, char** argv) {
     cfg.batch_size = batch;
     cfg.use_bitmap = use_bitmap;
     cfg.bitmap_bits = bitmap_bits;
-    cfg.split_read_write = split_rw;
     cfg.conflict_rate = conflict;
-    cfg.hot_read_keys = hot_reads;
     cfg.proxies = proxies;
     cfg.commands_target = cmds;
     const auto r = psmr::sim::run_exec_sim(cfg);
@@ -109,7 +99,6 @@ int main(int argc, char** argv) {
     cfg.batch_size = batch;
     cfg.use_bitmap = use_bitmap;
     cfg.bitmap_bits = bitmap_bits;
-    cfg.split_read_write = split_rw;
     cfg.conflict_rate = conflict;
     cfg.cost_ns = cost_ns;
     cfg.proxies = proxies;

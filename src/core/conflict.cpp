@@ -1,7 +1,5 @@
 #include "core/conflict.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace psmr::core {
@@ -9,18 +7,7 @@ namespace psmr::core {
 const char* to_string(ConflictMode m) noexcept {
   switch (m) {
     case ConflictMode::kKeysNested: return "keys-nested";
-    case ConflictMode::kKeysHashed: return "keys-hashed";
     case ConflictMode::kBitmap: return "bitmap";
-    case ConflictMode::kBitmapSparse: return "bitmap-sparse";
-  }
-  return "?";
-}
-
-const char* to_string(IndexMode m) noexcept {
-  switch (m) {
-    case IndexMode::kScan: return "scan";
-    case IndexMode::kIndexed: return "indexed";
-    case IndexMode::kAuto: return "auto";
   }
   return "?";
 }
@@ -37,22 +24,10 @@ bool ConflictDetector::operator()(const smr::Batch& a, const smr::Batch& b) {
       conflict = smr::key_conflict_nested(a, b);
       stats_.comparisons += a.size() * b.size();
       break;
-    case ConflictMode::kKeysHashed:
-      conflict = smr::key_conflict_hashed(a, b);
-      stats_.comparisons += a.size() + b.size();
-      break;
     case ConflictMode::kBitmap:
       PSMR_CHECK(a.has_bitmap() && b.has_bitmap());
       conflict = smr::bitmap_conflict(a, b);
-      stats_.comparisons += a.write_bloom().bitmap().size_words();
-      break;
-    case ConflictMode::kBitmapSparse:
-      PSMR_CHECK(a.has_bitmap() && b.has_bitmap());
-      // Position lists are only maintained for the unified digest; a split
-      // digest here would silently yield false negatives.
-      PSMR_CHECK(!a.split_read_write() && !b.split_read_write());
-      conflict = smr::bitmap_conflict_sparse(a, b);
-      stats_.comparisons += std::min(a.bitmap_positions().size(), b.bitmap_positions().size());
+      stats_.comparisons += a.bloom().bitmap().size_words();
       break;
   }
   if (conflict) ++stats_.conflicts_found;

@@ -33,45 +33,47 @@ std::uint32_t key_position(std::uint64_t key) noexcept {
 
 }  // namespace
 
+const char* to_string(IndexMode m) noexcept {
+  switch (m) {
+    case IndexMode::kScan: return "scan";
+    case IndexMode::kIndexed: return "indexed";
+    case IndexMode::kAuto: return "auto";
+  }
+  return "?";
+}
+
 DependencyGraph::DependencyGraph(ConflictMode mode, IndexMode index)
     : detector_(mode),
       index_mode_(index),
       index_active_(index == IndexMode::kIndexed) {}
 
-bool DependencyGraph::compute_positions(const smr::Batch& batch,
+void DependencyGraph::compute_positions(const smr::Batch& batch,
                                         std::vector<std::uint32_t>& out) const {
   out.clear();
   switch (detector_.mode()) {
     case ConflictMode::kKeysNested:
-    case ConflictMode::kKeysHashed:
       out.reserve(batch.size());
       for (const smr::Command& c : batch.commands()) {
         out.push_back(key_position(c.key));
       }
       break;
     case ConflictMode::kBitmap:
-    case ConflictMode::kBitmapSparse:
-      // Split read/write digests carry no position list; such batches
-      // cannot be indexed and degrade the graph to scanning.
-      if (!batch.has_bitmap() || batch.split_read_write()) return false;
       out.assign(batch.bitmap_positions().begin(), batch.bitmap_positions().end());
       break;
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return true;
 }
 
 DependencyGraph::Prepared DependencyGraph::prepare(smr::BatchPtr batch) const {
   PSMR_CHECK(batch != nullptr);
+  if (detector_.mode() == ConflictMode::kBitmap) PSMR_CHECK(batch->has_bitmap());
   Prepared p;
   // Only the immutable configuration is read here — the index state can be
   // mutated concurrently by an insert or remove on another thread, so
   // prepare() must not depend on it. kAuto computes positions even while
   // the index is dormant: the node keeps them for a later activation.
-  if (index_mode_ != IndexMode::kScan) {
-    p.indexable = compute_positions(*batch, p.positions);
-  }
+  if (tracks_positions()) compute_positions(*batch, p.positions);
   p.batch = std::move(batch);
   return p;
 }
@@ -104,9 +106,8 @@ void DependencyGraph::release_node(Node* node) {
 }
 
 void DependencyGraph::ensure_aggregate_bits(const smr::Batch& batch) {
-  const ConflictMode m = detector_.mode();
-  const std::size_t bits = m == ConflictMode::kBitmap || m == ConflictMode::kBitmapSparse
-                               ? batch.write_bloom().bitmap().size_bits()
+  const std::size_t bits = detector_.mode() == ConflictMode::kBitmap
+                               ? batch.bloom().bitmap().size_bits()
                                : kKeyIndexBits;
   if (aggregate_.size_bits() >= bits) return;
   util::Bitmap grown(bits);
@@ -175,13 +176,6 @@ void DependencyGraph::clear_index() {
   index_active_ = false;
 }
 
-void DependencyGraph::disable_index() {
-  clear_index();
-  index_stats_.fell_back_to_scan = true;
-  aggregate_ = util::Bitmap();
-  for (Node& n : nodes_) n.index_positions.clear();
-}
-
 void DependencyGraph::insert(Prepared&& probe) {
   PSMR_CHECK(probe.batch != nullptr);
   PSMR_CHECK(probe.batch->sequence() > last_seq_);  // delivery order is strictly increasing
@@ -191,7 +185,6 @@ void DependencyGraph::insert(Prepared&& probe) {
   // before the new node joins.
   size_at_insert_.add(static_cast<double>(nodes_.size()));
 
-  if (tracks_positions() && !probe.indexable) disable_index();
   // kAuto's size rule: the index pays for itself only once the scan would
   // test more than kIndexActivateAbove residents. Built from the residents'
   // kept positions, before the newcomer joins.
@@ -209,16 +202,15 @@ void DependencyGraph::insert(Prepared&& probe) {
 
   if (index_active_) {
     ++index_stats_.probes;
-    const ConflictMode m = detector_.mode();
     ensure_aggregate_bits(*node.batch);
 
     // Aggregate fast path: a probe with no position resident anywhere in
     // the graph conflicts with nothing — skip every pairwise test. kBitmap
     // carries a dense digest, so the check is one vectorized word-AND pass;
-    // the other modes probe their O(batch) positions.
+    // the keys mode probes its O(batch) positions.
     bool may_conflict = false;
-    if (m == ConflictMode::kBitmap) {
-      may_conflict = node.batch->write_bloom().bitmap().intersects(aggregate_);
+    if (detector_.mode() == ConflictMode::kBitmap) {
+      may_conflict = node.batch->bloom().bitmap().intersects(aggregate_);
     } else {
       for (std::uint32_t pos : node.index_positions) {
         if (aggregate_.test(pos)) {
@@ -411,20 +403,18 @@ void DependencyGraph::check_invariants() const {
   if (!nodes_.empty() && taken_count == 0) PSMR_CHECK(!ready_.empty());
 
   // Index state must follow the configuration: kScan never indexes,
-  // kIndexed always does until the fallback, and kAuto obeys its size rule
-  // (an insert into more than kIndexActivateAbove residents activates, a
-  // removal down to kIndexDeactivateAtOrBelow deactivates).
+  // kIndexed always does, and kAuto obeys its size rule (an insert into
+  // more than kIndexActivateAbove residents activates, a removal down to
+  // kIndexDeactivateAtOrBelow deactivates).
   switch (index_mode_) {
     case IndexMode::kScan:
       PSMR_CHECK(!index_active_);
       break;
     case IndexMode::kIndexed:
-      PSMR_CHECK(index_active_ == !index_stats_.fell_back_to_scan);
+      PSMR_CHECK(index_active_);
       break;
     case IndexMode::kAuto:
-      if (index_stats_.fell_back_to_scan) {
-        PSMR_CHECK(!index_active_);
-      } else if (index_active_) {
+      if (index_active_) {
         PSMR_CHECK(nodes_.size() > kIndexDeactivateAtOrBelow);
       } else {
         PSMR_CHECK(nodes_.size() <= kIndexActivateAbove + 1);
@@ -436,7 +426,7 @@ void DependencyGraph::check_invariants() const {
   std::vector<std::uint32_t> fresh;
   for (const Node& n : nodes_) {
     if (tracks_positions()) {
-      PSMR_CHECK(compute_positions(*n.batch, fresh));
+      compute_positions(*n.batch, fresh);
       PSMR_CHECK(fresh == n.index_positions);
     } else {
       PSMR_CHECK(n.index_positions.empty());

@@ -10,7 +10,7 @@
 // status so a batch under execution stays visible to conflict detection.
 //
 // On top of Algorithm 1, the graph can maintain an INVERTED INDEX over
-// conflict positions (IndexMode::kIndexed / kAuto): an aggregate bitmap —
+// conflict positions (IndexMode below): an aggregate bitmap —
 // the OR of every resident batch's positions, kept exact by using the
 // posting lists as per-bit refcounts — and a position -> posting-list map.
 // An incoming batch whose positions miss the aggregate is provably
@@ -21,10 +21,13 @@
 //
 // The index is not free: every insert adds, and every remove erases, one
 // posting per position (~200 per paper-sized batch), all under the
-// scheduler monitor. kAuto therefore sizes itself to the graph: it scans
-// while few batches are resident and builds the index only once residency
-// exceeds kIndexActivateAbove, dropping it again when residency drains to
-// kIndexDeactivateAtOrBelow (DESIGN.md §4).
+// scheduler monitor. The default, kAuto, therefore sizes itself to the
+// graph: it scans while few batches are resident and builds the index only
+// once residency exceeds kIndexActivateAbove, dropping it again when
+// residency drains to kIndexDeactivateAtOrBelow (DESIGN.md §4). Every
+// scheduler runs kAuto; kScan and kIndexed exist for the paper's cost model
+// (sim/exec_sim), the insert-cost sweep behind the thresholds, and the
+// property tests that prove all three build identical graphs.
 //
 // NOT thread-safe: the scheduler serializes all access through its monitor,
 // exactly as Algorithm 1 prescribes ("inserting, getting the next batch,
@@ -49,6 +52,27 @@
 
 namespace psmr::core {
 
+/// How insert finds the resident batches an incoming batch must be
+/// pairwise-tested against. It never changes which edges are added, so
+/// every setting yields the identical graph for the same delivery order.
+enum class IndexMode : std::uint8_t {
+  /// Pairwise test against every resident batch — Algorithm 1 lines 18–20
+  /// verbatim. O(graph size) tests per insert.
+  kScan = 0,
+  /// Aggregate bitmap + bit→posting-list inverted index over conflict
+  /// positions (hashed keys, or digest bits). A probe that misses the
+  /// aggregate skips all pairwise tests in one pass; otherwise only the
+  /// batches sharing a set position are tested. No false negatives: two
+  /// batches can only conflict if they share a position.
+  kIndexed = 1,
+  /// kScan while the graph is small, kIndexed once it grows past the
+  /// measured crossover (kIndexActivateAbove, with hysteresis on the way
+  /// down).
+  kAuto = 2,
+};
+
+const char* to_string(IndexMode m) noexcept;
+
 class DependencyGraph {
  public:
   struct Node {
@@ -69,10 +93,9 @@ class DependencyGraph {
     friend class DependencyGraph;
     std::list<Node>::iterator self;
     /// Distinct index positions this batch occupies (hashed keys for the
-    /// key modes, digest bit positions for unified bitmap modes). Kept
-    /// while the index is merely dormant (kAuto on a small graph) so it can
-    /// be built from the residents; empty under kScan or after the
-    /// permanent fallback.
+    /// keys mode, digest bit positions for the bitmap mode). Kept while the
+    /// index is merely dormant (kAuto on a small graph) so it can be built
+    /// from the residents; empty under kScan.
     std::vector<std::uint32_t> index_positions;
     /// Stamp of the last probe that already tested this node — dedups
     /// candidates reached through several shared positions.
@@ -85,11 +108,8 @@ class DependencyGraph {
   /// section only pays for the index lookup and the candidate tests.
   struct Prepared {
     smr::BatchPtr batch;
-    /// Distinct index positions (sorted). Meaningful only if `indexable`.
+    /// Distinct index positions (sorted); empty under kScan.
     std::vector<std::uint32_t> positions;
-    /// False when this batch cannot participate in the index (split
-    /// read/write digests) — its arrival degrades the graph to scanning.
-    bool indexable = false;
   };
 
   struct IndexStats {
@@ -103,9 +123,6 @@ class DependencyGraph {
     std::uint64_t fast_path_skips = 0;
     /// Pairwise tests routed through posting lists (the candidate set).
     std::uint64_t candidate_tests = 0;
-    /// True once a non-indexable batch permanently degraded the graph to
-    /// IndexMode::kScan behaviour.
-    bool fell_back_to_scan = false;
   };
 
   /// kAuto's size rule, from the insert + take + remove cycle sweep in
@@ -129,6 +146,8 @@ class DependencyGraph {
   /// Computes the probe positions for a batch under this graph's conflict
   /// and index configuration. Pure: safe to call concurrently with graph
   /// mutation (it reads only the immutable configuration and the batch).
+  /// In kBitmap mode the batch must carry its digest; input from outside
+  /// the process is checked before it gets here (smr::Replica::deliver).
   Prepared prepare(smr::BatchPtr batch) const;
 
   /// dgInsertBatch (lines 17–22): compares the incoming batch against every
@@ -178,7 +197,7 @@ class DependencyGraph {
   ConflictMode mode() const noexcept { return detector_.mode(); }
 
   /// Configured index mode and whether the index is currently maintained
-  /// (kAuto scans small graphs and may have degraded to scanning for good).
+  /// (kAuto scans small graphs).
   IndexMode index_mode() const noexcept { return index_mode_; }
   bool index_active() const noexcept { return index_active_; }
   const IndexStats& index_stats() const noexcept { return index_stats_; }
@@ -218,15 +237,11 @@ class DependencyGraph {
   void check_invariants() const;
 
  private:
-  /// Distinct, sorted index positions of a batch; false if the batch cannot
-  /// be indexed under the current configuration.
-  bool compute_positions(const smr::Batch& batch, std::vector<std::uint32_t>& out) const;
+  /// Distinct, sorted index positions of a batch.
+  void compute_positions(const smr::Batch& batch, std::vector<std::uint32_t>& out) const;
 
-  /// True while nodes carry their positions: any index mode but kScan,
-  /// until a non-indexable batch forces the permanent fallback.
-  bool tracks_positions() const noexcept {
-    return index_mode_ != IndexMode::kScan && !index_stats_.fell_back_to_scan;
-  }
+  /// True while nodes carry their positions: any index mode but kScan.
+  bool tracks_positions() const noexcept { return index_mode_ != IndexMode::kScan; }
 
   Node& acquire_node();
   void release_node(Node* node);
@@ -238,7 +253,6 @@ class DependencyGraph {
   void unindex_leaving(Node& node);
   void activate_index();
   void clear_index();
-  void disable_index();
 
   ConflictDetector detector_;
   IndexMode index_mode_;

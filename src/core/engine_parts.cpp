@@ -60,7 +60,6 @@ void publish_graph_stats(const DependencyGraph& graph, const obs::BatchTracer& t
   registry.gauge("graph.size_at_insert.avg").set(graph.size_at_insert().mean());
   registry.gauge("graph.size_at_insert.max").set(graph.size_at_insert().max());
   registry.gauge("graph.index.active").set(graph.index_active() ? 1.0 : 0.0);
-  registry.gauge("graph.index.fell_back_to_scan").set(is.fell_back_to_scan ? 1.0 : 0.0);
   registry.gauge("trace.capacity").set(static_cast<double>(tracer.capacity()));
 }
 

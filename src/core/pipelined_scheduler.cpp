@@ -15,7 +15,7 @@ PipelinedScheduler::PipelinedScheduler(SchedulerOptions options, Executor execut
       m_(*metrics_, config_.workers),
       tracer_(config_.trace_capacity),
       bp_(*metrics_, config_.max_pending_batches),
-      graph_(config_.mode, config_.index),
+      graph_(config_.mode),
       breaker_(*metrics_, config_.circuit_failure_threshold,
                config_.circuit_recovery_threshold) {
   config_.validate();

@@ -15,7 +15,7 @@ Scheduler::Scheduler(SchedulerOptions options, Executor executor)
       bp_(*metrics_, config_.max_pending_batches),
       breaker_(*metrics_, config_.circuit_failure_threshold,
                config_.circuit_recovery_threshold),
-      graph_(config_.mode, config_.index) {
+      graph_(config_.mode) {
   config_.validate();
   PSMR_CHECK(executor_ != nullptr);
   if (config_.class_map != nullptr) {

@@ -27,13 +27,10 @@ struct SchedulerOptions {
   /// single-graph Scheduler and PipelinedScheduler ignore it.
   unsigned shards = 1;
 
-  /// Conflict detection mechanism (the paper's `useBitmap` switch,
-  /// generalized).
+  /// Conflict detection mechanism (the paper's `useBitmap` switch). How the
+  /// graph finds the batches to test is its own choice (IndexMode::kAuto,
+  /// DESIGN.md §4.1); it never changes the resulting graph.
   ConflictMode mode = ConflictMode::kKeysNested;
-
-  /// How insert finds the resident batches to test against (orthogonal to
-  /// `mode`; never changes the resulting graph — see IndexMode).
-  IndexMode index = IndexMode::kAuto;
 
   /// Backpressure: deliver() blocks while the graph holds this many batches
   /// (0 = unbounded). Keeps an over-driven scheduler from accumulating
@@ -82,8 +79,7 @@ struct SchedulerOptions {
   void validate() const {
     PSMR_CHECK(workers >= 1);
     PSMR_CHECK(shards >= 1 && shards <= 64);
-    PSMR_CHECK(static_cast<unsigned>(mode) <= static_cast<unsigned>(ConflictMode::kBitmapSparse));
-    PSMR_CHECK(static_cast<unsigned>(index) <= static_cast<unsigned>(IndexMode::kAuto));
+    PSMR_CHECK(mode == ConflictMode::kKeysNested || mode == ConflictMode::kBitmap);
   }
 };
 

@@ -61,8 +61,6 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
 
   smr::BitmapConfig bitmap;
   bitmap.bits = cfg.bitmap_bits;
-  bitmap.hashes = cfg.bitmap_hashes;
-  bitmap.split_read_write = cfg.split_read_write;
 
   // Conflict keys must land on batches still PENDING in the graph, so the
   // pool only retains the last couple of batches' keys (the in-flight
@@ -82,7 +80,6 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
     }
     gcfg.conflict_rate = cfg.conflict_rate;
     gcfg.batch_size = cfg.batch_size;
-    gcfg.hot_read_keys = cfg.hot_read_keys;
     gcfg.seed = cfg.seed;
     gens.push_back(std::make_unique<workload::Generator>(
         gcfg, p, cfg.conflict_rate > 0 ? &pool : nullptr));
@@ -182,10 +179,9 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
         std::uint64_t d = timed([&] { graph.insert(batch); });
         const std::uint64_t comparisons =
             graph.conflict_stats().comparisons - comparisons_before;
-        if (cfg.mode == core::ConflictMode::kKeysNested ||
-            cfg.mode == core::ConflictMode::kKeysHashed) {
+        if (cfg.mode == core::ConflictMode::kKeysNested) {
           d += comparisons * cfg.key_compare_cost_ns;
-        } else if (cfg.mode == core::ConflictMode::kBitmap) {
+        } else {
           d += comparisons * cfg.bitmap_word_cost_ns;  // comparisons = words scanned
         }
         monitor_free_at[leader] = start + d;

@@ -24,7 +24,7 @@
 
 #include <cstdint>
 
-#include "core/conflict.hpp"
+#include "core/dependency_graph.hpp"
 
 namespace psmr::sim {
 
@@ -52,18 +52,12 @@ struct ExecSimConfig {
   std::size_t batch_size = 1;
   bool use_bitmap = false;
   std::size_t bitmap_bits = 1024000;
-  unsigned bitmap_hashes = 1;
-  bool split_read_write = false;
 
   /// Closed-loop client proxies (each with one outstanding batch).
   unsigned proxies = 16;
   /// Probability that a batch conflicts with a recently-submitted one
   /// (Fig. 5's knob). Implemented by reusing a key from a recent batch.
   double conflict_rate = 0.0;
-  /// Read-heavy coordination pattern: every batch reads this many global
-  /// hot keys (exactly independent, falsely conflicting under the unified
-  /// bitmap — see workload::GeneratorConfig::hot_read_keys).
-  std::size_t hot_read_keys = 0;
   /// Key skew (extension beyond the paper's uniform/contention-free
   /// workloads): theta > 0 draws keys Zipf-distributed from `key_space`
   /// instead of the disjoint contention-free ranges, producing REAL

@@ -22,16 +22,10 @@ namespace psmr::smr {
 /// guarantee.
 struct BitmapConfig {
   /// m, number of bits. The paper evaluates 102400 and 1024000 (Table I).
+  /// Every key is hashed once (k = 1): with intersection-based detection
+  /// more hashes only inflate the false-positive rate (§VI-B).
   std::size_t bits = 1024000;
-  /// k, number of hash functions. MUST stay 1 for intersection-based
-  /// conflict detection (§VI-B): k > 1 only inflates the false positive
-  /// rate of bitmap intersections. Exposed for the ablation bench.
-  unsigned hashes = 1;
   std::uint64_t seed = 0;
-  /// Extension (off in the paper): keep separate read/write bitmaps so two
-  /// read-only batches never falsely conflict. Conflict becomes
-  /// (w_i ∩ w_j) ∪ (w_i ∩ r_j) ∪ (r_i ∩ w_j) ≠ ∅.
-  bool split_read_write = false;
 };
 
 /// The deterministic placement functions a proxy stamps batches under
@@ -73,25 +67,20 @@ class Batch {
   std::size_t size() const noexcept { return commands_.size(); }
   bool empty() const noexcept { return commands_.empty(); }
 
-  /// Builds the Bloom digest(s) from the batch's current commands. Called
+  /// Builds the Bloom digest from the batch's current commands. Called
   /// by the client proxy (the paper computes bitmaps client-side to
   /// offload the parallelizer, §VI). Idempotent.
   void build_bitmap(const BitmapConfig& cfg);
 
-  bool has_bitmap() const noexcept { return write_bloom_.size_bits() != 0; }
+  bool has_bitmap() const noexcept { return bloom_.size_bits() != 0; }
 
-  /// Unified digest covering all keys (paper's scheme) when
-  /// split_read_write is false; the write-key digest otherwise.
-  const util::KeyBloom& write_bloom() const noexcept { return write_bloom_; }
-  /// Read-key digest; empty unless split_read_write was set.
-  const util::KeyBloom& read_bloom() const noexcept { return read_bloom_; }
-  bool split_read_write() const noexcept { return split_rw_; }
+  /// The digest: one bit per key the batch touches, reads and writes alike
+  /// (the paper's scheme — conservative but never unsafe).
+  const util::KeyBloom& bloom() const noexcept { return bloom_; }
 
-  /// The distinct bit positions this batch sets in its unified digest —
-  /// kept alongside the dense array so the sparse conflict test
-  /// (bitmap_conflict_sparse) can probe O(batch) positions instead of
-  /// scanning O(m) words. Only populated for the unified (non-split)
-  /// scheme.
+  /// The distinct bit positions this batch sets in its digest, kept
+  /// alongside the dense array so the dependency graph's inverted index
+  /// can post O(batch) positions instead of scanning O(m) bits.
   const std::vector<std::uint32_t>& bitmap_positions() const noexcept { return positions_; }
 
   /// Stamps every configured placement digest in ONE pass over the
@@ -126,14 +115,12 @@ class Batch {
   std::uint64_t proxy_id_ = 0;
   std::uint32_t attempt_ = 1;
   std::vector<Command> commands_;
-  util::KeyBloom write_bloom_;
-  util::KeyBloom read_bloom_;
+  util::KeyBloom bloom_;
   std::vector<std::uint32_t> positions_;
   std::uint64_t shard_mask_ = 0;
   unsigned shard_count_ = 0;
   std::uint64_t class_mask_ = 0;
   std::uint64_t class_fp_ = 0;
-  bool split_rw_ = false;
 };
 
 using BatchPtr = std::shared_ptr<const Batch>;
@@ -161,23 +148,11 @@ std::uint64_t compute_class_mask(const Batch& batch,
 /// subject to false positives.
 bool bitmap_conflict(const Batch& a, const Batch& b) noexcept;
 
-/// Optimized bitmap conflict test (extension, not in the paper): probes the
-/// smaller batch's set positions against the other batch's dense array —
-/// O(min(Bi,Bj)) instead of O(m/64), with the IDENTICAL answer (both
-/// compute whether the position sets intersect). The ablation bench
-/// quantifies the speedup. Requires unified (non-split) digests.
-bool bitmap_conflict_sparse(const Batch& a, const Batch& b) noexcept;
-
 /// Exact key-based batch conflict test (paper lines 30–31,
 /// `cmmdKeyConflict`): nested-loop search for a pair of conflicting
 /// commands, stopping at the first hit — O(Bi·Bj) comparisons in the
 /// conflict-free case, exactly the cost profile the paper measures for
 /// "CBASE, batch size = 100/200" without bitmaps.
 bool key_conflict_nested(const Batch& a, const Batch& b) noexcept;
-
-/// Optimized exact test (extension, ablation bench): probes a hash set of
-/// the smaller batch's keys — O(Bi + Bj). Same answer as
-/// key_conflict_nested by construction.
-bool key_conflict_hashed(const Batch& a, const Batch& b);
 
 }  // namespace psmr::smr

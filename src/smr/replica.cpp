@@ -19,6 +19,7 @@ Replica::Replica(Config config, Service& service, ResponseSink sink)
       batches_deduped_(&metrics_->counter("replica.batches_deduped")),
       responses_from_cache_(&metrics_->counter("replica.responses_from_cache")),
       repartitions_applied_(&metrics_->counter("replica.repartitions_applied")),
+      batches_rejected_(&metrics_->counter("replica.batches_rejected")),
       scheduler_(
           [&] {
             // The scheduler publishes into the replica's registry, so one
@@ -74,6 +75,24 @@ bool Replica::deliver(BatchPtr batch) {
     }
     // The control sequence still advances the checkpoint clock, like the
     // dedup fast path: every replica checkpoints at the same sequence.
+    if (checkpoints_ != nullptr) checkpoints_->on_delivered(seq);
+    return true;
+  }
+  if (batch != nullptr && config_.scheduler.mode == core::ConflictMode::kBitmap &&
+      !batch->has_bitmap()) {
+    // The digest flag travels in the payload, so a batch from another
+    // process may arrive without one, and the bitmap pair test cannot rule
+    // on it. Every replica rejects it at the same sequence, executes none
+    // of it and leaves the session table alone, so a retransmission that
+    // carries a digest still runs exactly once.
+    for (const Command& c : batch->commands()) {
+      Response r;
+      r.client_id = c.client_id;
+      r.sequence = c.sequence;
+      r.status = Status::kFailed;
+      if (sink_) sink_(r);
+    }
+    batches_rejected_->add(1);
     if (checkpoints_ != nullptr) checkpoints_->on_delivered(seq);
     return true;
   }

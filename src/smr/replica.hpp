@@ -71,7 +71,10 @@ class Replica {
   /// Delivery callback — must be called in total order (one caller at a
   /// time, increasing sequences). Fully-duplicate batches (every tracked
   /// command already executed) are answered straight from the session cache
-  /// without entering the dependency graph.
+  /// without entering the dependency graph. A batch the scheduler cannot
+  /// test for conflicts — no digest under ConflictMode::kBitmap — is
+  /// rejected: each of its commands is answered with Status::kFailed and
+  /// nothing executes (`replica.batches_rejected`).
   bool deliver(BatchPtr batch);
 
   /// Unified snapshot covering the scheduler (`scheduler.*`, `graph.*`,
@@ -128,6 +131,7 @@ class Replica {
   obs::Counter* batches_deduped_;
   obs::Counter* responses_from_cache_;
   obs::Counter* repartitions_applied_;
+  obs::Counter* batches_rejected_;
   core::Scheduler scheduler_;
   std::unique_ptr<CheckpointManager> checkpoints_;
 };

@@ -50,21 +50,6 @@ smr::Command Generator::next(std::uint64_t client_id, std::uint64_t seq) {
   cmd.cost_ns = cfg_.cost_ns;
   cmd.value = rng_();
 
-  // The first hot_read_keys slots of every batch read the global hot keys,
-  // drawn from a reserved range at the top of the key space so they can
-  // never collide with any proxy's disjoint write range.
-  if (in_batch_ < cfg_.hot_read_keys) {
-    cmd.type = smr::OpType::kRead;
-    cmd.key = ~smr::Key{0} - static_cast<smr::Key>(in_batch_);
-    batch_keys_.push_back(cmd.key);
-    ++in_batch_;
-    if (in_batch_ == cfg_.batch_size) {
-      in_batch_ = 0;
-      if (pool_ != nullptr) pool_->add(batch_keys_);
-    }
-    return cmd;
-  }
-
   cmd.type = (cfg_.read_fraction > 0.0 && rng_.next_bool(cfg_.read_fraction))
                  ? smr::OpType::kRead
                  : smr::OpType::kUpdate;

@@ -67,13 +67,6 @@ struct GeneratorConfig {
   /// Contention-free mode (Fig. 4): keys come from a per-generator counter
   /// over a disjoint range, so no key is EVER reused across the run.
   bool disjoint_keys = false;
-  /// Read-heavy coordination pattern: every batch additionally READS this
-  /// many global hot keys (drawn from a reserved range at the top of the
-  /// key space). Reads never conflict
-  /// with each other, so exact detection keeps such batches independent —
-  /// but the paper's unified bitmap cannot tell and serializes them (the
-  /// false-positive class the split read/write digest removes).
-  std::size_t hot_read_keys = 0;
   /// Synthetic per-command execution cost (ns).
   std::uint32_t cost_ns = 0;
   /// Commands per batch — the generator needs it to place one conflicting

@@ -29,12 +29,6 @@ TEST(ConflictDetector, KeysNestedDetects) {
   EXPECT_GT(d.stats().comparisons, 0u);
 }
 
-TEST(ConflictDetector, KeysHashedDetects) {
-  ConflictDetector d(ConflictMode::kKeysHashed);
-  EXPECT_TRUE(d(updates({1, 2}), updates({2, 3})));
-  EXPECT_FALSE(d(updates({1, 2}), updates({3, 4})));
-}
-
 TEST(ConflictDetector, BitmapDetects) {
   smr::BitmapConfig cfg;
   cfg.bits = 102400;
@@ -49,12 +43,6 @@ TEST(ConflictDetector, NestedCostIsQuadratic) {
   EXPECT_EQ(d.stats().comparisons, 20u);
 }
 
-TEST(ConflictDetector, HashedCostIsLinear) {
-  ConflictDetector d(ConflictMode::kKeysHashed);
-  d(updates({1, 2, 3, 4, 5}), updates({10, 11, 12, 13}));
-  EXPECT_EQ(d.stats().comparisons, 9u);
-}
-
 TEST(ConflictDetector, BitmapCostIndependentOfBatchSize) {
   smr::BitmapConfig cfg;
   cfg.bits = 102400;
@@ -66,13 +54,11 @@ TEST(ConflictDetector, BitmapCostIndependentOfBatchSize) {
 }
 
 TEST(ConflictDetector, AllModesAgreeOnTrueConflicts) {
-  // Exact modes agree exactly; bitmap may add false positives but never
-  // misses a true conflict.
+  // The bitmap may add false positives but never misses a true conflict.
   util::Xoshiro256 rng(51);
   smr::BitmapConfig cfg;
   cfg.bits = 1024000;
   ConflictDetector nested(ConflictMode::kKeysNested);
-  ConflictDetector hashed(ConflictMode::kKeysHashed);
   ConflictDetector bitmap(ConflictMode::kBitmap);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<smr::Key> ka, kb;
@@ -94,7 +80,6 @@ TEST(ConflictDetector, AllModesAgreeOnTrueConflicts) {
     a.build_bitmap(cfg);
     b.build_bitmap(cfg);
     const bool exact = nested(a, b);
-    EXPECT_EQ(exact, hashed(a, b));
     if (exact) {
       EXPECT_TRUE(bitmap(a, b));
     }
@@ -112,7 +97,6 @@ TEST(ConflictDetector, ResetStatsZeroes) {
 
 TEST(ConflictMode, Names) {
   EXPECT_STREQ(to_string(ConflictMode::kKeysNested), "keys-nested");
-  EXPECT_STREQ(to_string(ConflictMode::kKeysHashed), "keys-hashed");
   EXPECT_STREQ(to_string(ConflictMode::kBitmap), "bitmap");
 }
 

@@ -1,6 +1,6 @@
 // Property tests for the inverted-index insert path (IndexMode::kIndexed,
 // and kAuto across its size-driven index activations and deactivations):
-// whatever the conflict mode and operation mix, the indexed graph must be
+// for both conflict modes and any operation mix, the indexed graph must be
 // EDGE-IDENTICAL to the paper's full scan at every step — the index is a
 // pure lookup optimization, so any divergence is a determinism bug. Also
 // proves the layered no-false-negative guarantee: bitmap-mode graphs always
@@ -28,7 +28,6 @@ struct WorkloadConfig {
   /// Bitmap digest size. Deliberately small so hash collisions produce
   /// false-positive conflicts — the equivalence must hold through them.
   std::size_t bitmap_bits = 512;
-  bool split_read_write = false;
 };
 
 smr::BatchPtr random_batch(util::Xoshiro256& rng, std::uint64_t seq,
@@ -45,10 +44,9 @@ smr::BatchPtr random_batch(util::Xoshiro256& rng, std::uint64_t seq,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse) {
+  if (mode == ConflictMode::kBitmap) {
     smr::BitmapConfig cfg;
     cfg.bits = wl.bitmap_bits;
-    cfg.split_read_write = wl.split_read_write;
     b->build_bitmap(cfg);
   }
   return b;
@@ -263,7 +261,6 @@ void run_transitions(ConflictMode mode, const WorkloadConfig& wl, std::uint64_t 
   }
   EXPECT_EQ(autog.index_stats().activations, static_cast<std::uint64_t>(cycles));
   EXPECT_EQ(autog.index_stats().deactivations, static_cast<std::uint64_t>(cycles));
-  EXPECT_FALSE(autog.index_stats().fell_back_to_scan);
 }
 
 TEST_P(GraphIndexProperty, AutoEdgeIdenticalAcrossIndexTransitions) {
@@ -282,25 +279,16 @@ TEST_P(GraphIndexProperty, AutoEdgeIdenticalAcrossTransitionsUnderHeavyConflicts
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GraphIndexProperty,
-                         ::testing::Values(ConflictMode::kKeysNested,
-                                           ConflictMode::kKeysHashed,
-                                           ConflictMode::kBitmap,
-                                           ConflictMode::kBitmapSparse),
+                         ::testing::Values(ConflictMode::kKeysNested, ConflictMode::kBitmap),
                          [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case ConflictMode::kKeysNested: return "KeysNested";
-                             case ConflictMode::kKeysHashed: return "KeysHashed";
-                             case ConflictMode::kBitmap: return "Bitmap";
-                             case ConflictMode::kBitmapSparse: return "BitmapSparse";
-                           }
-                           return "Unknown";
+                           return param_info.param == ConflictMode::kBitmap ? "Bitmap"
+                                                                            : "KeysNested";
                          });
 
 TEST(GraphIndexProperty, RemoveNewestKeepsIndexInSync) {
   // Dedicated remove_newest schedule: insert a probe, detach it, repeat —
   // the microbenchmark's cycle — against residents that stay put.
-  for (ConflictMode mode : {ConflictMode::kKeysNested, ConflictMode::kBitmap,
-                            ConflictMode::kBitmapSparse}) {
+  for (ConflictMode mode : {ConflictMode::kKeysNested, ConflictMode::kBitmap}) {
     WorkloadConfig wl;
     wl.key_space = 32;
     DependencyGraph indexed(mode, IndexMode::kIndexed);
@@ -333,8 +321,8 @@ TEST(GraphIndexProperty, RemoveNewestKeepsIndexInSync) {
 
 TEST(GraphIndexProperty, BitmapModesNeverMissKeyModeConflicts) {
   // Layered no-false-negative check: every edge the EXACT key analysis
-  // derives must appear in the bitmap graphs too (bitmaps may only ADD
-  // false-positive edges, never drop true ones) — under both index modes.
+  // derives must appear in the indexed bitmap graph too (bitmaps may only
+  // ADD false-positive edges, never drop true ones).
   WorkloadConfig wl;
   wl.key_space = 48;
   wl.bitmap_bits = 256;  // aggressively collision-prone
@@ -342,54 +330,19 @@ TEST(GraphIndexProperty, BitmapModesNeverMissKeyModeConflicts) {
     util::Xoshiro256 rng(seed);
     DependencyGraph exact(ConflictMode::kKeysNested, IndexMode::kScan);
     DependencyGraph dense_idx(ConflictMode::kBitmap, IndexMode::kIndexed);
-    DependencyGraph sparse_idx(ConflictMode::kBitmapSparse, IndexMode::kIndexed);
     for (std::uint64_t s = 1; s <= 40; ++s) {
       const auto b = random_batch(rng, s, ConflictMode::kBitmap, wl);
       exact.insert(b);
       dense_idx.insert(b);
-      sparse_idx.insert(b);
     }
     const Edges exact_edges = exact.edges();
     const Edges dense_edges = dense_idx.edges();
-    const Edges sparse_edges = sparse_idx.edges();
-    EXPECT_EQ(dense_edges, sparse_edges);  // identical answers by design
     for (const auto& e : exact_edges) {
       EXPECT_TRUE(std::find(dense_edges.begin(), dense_edges.end(), e) !=
                   dense_edges.end())
           << "bitmap mode missed exact conflict " << e.first << "->" << e.second;
     }
   }
-}
-
-TEST(GraphIndexProperty, AutoDegradesToScanOnSplitDigests) {
-  // Split read/write digests carry no position list; a kAuto graph must
-  // permanently fall back to scanning and still match the scan graph. An
-  // empty kAuto graph scans anyway (size rule), so unified-digest batches
-  // first grow it until the index is active.
-  WorkloadConfig unified;
-  WorkloadConfig split;
-  split.split_read_write = true;
-  DependencyGraph auto_graph(ConflictMode::kBitmap, IndexMode::kAuto);
-  DependencyGraph scan_graph(ConflictMode::kBitmap, IndexMode::kScan);
-  util::Xoshiro256 rng(99);
-  EXPECT_FALSE(auto_graph.index_active());
-  std::uint64_t s = 0;
-  while (!auto_graph.index_active()) {
-    const auto b = random_batch(rng, ++s, ConflictMode::kBitmap, unified);
-    auto_graph.insert(b);
-    scan_graph.insert(b);
-  }
-  EXPECT_EQ(s, DependencyGraph::kIndexActivateAbove + 2);
-  auto_graph.check_invariants();
-  for (int i = 0; i < 30; ++i) {
-    const auto b = random_batch(rng, ++s, ConflictMode::kBitmap, split);
-    auto_graph.insert(b);
-    scan_graph.insert(b);
-  }
-  EXPECT_FALSE(auto_graph.index_active());
-  EXPECT_TRUE(auto_graph.index_stats().fell_back_to_scan);
-  EXPECT_EQ(auto_graph.edges(), scan_graph.edges());
-  auto_graph.check_invariants();
 }
 
 TEST(GraphIndexProperty, FastPathSkipsAccountedOnDisjointWork) {

@@ -213,8 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
         SafetyParam{ConflictMode::kKeysNested, 4, 1, 0.5},
         SafetyParam{ConflictMode::kKeysNested, 16, 1, 0.9},
         SafetyParam{ConflictMode::kKeysNested, 8, 10, 0.3},
-        SafetyParam{ConflictMode::kKeysHashed, 8, 10, 0.3},
-        SafetyParam{ConflictMode::kKeysHashed, 16, 25, 0.6},
+        SafetyParam{ConflictMode::kKeysNested, 16, 25, 0.6},
         SafetyParam{ConflictMode::kBitmap, 4, 10, 0.3},
         SafetyParam{ConflictMode::kBitmap, 8, 25, 0.5},
         SafetyParam{ConflictMode::kBitmap, 16, 50, 0.1},
@@ -378,33 +377,6 @@ TEST(Scheduler, ReadOnlyBatchesSerializeUnderUnifiedBitmap) {
   s.wait_idle();
   s.stop();
   EXPECT_EQ(max_concurrent.load(), 1);
-}
-
-TEST(Scheduler, DenseAndSparseBitmapModesProduceIdenticalStates) {
-  // kBitmapSparse must be a pure performance substitution: identical final
-  // per-key write orders for the same delivery sequence.
-  util::Xoshiro256 rng(555);
-  smr::BitmapConfig bcfg;
-  bcfg.bits = 4096;  // small: plenty of false positives to agree on
-  std::vector<smr::BatchPtr> batches;
-  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
-    std::vector<smr::Key> keys;
-    for (int i = 0; i < 6; ++i) keys.push_back(rng.next_below(64));
-    batches.push_back(make_batch(seq, std::move(keys), &bcfg));
-  }
-  auto run = [&](ConflictMode mode) {
-    VersionRecorder rec;
-    SchedulerOptions cfg;
-    cfg.workers = 8;
-    cfg.mode = mode;
-    Scheduler s(cfg, [&](const smr::Batch& b) { rec.apply(b); });
-    s.start();
-    for (const auto& b : batches) s.deliver(b);
-    s.wait_idle();
-    s.stop();
-    return rec.take();
-  };
-  EXPECT_EQ(run(ConflictMode::kBitmap), run(ConflictMode::kBitmapSparse));
 }
 
 TEST(Scheduler, BackpressuredDeliverReturnsFalseOnStop) {

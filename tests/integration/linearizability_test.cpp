@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         LinParam{core::ConflictMode::kKeysNested, 1, 4, 2, 16, 11},
         LinParam{core::ConflictMode::kKeysNested, 8, 4, 3, 16, 12},
-        LinParam{core::ConflictMode::kKeysHashed, 4, 8, 2, 24, 13},
+        LinParam{core::ConflictMode::kKeysNested, 4, 8, 2, 24, 13},
         LinParam{core::ConflictMode::kBitmap, 4, 4, 3, 16, 14},
         LinParam{core::ConflictMode::kBitmap, 16, 8, 2, 24, 15},
         LinParam{core::ConflictMode::kBitmap, 8, 2, 4, 8, 16}),

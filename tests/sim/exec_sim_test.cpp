@@ -11,8 +11,7 @@ ExecSimConfig base(std::size_t batch, core::ConflictMode mode, unsigned workers)
   ExecSimConfig cfg;
   cfg.batch_size = batch;
   cfg.mode = mode;
-  cfg.use_bitmap =
-      mode == core::ConflictMode::kBitmap || mode == core::ConflictMode::kBitmapSparse;
+  cfg.use_bitmap = mode == core::ConflictMode::kBitmap;
   cfg.workers = workers;
   cfg.proxies = 8;
   cfg.commands_target = 20'000;
@@ -71,14 +70,6 @@ TEST(ExecSim, MonitorUtilizationReflectsBottleneck) {
   EXPECT_GT(keys.monitor_utilization, 0.8);
 }
 
-TEST(ExecSim, SparseBitmapAtLeastAsFastAsDense) {
-  const auto dense = run_exec_sim(base(200, core::ConflictMode::kBitmap, 8));
-  const auto sparse = run_exec_sim(base(200, core::ConflictMode::kBitmapSparse, 8));
-  // Sparse probing does strictly less monitor work; virtual throughput must
-  // not be materially worse (equal when both are worker/proxy-bound).
-  EXPECT_GE(sparse.kcmds_per_sec, dense.kcmds_per_sec * 0.9);
-}
-
 TEST(ExecSim, DeliveryCostCapsSmallBatches) {
   // bs=1 is delivery-bound: throughput ~ 1/delivery_ns regardless of
   // workers (the flat CBASE bars of Fig. 4).
@@ -99,17 +90,6 @@ TEST(ExecSim, ZipfSkewIncreasesConflictsAndLowersThroughput) {
   const auto z = run_exec_sim(skewed);
   EXPECT_GT(z.detected_conflict_fraction(), u.detected_conflict_fraction());
   EXPECT_LT(z.kcmds_per_sec, u.kcmds_per_sec);
-}
-
-TEST(ExecSim, SplitDigestBeatsUnifiedOnReadHotWorkload) {
-  auto unified = base(100, core::ConflictMode::kBitmap, 8);
-  unified.hot_read_keys = 4;
-  auto split = unified;
-  split.split_read_write = true;
-  const auto u = run_exec_sim(unified);
-  const auto s = run_exec_sim(split);
-  EXPECT_GT(s.kcmds_per_sec, u.kcmds_per_sec * 1.5);
-  EXPECT_GT(u.detected_conflict_fraction(), 0.5);  // unified: everything chains
 }
 
 TEST(ExecSim, PureCppRegimeIsFasterThanCalibrated) {

@@ -58,26 +58,6 @@ TEST(KeyConflictNested, ReadOnlyOverlapIsIndependent) {
   EXPECT_TRUE(key_conflict_nested(a, c));
 }
 
-TEST(KeyConflictHashed, AgreesWithNestedOnRandomBatches) {
-  util::Xoshiro256 rng(31);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::vector<Command> ca, cb;
-    const std::size_t na = 1 + rng.next_below(20);
-    const std::size_t nb = 1 + rng.next_below(20);
-    for (std::size_t i = 0; i < na; ++i) {
-      Command c = rng.next_bool(0.3) ? read(rng.next_below(30)) : update(rng.next_below(30));
-      ca.push_back(c);
-    }
-    for (std::size_t i = 0; i < nb; ++i) {
-      Command c = rng.next_bool(0.3) ? read(rng.next_below(30)) : update(rng.next_below(30));
-      cb.push_back(c);
-    }
-    Batch a = make_batch(std::move(ca));
-    Batch b = make_batch(std::move(cb));
-    EXPECT_EQ(key_conflict_nested(a, b), key_conflict_hashed(a, b)) << "trial " << trial;
-  }
-}
-
 TEST(BitmapConflict, NeverFalseNegative) {
   // THE safety property (§V): key conflict implies bitmap conflict, for
   // every bitmap size, including pathologically small ones.
@@ -125,69 +105,15 @@ TEST(BitmapConflict, UnifiedBitmapFlagsReadOnlyOverlap) {
   EXPECT_FALSE(key_conflict_nested(a, b));  // exact detection knows better
 }
 
-TEST(BitmapConflict, SplitReadWriteIgnoresReadOnlyOverlap) {
-  // The dual-bitmap extension removes exactly that class of false positive.
-  BitmapConfig cfg;
-  cfg.bits = 102400;
-  cfg.split_read_write = true;
-  Batch a = make_batch({read(7)}, &cfg);
-  Batch b = make_batch({read(7)}, &cfg);
-  EXPECT_FALSE(bitmap_conflict(a, b));
-  Batch c = make_batch({update(7)}, &cfg);
-  EXPECT_TRUE(bitmap_conflict(a, c));
-  EXPECT_TRUE(bitmap_conflict(c, a));
-  EXPECT_TRUE(bitmap_conflict(c, c));
-}
-
-TEST(BitmapConflict, SplitReadWriteNeverFalseNegative) {
-  util::Xoshiro256 rng(43);
-  BitmapConfig cfg;
-  cfg.bits = 256;  // tiny: plenty of hash collisions
-  cfg.split_read_write = true;
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<Command> ca, cb;
-    for (int i = 0; i < 8; ++i) {
-      ca.push_back(rng.next_bool(0.5) ? read(rng.next_below(40)) : update(rng.next_below(40)));
-      cb.push_back(rng.next_bool(0.5) ? read(rng.next_below(40)) : update(rng.next_below(40)));
-    }
-    Batch a = make_batch(std::move(ca), &cfg);
-    Batch b = make_batch(std::move(cb), &cfg);
-    if (key_conflict_nested(a, b)) {
-      EXPECT_TRUE(bitmap_conflict(a, b)) << trial;
-    }
-  }
-}
-
-TEST(BitmapConflictSparse, AlwaysAgreesWithDense) {
-  // The sparse probe is an implementation substitution for the dense scan:
-  // both compute whether the two batches' set-position sets intersect, so
-  // they must agree on EVERY pair — including false positives.
-  util::Xoshiro256 rng(53);
-  for (std::size_t bits : {64u, 1024u, 102400u}) {
-    BitmapConfig cfg;
-    cfg.bits = bits;
-    for (int trial = 0; trial < 300; ++trial) {
-      std::vector<Command> ca, cb;
-      const std::size_t na = 1 + rng.next_below(30), nb = 1 + rng.next_below(30);
-      for (std::size_t i = 0; i < na; ++i) ca.push_back(update(rng.next_below(500)));
-      for (std::size_t i = 0; i < nb; ++i) cb.push_back(update(rng.next_below(500)));
-      Batch a = make_batch(std::move(ca), &cfg);
-      Batch b = make_batch(std::move(cb), &cfg);
-      EXPECT_EQ(bitmap_conflict(a, b), bitmap_conflict_sparse(a, b))
-          << "bits=" << bits << " trial=" << trial;
-    }
-  }
-}
-
 TEST(BitmapPositions, DeduplicatedAndConsistentWithBitmap) {
   BitmapConfig cfg;
   cfg.bits = 4096;
   // Repeated keys must not duplicate positions.
   Batch b({update(7), update(7), update(9), update(7)});
   b.build_bitmap(cfg);
-  EXPECT_EQ(b.bitmap_positions().size(), b.write_bloom().bits_set());
+  EXPECT_EQ(b.bitmap_positions().size(), b.bloom().bits_set());
   for (std::uint32_t pos : b.bitmap_positions()) {
-    EXPECT_TRUE(b.write_bloom().bitmap().test(pos));
+    EXPECT_TRUE(b.bloom().bitmap().test(pos));
   }
 }
 
@@ -196,9 +122,9 @@ TEST(Batch, BuildBitmapIsIdempotent) {
   cfg.bits = 1024;
   Batch b({update(1), update(2)});
   b.build_bitmap(cfg);
-  const auto first = b.write_bloom().bitmap();
+  const auto first = b.bloom().bitmap();
   b.build_bitmap(cfg);
-  EXPECT_EQ(b.write_bloom().bitmap(), first);
+  EXPECT_EQ(b.bloom().bitmap(), first);
 }
 
 TEST(BatchStamp, MatchesLegacyBuildersOnRandomBatches) {

@@ -53,7 +53,7 @@ TEST(Codec, DigestRebuiltBitIdentical) {
   const auto decoded = decode_batch(encode_batch(original), cfg);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_TRUE(decoded->has_bitmap());
-  EXPECT_EQ(decoded->write_bloom().bitmap(), original.write_bloom().bitmap());
+  EXPECT_EQ(decoded->bloom().bitmap(), original.bloom().bitmap());
 }
 
 TEST(Codec, NoBitmapStaysAbsent) {

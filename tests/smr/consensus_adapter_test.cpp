@@ -48,8 +48,8 @@ TEST(ConsensusAdapter, RoundTripsBatchesOverLocalBroadcast) {
     EXPECT_EQ(delivered_a[i]->size(), 10u);
     EXPECT_TRUE(delivered_a[i]->has_bitmap());
     // Digest rebuilt bit-identically at both replicas.
-    EXPECT_EQ(delivered_a[i]->write_bloom().bitmap(),
-              delivered_b[i]->write_bloom().bitmap());
+    EXPECT_EQ(delivered_a[i]->bloom().bitmap(),
+              delivered_b[i]->bloom().bitmap());
     EXPECT_EQ(delivered_a[i]->commands(), delivered_b[i]->commands());
   }
 }

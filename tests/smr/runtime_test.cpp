@@ -3,9 +3,12 @@
 // ConsensusAdapter as the total order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "consensus/group.hpp"
 #include "kvstore/kvstore.hpp"
@@ -78,6 +81,119 @@ TEST(Replica, ExecutesAndRoutesResponses) {
   replica.stop();
   EXPECT_EQ(responses.load(), 40);
   EXPECT_EQ(store.size(), 40u);
+}
+
+/// Holds every command on `held_key` until `open` is set, so a test can keep
+/// a batch resident (taken) in the replica's graph.
+class GatedService : public Service {
+ public:
+  GatedService(Service& inner, Key held_key, const std::atomic<bool>& open)
+      : inner_(inner), held_key_(held_key), open_(open) {}
+  Response execute(const Command& cmd) override {
+    if (cmd.key == held_key_) {
+      while (!open_.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    return inner_.execute(cmd);
+  }
+
+ private:
+  Service& inner_;
+  Key held_key_;
+  const std::atomic<bool>& open_;
+};
+
+TEST(Replica, BitmapReplicaRejectsBatchWithoutDigest) {
+  // Whether a payload carries a digest is up to its sender. A bitmap
+  // replica that scheduled a digestless batch next to a resident one could
+  // not pair-test them; it must answer it as failed instead, at every
+  // replica alike, and go on.
+  BitmapConfig bitmap;
+  bitmap.bits = 4096;
+  consensus::LocalBroadcast broadcast;
+  ConsensusAdapter order(broadcast, bitmap);
+  std::atomic<bool> open{false};
+  constexpr Key kHeld = 1;
+  kv::KvStore store_a, store_b;
+  kv::KvService kv_a(store_a), kv_b(store_b);
+  GatedService svc_a(kv_a, kHeld, open), svc_b(kv_b, kHeld, open);
+  std::mutex mu;
+  std::vector<Response> responses[2];
+  auto sink_of = [&](int r) {
+    return [&, r](const Response& resp) {
+      std::lock_guard lk(mu);
+      responses[r].push_back(resp);
+    };
+  };
+  auto config_of = [&](kv::KvStore& store) {
+    Replica::Config rcfg;
+    rcfg.scheduler.workers = 2;
+    rcfg.scheduler.mode = core::ConflictMode::kBitmap;
+    // Without the session table: its checkpoint capture holds all 64
+    // stripe locks, which under LocalBroadcast's delivery lock is more
+    // locks than ThreadSanitizer's deadlock detector can track.
+    rcfg.exactly_once = false;
+    rcfg.checkpoint_interval = 4;
+    rcfg.checkpoint_state = [&store] { return store.serialize(); };
+    return rcfg;
+  };
+  Replica ra(config_of(store_a), svc_a, sink_of(0));
+  Replica rb(config_of(store_b), svc_b, sink_of(1));
+  order.subscribe_replica([&](BatchPtr b) { ra.deliver(b); });
+  order.subscribe_replica([&](BatchPtr b) { rb.deliver(b); });
+  ra.start();
+  rb.start();
+
+  auto with_digest = [&](std::initializer_list<Key> keys) {
+    auto b = updates(keys);
+    b->build_bitmap(bitmap);
+    return b;
+  };
+  std::vector<Command> rejected;
+  auto without_digest = [&](std::initializer_list<Key> keys) {
+    auto b = updates(keys);
+    rejected.insert(rejected.end(), b->commands().begin(), b->commands().end());
+    return b;
+  };
+  order.broadcast(with_digest({kHeld, 2}));  // seq 1: held in execution
+  order.broadcast(without_digest({2, 3}));   // seq 2: next to a resident batch
+  order.broadcast(with_digest({4, 5}));      // seq 3
+  open.store(true, std::memory_order_release);
+  order.broadcast(with_digest({2, 6}));      // seq 4: checkpoint
+  for (Key k = 7; k < 10; ++k) order.broadcast(with_digest({k}));  // seqs 5-7
+  order.broadcast(without_digest({10}));     // seq 8: checkpoint on a rejected batch
+  ra.wait_idle();
+  rb.wait_idle();
+  ra.stop();
+  rb.stop();
+
+  for (int r = 0; r < 2; ++r) {
+    const Replica& replica = r == 0 ? ra : rb;
+    EXPECT_EQ(replica.stats().counter("replica.batches_rejected"), 2u) << "replica " << r;
+    std::size_t failed = 0, ok = 0;
+    for (const Response& resp : responses[r]) {
+      const bool was_rejected =
+          std::any_of(rejected.begin(), rejected.end(), [&](const Command& c) {
+            return c.client_id == resp.client_id && c.sequence == resp.sequence;
+          });
+      EXPECT_EQ(resp.status, was_rejected ? Status::kFailed : Status::kOk);
+      (was_rejected ? failed : ok) += 1;
+    }
+    EXPECT_EQ(failed, rejected.size()) << "replica " << r;
+    EXPECT_EQ(ok, 9u) << "replica " << r;
+  }
+  // Only the batches with digests ran: keys 3 and 10 were never written.
+  const auto state = store_a.snapshot();
+  EXPECT_EQ(state, store_b.snapshot());
+  EXPECT_EQ(state.size(), 8u);
+  Value v = 0;
+  EXPECT_EQ(store_a.read(3, v), Status::kNotFound);
+  EXPECT_EQ(store_a.read(10, v), Status::kNotFound);
+  // Rejected sequences advance the checkpoint clock like any other.
+  for (Replica* replica : {&ra, &rb}) {
+    ASSERT_EQ(replica->checkpoints()->checkpoints_taken(), 2u);
+    EXPECT_EQ(replica->checkpoints()->latest()->sequence, 8u);
+  }
+  EXPECT_EQ(ra.checkpoints()->latest()->state, rb.checkpoints()->latest()->state);
 }
 
 TEST(Proxy, ClosedLoopCompletesBatches) {

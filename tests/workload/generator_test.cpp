@@ -137,26 +137,6 @@ TEST(Generator, ZipfModeProducesSkew) {
   EXPECT_GT(max_count, 50'000 / 1000 * 10);
 }
 
-TEST(Generator, HotReadKeysPrefixEveryBatch) {
-  GeneratorConfig cfg;
-  cfg.disjoint_keys = true;
-  cfg.batch_size = 10;
-  cfg.hot_read_keys = 3;
-  Generator gen(cfg, 0, nullptr);
-  for (int b = 0; b < 50; ++b) {
-    for (int j = 0; j < 10; ++j) {
-      const auto cmd = gen.next(0, b * 10 + j);
-      if (j < 3) {
-        EXPECT_TRUE(cmd.is_read());
-        EXPECT_EQ(cmd.key, ~smr::Key{0} - static_cast<smr::Key>(j));
-      } else {
-        EXPECT_TRUE(cmd.is_write());
-        EXPECT_LT(cmd.key, 1u << 20);  // proxy-0 disjoint range, not hot
-      }
-    }
-  }
-}
-
 TEST(Generator, DeterministicGivenSeedAndProxy) {
   GeneratorConfig cfg;
   cfg.seed = 5;

@@ -66,7 +66,7 @@ TEST_F(TraceTest, RoundTripPreservesBatches) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(batch->commands()[i], expected.commands()[i]);
     }
-    EXPECT_EQ(batch->write_bloom().bitmap(), expected.write_bloom().bitmap());
+    EXPECT_EQ(batch->bloom().bitmap(), expected.bloom().bitmap());
   }
   EXPECT_FALSE(reader.next().has_value());  // clean EOF
 }
