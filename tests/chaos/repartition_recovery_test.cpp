@@ -220,8 +220,11 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
     if (a.replica->stats().counter("scheduler.commands_executed") >=
             kTotalBatches &&
         fs.pending() == 0) {
+      // A must have delivered the re-proposal too: B's learner can run
+      // ahead of A's, and B alone on the new map is not convergence.
       std::lock_guard lk(b_mu);
-      converged = b->store.snapshot() == a.store.snapshot() &&
+      converged = a.replica->repartitions_applied() >= 2 &&
+                  b->store.snapshot() == a.store.snapshot() &&
                   b->replica->class_map_fingerprint() == next_map->fingerprint();
     }
     if (converged) break;
