@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "core/dependency_graph.hpp"
 #include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "host.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
@@ -384,153 +382,6 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, unsigned w
   return m;
 }
 
-struct ShardedMeasurement {
-  double delivery_kcmds_per_sec = 0.0;
-  double cross_fraction = 0.0;
-  psmr::obs::Snapshot final_metrics;
-};
-
-/// Delivery throughput through the ShardedScheduler on a partition-friendly
-/// workload: conflict-free kUpdate batches whose keys all hash into one
-/// target shard (round-robin across shards), mode keys-nested. Each shard's
-/// graph runs kAuto like every scheduler's, so once the pinned backlog
-/// passes kIndexActivateAbove an insert is an index probe, not a scan of
-/// the shard. Workers (total split across shards) are pinned on
-/// per-shard sentinel batches while the delivery loop is timed, exactly
-/// like measure_scheduler_throughput; S=1 is the single-scheduler baseline.
-/// `cross_fraction` makes every (1/f)-th batch span two shards, paying the
-/// deterministic rendezvous gate.
-ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_workers,
-                                              std::size_t batch_size,
-                                              std::size_t n_batches,
-                                              double cross_fraction) {
-  const unsigned per_shard_workers = std::max(1u, total_workers / shards);
-  const std::uint64_t n_sentinels =
-      static_cast<std::uint64_t>(shards) * per_shard_workers;
-
-  // Partition-friendly key source: walk the key space and keep the keys
-  // hashing into the requested shard (~S probes per key). Every key is
-  // distinct, so all batches are conflict-free.
-  std::uint64_t key_cursor = 1;
-  auto next_key_in_shard = [&](unsigned target) {
-    while (psmr::smr::shard_of_key(key_cursor, shards) != target) ++key_cursor;
-    return key_cursor++;
-  };
-  auto make_partition_batch = [&](std::uint64_t seq,
-                                  const std::vector<unsigned>& targets) {
-    std::vector<psmr::smr::Command> cmds;
-    cmds.reserve(batch_size);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      psmr::smr::Command c;
-      c.type = psmr::smr::OpType::kUpdate;
-      c.key = next_key_in_shard(targets[i % targets.size()]);
-      cmds.push_back(c);
-    }
-    auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
-    b->set_sequence(seq);
-    // Stamped at formation time, as the proxy does.
-    b->stamp(psmr::smr::PlacementMaps{shards, nullptr});
-    return b;
-  };
-
-  std::uint64_t seq = 0;
-  std::vector<psmr::smr::BatchPtr> pinned;
-  for (unsigned s = 0; s < shards; ++s) {
-    for (unsigned w = 0; w < per_shard_workers; ++w) {
-      pinned.push_back(make_partition_batch(++seq, {s}));
-    }
-  }
-  const std::size_t cross_period =
-      cross_fraction > 0.0 && shards > 1
-          ? std::max<std::size_t>(1, static_cast<std::size_t>(1.0 / cross_fraction))
-          : 0;
-  std::vector<psmr::smr::BatchPtr> batches;
-  batches.reserve(n_batches);
-  for (std::size_t i = 0; i < n_batches; ++i) {
-    const auto target = static_cast<unsigned>(i % shards);
-    if (cross_period != 0 && i % cross_period == 0) {
-      batches.push_back(
-          make_partition_batch(++seq, {target, (target + 1) % shards}));
-    } else {
-      batches.push_back(make_partition_batch(++seq, {target}));
-    }
-  }
-
-  std::atomic<bool> release{false};
-  psmr::core::SchedulerOptions sopts;
-  sopts.workers = per_shard_workers;
-  sopts.shards = shards;
-  sopts.mode = ConflictMode::kKeysNested;
-  psmr::core::ShardedScheduler scheduler(
-      std::move(sopts),
-      [&release, n_sentinels](const psmr::smr::Batch& b) {
-        if (b.sequence() <= n_sentinels) {
-          while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-        }
-      });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  // Let every shard's workers take their sentinels before the timed window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
-
-  ShardedMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.cross_fraction = st.gauge("scheduler.cross_shard_fraction");
-  m.final_metrics = st;
-  return m;
-}
-
-/// The shard sweep's resolved configuration — one source of truth for the
-/// measurement loop AND the `--shards` JSON header, so the header always
-/// names exactly what ran.
-struct ShardRow {
-  unsigned shards;
-  double cross;
-};
-constexpr ShardRow kShardRows[] = {{1, 0.0}, {2, 0.0}, {4, 0.0}, {4, 0.05}};
-constexpr unsigned kShardTotalWorkers = 4;
-
-/// The shard-scaling rows (ISSUE 5 acceptance: >= 1.5x delivery throughput
-/// at S=4 on a partition-friendly workload). Shared between the full
-/// `--json` run (section of BENCH_scheduler.json) and the `--shards` smoke
-/// target (own file, so parallel ctest runs never race on one path).
-void write_sharded_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) {
-  const std::size_t n = smoke ? 300 : 2000;
-  const std::size_t batch_size = 16;
-  double baseline = 0.0;
-  bool first = true;
-  for (const ShardRow& r : kShardRows) {
-    const ShardedMeasurement m = measure_sharded_throughput(
-        r.shards, kShardTotalWorkers, batch_size, n, r.cross);
-    if (r.shards == 1) baseline = m.delivery_kcmds_per_sec;
-    const double speedup = baseline > 0.0 ? m.delivery_kcmds_per_sec / baseline : 0.0;
-    std::fprintf(f,
-                 "%s    {\"mode\": \"keys-nested\", \"shards\": %u, "
-                 "\"workers_per_shard\": %u, \"batch_size\": %zu, \"batches\": %zu, "
-                 "\"cross_shard_fraction\": %.3f, "
-                 "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_single\": %.2f}",
-                 first ? "" : ",\n", r.shards,
-                 std::max(1u, kShardTotalWorkers / r.shards), batch_size, n,
-                 m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
-    first = false;
-    std::printf("sharded      shards=%u cross=%.2f: %10.1f kCmds/s "
-                "delivery, %.2fx vs single\n",
-                r.shards, m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
-    if (last_metrics != nullptr) *last_metrics = m.final_metrics;
-  }
-}
-
 struct EarlyMeasurement {
   double delivery_kcmds_per_sec = 0.0;
   double fast_path_fraction = 0.0;
@@ -576,7 +427,7 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->stamp(psmr::smr::PlacementMaps{0, map});  // stamped at formation time, as the proxy does
+    b->stamp(map);  // stamped at formation time, as the proxy does
     return b;
   };
 
@@ -694,7 +545,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->stamp(psmr::smr::PlacementMaps{0, map});
+    b->stamp(map);
     return b;
   };
 
@@ -707,7 +558,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->stamp(psmr::smr::PlacementMaps{0, map});
+    b->stamp(map);
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> batches;
@@ -784,8 +635,8 @@ void write_zipf_rows(FILE* f, bool smoke, double extra_theta) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared bench-file scaffolding for the single-mode entry points (--shards,
-// --early, --zipf-theta, --checkpoints, --former). Every mode opens its file
+// Shared bench-file scaffolding for the single-mode entry points (--early,
+// --zipf-theta, --checkpoints, --former). Every mode opens its file
 // with the same resolved-configuration header — bench name, smoke flag,
 // optional schema tag, and a "config" object naming exactly what runs — so
 // headers are printed by ONE function and cannot drift from the measurement
@@ -825,16 +676,15 @@ int write_metrics_export(const char* path, const psmr::obs::Snapshot& snap) {
 
 // ---------------------------------------------------------------------------
 // `--former` mode (ISSUE 9): affinity-aware batch formation vs the paper's
-// oblivious append-until-full packing, swept over Zipf skew. The fractions
-// that gate the downstream fast paths — multi_class_fraction for the early
-// scheduler, cross_shard_fraction for the sharded gate — are computed from
-// the FORMED batches' stamps, and the formed stream is then delivered
-// through the EarlyScheduler so the throughput column shows what formation
-// buys (theta=0) and what it costs where it cannot help (theta=0.99).
+// oblivious append-until-full packing, swept over Zipf skew. The fraction
+// that gates the early scheduler's fast path, multi_class_fraction, is
+// computed from the FORMED batches' class stamps, and the formed stream is
+// then delivered through the EarlyScheduler so the throughput column shows
+// what formation buys (theta=0) and what it costs where it cannot help
+// (theta=0.99).
 // ---------------------------------------------------------------------------
 
 constexpr unsigned kFormationWorkers = 4;
-constexpr unsigned kFormationShards = 4;
 constexpr std::size_t kFormationBatchSize = 16;
 constexpr std::uint64_t kFormationUniverse = 1ull << 20;
 constexpr double kFormationThetas[] = {0.0, 0.5, 0.99};
@@ -843,16 +693,15 @@ struct FormationMeasurement {
   std::size_t batches_formed = 0;
   double avg_batch_fill = 0.0;
   double multi_class_fraction = 0.0;
-  double cross_shard_fraction = 0.0;
   double delivery_kcmds_per_sec = 0.0;
   psmr::obs::Snapshot final_metrics;
 };
 
 /// Runs `n_commands` Zipf-drawn commands through a BatchFormer under the
-/// given policy (4-class contiguous-range map over a 2^20 universe, S=4
-/// shard stamping), then delivers the formed stream through the
-/// EarlyScheduler with sentinel-pinned workers — identical plumbing for both
-/// policies, so the rows differ only in packing.
+/// given policy (4-class contiguous-range map over a 2^20 universe), then
+/// delivers the formed stream through the EarlyScheduler with
+/// sentinel-pinned workers — identical plumbing for both policies, so the
+/// rows differ only in packing.
 FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
                                        double theta, std::size_t n_commands) {
   const std::uint64_t span = kFormationUniverse / kFormationWorkers;
@@ -865,7 +714,7 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
   psmr::smr::BatchFormer::Config fcfg;
   fcfg.policy = policy;
   fcfg.batch_size = kFormationBatchSize;
-  fcfg.placement = psmr::smr::PlacementMaps{kFormationShards, map};
+  fcfg.class_map = map;
   fcfg.metrics = registry;
   psmr::smr::BatchFormer former(std::move(fcfg));
 
@@ -884,16 +733,14 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
 
   FormationMeasurement m;
   m.batches_formed = formed.size();
-  std::size_t multi = 0, cross = 0;
+  std::size_t multi = 0;
   for (const psmr::smr::Batch& b : formed) {
     if (__builtin_popcountll(b.class_mask()) > 1) ++multi;
-    if (__builtin_popcountll(b.shard_mask()) > 1) ++cross;
   }
   if (!formed.empty()) {
     const auto n = static_cast<double>(formed.size());
     m.avg_batch_fill = static_cast<double>(n_commands) / n;
     m.multi_class_fraction = static_cast<double>(multi) / n;
-    m.cross_shard_fraction = static_cast<double>(cross) / n;
   }
 
   // Sentinel-pinned delivery of the formed stream (same harness as the
@@ -907,7 +754,7 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->stamp(psmr::smr::PlacementMaps{kFormationShards, map});
+    b->stamp(map);
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> stream;
@@ -961,22 +808,20 @@ void write_formation_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics
       const FormationMeasurement m = measure_formation(policy, theta, n_commands);
       std::fprintf(f,
                    "%s    {\"zipf_theta\": %.2f, \"policy\": \"%s\", "
-                   "\"workers\": %u, \"shards\": %u, \"batch_size\": %zu, "
+                   "\"workers\": %u, \"batch_size\": %zu, "
                    "\"commands\": %zu, \"batches_formed\": %zu, "
                    "\"avg_batch_fill\": %.2f, \"multi_class_fraction\": %.4f, "
-                   "\"cross_shard_fraction\": %.4f, "
                    "\"delivery_kcmds_per_sec\": %.1f}",
                    first ? "" : ",\n", theta, psmr::smr::to_string(policy),
-                   kFormationWorkers, kFormationShards, kFormationBatchSize,
-                   n_commands, m.batches_formed, m.avg_batch_fill,
-                   m.multi_class_fraction, m.cross_shard_fraction,
+                   kFormationWorkers, kFormationBatchSize, n_commands,
+                   m.batches_formed, m.avg_batch_fill, m.multi_class_fraction,
                    m.delivery_kcmds_per_sec);
       first = false;
       std::printf("formation    theta=%.2f %-9s: %6zu batches, fill %5.2f, "
-                  "multi-class %.4f, cross-shard %.4f, %10.1f kCmds/s\n",
+                  "multi-class %.4f, %10.1f kCmds/s\n",
                   theta, psmr::smr::to_string(policy), m.batches_formed,
                   m.avg_batch_fill, m.multi_class_fraction,
-                  m.cross_shard_fraction, m.delivery_kcmds_per_sec);
+                  m.delivery_kcmds_per_sec);
       if (last_metrics != nullptr) *last_metrics = m.final_metrics;
     }
   }
@@ -985,11 +830,11 @@ void write_formation_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics
 std::string formation_config_json() {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"workers\": %u, \"shards\": %u, \"batch_size\": %zu, "
+                "{\"workers\": %u, \"batch_size\": %zu, "
                 "\"classes\": %u, \"key_universe\": %llu, "
                 "\"policies\": [\"oblivious\", \"affinity\"], "
                 "\"zipf_thetas\": [0.0, 0.5, 0.99]}",
-                kFormationWorkers, kFormationShards, kFormationBatchSize,
+                kFormationWorkers, kFormationBatchSize,
                 kFormationWorkers,
                 static_cast<unsigned long long>(kFormationUniverse));
   return buf;
@@ -1165,42 +1010,6 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
   return write_metrics_export(metrics_path, last_metrics);
 }
 
-/// `--shards` mode: only the shard-scaling rows, written to
-/// BENCH_scheduler_shards.json (+ the sharded run's psmr.metrics.v1 export
-/// for the schema fixture).
-int shards_main(bool smoke, const char* metrics_path) {
-  // Resolved configuration header (ISSUE 7 satellite): what actually runs,
-  // derived from the same row table the measurement loop iterates.
-  std::string config;
-  {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"total_workers\": %u, \"mode\": \"keys-nested\", \"rows\": [",
-                  kShardTotalWorkers);
-    config += buf;
-    for (std::size_t i = 0; i < std::size(kShardRows); ++i) {
-      const ShardRow& r = kShardRows[i];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"shards\": %u, \"workers_per_shard\": %u, "
-                    "\"cross_shard_fraction\": %.3f}",
-                    i == 0 ? "" : ", ", r.shards,
-                    std::max(1u, kShardTotalWorkers / r.shards), r.cross);
-      config += buf;
-    }
-    config += "]}";
-  }
-  FILE* f = open_bench_file("BENCH_scheduler_shards.json",
-                            "micro_scheduler_shards", smoke, nullptr, config);
-  if (f == nullptr) return 1;
-  std::fprintf(f, "  \"sharded_scheduler\": [\n");
-  psmr::obs::Snapshot last_metrics;
-  write_sharded_rows(f, smoke, &last_metrics);
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_scheduler_shards.json\n");
-  return write_metrics_export(metrics_path, last_metrics);
-}
-
 /// `--early` mode: only the early-scheduler acceptance rows, written to
 /// BENCH_scheduler_early.json (+ the early run's psmr.metrics.v1 export
 /// carrying the early.* counters/gauges for the schema fixture).
@@ -1344,8 +1153,6 @@ int json_main(bool smoke, const char* metrics_path) {
   write_early_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ],\n  \"zipf_sweep\": [\n");
   write_zipf_rows(f, smoke, /*extra_theta=*/-1.0);
-  std::fprintf(f, "\n  ],\n  \"sharded_scheduler\": [\n");
-  write_sharded_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ],\n  \"checkpoint_sweep\": [\n");
   write_checkpoint_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ]\n}\n");
@@ -1361,7 +1168,6 @@ int json_main(bool smoke, const char* metrics_path) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool shards = false;
   bool checkpoints = false;
   bool early = false;
   bool former = false;
@@ -1371,7 +1177,6 @@ int main(int argc, char** argv) {
   const char* metrics_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--shards") == 0) shards = true;
     if (std::strcmp(argv[i], "--checkpoint-interval") == 0) checkpoints = true;
     if (std::strcmp(argv[i], "--checkpoints") == 0) checkpoints = true;
     if (std::strcmp(argv[i], "--early") == 0) early = true;
@@ -1389,11 +1194,6 @@ int main(int argc, char** argv) {
     return checkpoints_main(smoke,
                             metrics_path != nullptr ? metrics_path
                                                     : "METRICS_checkpoint.json");
-  }
-  if (shards) {
-    return shards_main(smoke,
-                       metrics_path != nullptr ? metrics_path
-                                               : "METRICS_sharded_scheduler.json");
   }
   if (early) {
     return early_main(smoke,

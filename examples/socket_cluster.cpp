@@ -16,7 +16,10 @@
 // BEFORE any transport exists, so no thread ever crosses a fork. Ports are
 // kernel-assigned and exchanged over pipes; nothing leaves 127.0.0.1.
 //
-// Exit status 0 iff all four fingerprints match.
+// Exit status 0 iff all four fingerprints match. Every other outcome has its
+// own status and a line on stderr: 1 fingerprint mismatch, 2 pipe or fork
+// failure, 3 a replica process not fully delivered within its cap, 4 the
+// in-process reference not fully delivered within its cap.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,6 +28,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,6 +53,12 @@ constexpr int kReplicas = 3;
 constexpr std::uint64_t kBatches = 80;
 constexpr std::uint64_t kPerBatch = 5;
 constexpr std::uint64_t kTotalCommands = kBatches * kPerBatch;
+constexpr auto kDeliveryCap = 60s;
+
+constexpr int kExitMismatch = 1;
+constexpr int kExitPipe = 2;
+constexpr int kExitReplicaTimeout = 3;
+constexpr int kExitReferenceTimeout = 4;
 
 smr::Command make_cmd(std::uint64_t seq) {
   smr::Command c;
@@ -78,6 +89,34 @@ bool read_exact(int fd, void* buf, std::size_t n) {
   return true;
 }
 
+/// Waits until `replica` has consumed every broadcast batch — handed to its
+/// scheduler or dropped as a duplicate at delivery — then for the scheduler
+/// to go idle. This counts delivery progress, not executed commands, which
+/// a deduplicated or failed command never adds to. When kDeliveryCap
+/// expires first, names the shortfall on stderr and returns false.
+bool await_delivery(smr::Replica& replica, const std::string& who) {
+  const auto consumed = [&] {
+    const auto st = replica.stats();
+    return st.counter("scheduler.batches_delivered") +
+           st.counter("replica.batches_deduped");
+  };
+  const auto deadline = std::chrono::steady_clock::now() + kDeliveryCap;
+  std::uint64_t n = consumed();
+  while (n != kBatches && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+    n = consumed();
+  }
+  if (n != kBatches) {
+    std::fprintf(stderr, "%s: consumed %llu of %llu batches within %llds\n",
+                 who.c_str(), static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(kBatches),
+                 static_cast<long long>(kDeliveryCap.count()));
+    return false;
+  }
+  replica.wait_idle();
+  return true;
+}
+
 bool write_exact(int fd, const void* buf, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(buf);
   while (n > 0) {
@@ -95,7 +134,7 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
 [[noreturn]] void run_replica(net::ProcessId id, int port_in_fd, int port_out_fd,
                               int digest_out_fd) {
   std::uint16_t relay_port = 0;
-  if (!read_exact(port_in_fd, &relay_port, sizeof(relay_port))) ::_exit(2);
+  if (!read_exact(port_in_fd, &relay_port, sizeof(relay_port))) ::_exit(kExitPipe);
 
   net::SocketTransportConfig tcfg;
   tcfg.peers[id] = net::SocketAddr{"127.0.0.1", 0};
@@ -107,7 +146,7 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
   ccfg.server = kRelayId;
   consensus::RemoteBroadcastClient client(transport, ccfg);
   const std::uint16_t own_port = transport.listen_port(id);
-  if (!write_exact(port_out_fd, &own_port, sizeof(own_port))) ::_exit(2);
+  if (!write_exact(port_out_fd, &own_port, sizeof(own_port))) ::_exit(kExitPipe);
 
   kv::KvStore store;
   kv::KvService service(store);
@@ -124,14 +163,11 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
   client.start();
   replica.start();
 
-  const auto deadline = std::chrono::steady_clock::now() + 60s;
-  while (replica.stats().counter("scheduler.commands_executed") < kTotalCommands) {
-    if (std::chrono::steady_clock::now() > deadline) ::_exit(3);
-    std::this_thread::sleep_for(5ms);
+  if (!await_delivery(replica, "replica " + std::to_string(id))) {
+    ::_exit(kExitReplicaTimeout);
   }
-  replica.wait_idle();
   const std::uint64_t digest = store.digest();
-  if (!write_exact(digest_out_fd, &digest, sizeof(digest))) ::_exit(2);
+  if (!write_exact(digest_out_fd, &digest, sizeof(digest))) ::_exit(kExitPipe);
 
   client.stop();
   replica.stop();
@@ -141,8 +177,8 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
 
 /// The simulated-net reference: the identical workload through the plain
 /// in-process stack. Its digest is the fingerprint the socket cluster must
-/// reproduce.
-std::uint64_t reference_digest() {
+/// reproduce; nullopt if the stack did not consume every batch in time.
+std::optional<std::uint64_t> reference_digest() {
   consensus::LocalBroadcast inner;
   kv::KvStore store;
   kv::KvService service(store);
@@ -160,14 +196,10 @@ std::uint64_t reference_digest() {
   for (std::uint64_t i = 0; i < kBatches; ++i) {
     adapter.broadcast(std::make_unique<smr::Batch>(smr::Batch(batch_commands(i))));
   }
-  const auto deadline = std::chrono::steady_clock::now() + 60s;
-  while (replica.stats().counter("scheduler.commands_executed") < kTotalCommands &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(5ms);
-  }
-  replica.wait_idle();
+  const bool delivered = await_delivery(replica, "reference");
   replica.stop();
   inner.stop();
+  if (!delivered) return std::nullopt;
   return store.digest();
 }
 
@@ -182,7 +214,7 @@ int main() {
   for (int i = 0; i < kReplicas; ++i) {
     if (::pipe(to_child[i]) != 0 || ::pipe(from_child[i]) != 0) {
       std::perror("pipe");
-      return 1;
+      return kExitPipe;
     }
   }
 
@@ -192,7 +224,7 @@ int main() {
     pids[i] = ::fork();
     if (pids[i] < 0) {
       std::perror("fork");
-      return 1;
+      return kExitPipe;
     }
     if (pids[i] == 0) {
       for (int j = 0; j < kReplicas; ++j) {
@@ -228,14 +260,14 @@ int main() {
   for (int i = 0; i < kReplicas; ++i) {
     if (!write_exact(to_child[i][1], &relay_port, sizeof(relay_port))) {
       std::fprintf(stderr, "replica %d: pipe write failed\n", 2 + i);
-      return 1;
+      return kExitPipe;
     }
   }
   for (int i = 0; i < kReplicas; ++i) {
     std::uint16_t port = 0;
     if (!read_exact(from_child[i][0], &port, sizeof(port))) {
       std::fprintf(stderr, "replica %d: no port report\n", 2 + i);
-      return 1;
+      return kExitPipe;
     }
     server_transport.set_peer(static_cast<net::ProcessId>(2 + i),
                               net::SocketAddr{"127.0.0.1", port});
@@ -253,36 +285,51 @@ int main() {
               static_cast<unsigned long long>(kBatches),
               static_cast<unsigned long long>(kTotalCommands), kReplicas);
 
-  const std::uint64_t expected = reference_digest();
-  std::printf("simulated-net reference fingerprint: %016llx\n",
-              static_cast<unsigned long long>(expected));
+  // The first failure names the outcome; a replica's own exit status (a
+  // timeout, say) explains its missing digest, so it outranks a mismatch.
+  int result = 0;
+  const std::optional<std::uint64_t> expected = reference_digest();
+  if (expected) {
+    std::printf("simulated-net reference fingerprint: %016llx\n",
+                static_cast<unsigned long long>(*expected));
+  } else {
+    result = kExitReferenceTimeout;
+  }
 
-  bool ok = true;
+  bool mismatch = false;
+  bool missing = false;
   for (int i = 0; i < kReplicas; ++i) {
     std::uint64_t digest = 0;
     if (!read_exact(from_child[i][0], &digest, sizeof(digest))) {
       std::fprintf(stderr, "replica %d: no digest report\n", 2 + i);
-      ok = false;
+      missing = true;
       continue;
     }
-    const bool match = digest == expected;
+    if (!expected) continue;
+    const bool match = digest == *expected;
     std::printf("replica process %d fingerprint:       %016llx  %s\n", 2 + i,
                 static_cast<unsigned long long>(digest),
                 match ? "MATCH" : "MISMATCH");
-    ok = ok && match;
+    mismatch = mismatch || !match;
   }
   for (int i = 0; i < kReplicas; ++i) {
     int status = 0;
-    if (::waitpid(pids[i], &status, 0) != pids[i] ||
-        !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    const bool exited = ::waitpid(pids[i], &status, 0) == pids[i] && WIFEXITED(status);
+    if (!exited || WEXITSTATUS(status) != 0) {
       std::fprintf(stderr, "replica %d: abnormal exit (status %d)\n", 2 + i, status);
-      ok = false;
+      if (result == 0) result = exited ? WEXITSTATUS(status) : kExitPipe;
     }
   }
   relay.stop();
   inner.stop();
   server_transport.shutdown();
-  std::printf(ok ? "all replica processes converged on the reference fingerprint\n"
-                 : "FINGERPRINT MISMATCH\n");
-  return ok ? 0 : 1;
+  if (result == 0 && missing) result = kExitPipe;
+  if (result == 0 && mismatch) {
+    std::fprintf(stderr, "FINGERPRINT MISMATCH\n");
+    result = kExitMismatch;
+  }
+  if (result == 0) {
+    std::printf("all replica processes converged on the reference fingerprint\n");
+  }
+  return result;
 }

@@ -1,7 +1,5 @@
 // Shared watermark/backpressure instrumentation for the delivery queues of
-// all four scheduler variants (DESIGN.md §14). Each variant owns one meter
-// (the ShardedScheduler's per-shard engines each own their own; they merge
-// under shard.N.backpressure.* like every other per-shard family).
+// all three scheduler variants (DESIGN.md §14). Each variant owns one meter.
 //
 // Thread-safety: update() and the wait counters are called only from the
 // single delivery thread of the owning scheduler, which is the contract

@@ -54,7 +54,6 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
   // and leaves tracing to the outer tracer.
   SchedulerOptions sub = config_;
   sub.metrics = nullptr;
-  sub.shards = 1;
   sub.class_map = nullptr;
   sub.trace_capacity = 0;
   fallback_ = std::make_unique<Scheduler>(
@@ -346,9 +345,9 @@ void EarlyScheduler::complete_one() {
 
 void EarlyScheduler::begin_barrier(std::uint64_t seq) {
   PSMR_CHECK(!barrier_armed_.load(std::memory_order_relaxed));
-  // Arm EVERYTHING before awaiting anything (ShardedScheduler's rule): no
-  // participant may start a batch newer than `seq`, while batches <= seq
-  // — including gated ones — stay runnable everywhere.
+  // Arm EVERYTHING before awaiting anything: no participant may start a
+  // batch newer than `seq`, while batches <= seq — including gated ones —
+  // stay runnable everywhere.
   fallback_->begin_barrier(seq);
   {
     std::lock_guard lk(barrier_mu_);

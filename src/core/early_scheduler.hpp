@@ -20,8 +20,8 @@
 //      thread and drained only by its worker, in FIFO order.
 //   2. MULTI-CLASS — classes owned by several workers: every touched
 //      worker receives the batch plus a rendezvous gate keyed by the
-//      delivery sequence (the same RendezvousGate the ShardedScheduler
-//      uses); the lowest touched participant runs the executor exactly once.
+//      delivery sequence (a RendezvousGate, core/engine_parts.hpp); the
+//      lowest touched participant runs the executor exactly once.
 //   3. FALLBACK — the batch touches an unclassified key: it is inserted
 //      into an embedded graph Scheduler, recovering the paper's general
 //      mechanism. A batch that ALSO touches classified classes rendezvouses
@@ -105,7 +105,8 @@ class EarlyScheduler {
 
   /// Checkpoint barrier (DESIGN.md §12/§13). Arms every class worker and
   /// the fallback engine at `seq` first, then waits. Call from the
-  /// delivery thread, like ShardedScheduler::drain_to_sequence.
+  /// delivery thread, so no batch newer than `seq` can reach a participant
+  /// that is not yet armed.
   void begin_barrier(std::uint64_t seq);
   void await_barrier();
   void release_barrier();

@@ -1,5 +1,5 @@
 // Support parts shared by every scheduler variant (Scheduler,
-// PipelinedScheduler, ShardedScheduler, EarlyScheduler): the registry
+// PipelinedScheduler, EarlyScheduler): the registry
 // handles of the exactly-once totals, the graph-stat delta publisher, the
 // guarded executor call, the consecutive-failure circuit breaker, and the
 // cross-participant rendezvous gate. Each exists once, here; the variants
@@ -154,9 +154,9 @@ class CircuitBreaker {
   obs::Gauge& degraded_gauge_;
 };
 
-/// Rendezvous state for one batch handed to several participants (shards
-/// of the ShardedScheduler; class workers and the fallback engine of the
-/// EarlyScheduler), keyed by its delivery sequence. The lowest participant
+/// Rendezvous state for one batch handed to several participants (the
+/// class workers and the fallback engine of the EarlyScheduler), keyed by
+/// its delivery sequence. The lowest participant
 /// leads: it runs the batch once every participant has arrived.
 struct RendezvousGate {
   RendezvousGate(unsigned expected_participants, std::size_t leader_id)

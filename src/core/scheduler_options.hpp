@@ -1,6 +1,5 @@
 // One construction surface for every scheduler variant: Scheduler,
-// PipelinedScheduler, ShardedScheduler and EarlyScheduler all take this
-// options struct.
+// PipelinedScheduler and EarlyScheduler all take this options struct.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +16,8 @@ class MetricsRegistry;
 namespace psmr::core {
 
 struct SchedulerOptions {
-  /// Number of worker threads N. For the ShardedScheduler this is the pool
-  /// size PER SHARD (total execution threads = shards * workers).
+  /// Number of worker threads N.
   unsigned workers = 1;
-
-  /// Key-space partitions of the ShardedScheduler (DESIGN.md §11): each
-  /// shard owns an independent dependency graph, monitor, and worker pool.
-  /// Capped at 64 so a batch's touched-shard set fits one mask word. The
-  /// single-graph Scheduler and PipelinedScheduler ignore it.
-  unsigned shards = 1;
 
   /// Conflict detection mechanism (the paper's `useBitmap` switch). How the
   /// graph finds the batches to test is its own choice (IndexMode::kAuto,
@@ -44,8 +36,8 @@ struct SchedulerOptions {
   /// single-batch execution — one batch in flight at a time, delivery order
   /// — instead of crashing or wedging. 0 disables the circuit (failures are
   /// still isolated and counted). Honoured by every variant (the
-  /// ShardedScheduler through its per-shard engines; the EarlyScheduler by
-  /// its class workers and, independently, its fallback engine).
+  /// EarlyScheduler by its class workers and, independently, its fallback
+  /// engine).
   unsigned circuit_failure_threshold = 0;
 
   /// Half-open recovery for the circuit breaker: while degraded, this many
@@ -78,7 +70,6 @@ struct SchedulerOptions {
   /// early for a better failure location.
   void validate() const {
     PSMR_CHECK(workers >= 1);
-    PSMR_CHECK(shards >= 1 && shards <= 64);
     PSMR_CHECK(mode == ConflictMode::kKeysNested || mode == ConflictMode::kBitmap);
   }
 };

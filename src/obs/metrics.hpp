@@ -152,8 +152,7 @@ class Snapshot {
 
   /// Sum of every counter whose name ends in `suffix` — aggregates the
   /// per-component replicas of one metric across merge() prefixes (e.g.
-  /// all `shard.N.scheduler.batches_executed` rows of a ShardedScheduler
-  /// export, or `worker.N.batches_executed` across workers).
+  /// `worker.N.batches_executed` across workers).
   std::uint64_t counter_sum(std::string_view suffix) const;
 
   /// Copies every entry of `other` into this snapshot, prepending `prefix`

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "core/dependency_graph.hpp"
 #include "smr/batch.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 #include "util/time.hpp"
 #include "workload/generator.hpp"
 
@@ -24,7 +22,6 @@ struct Event {
   Kind kind;
   unsigned proxy = 0;                         // kArrival
   core::DependencyGraph::Node* node = nullptr;  // kWorkerFinish
-  unsigned shard = 0;                         // kWorkerFinish
 
   bool operator>(const Event& o) const {
     if (at_ns != o.at_ns) return at_ns > o.at_ns;
@@ -46,18 +43,8 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
   PSMR_CHECK(cfg.workers >= 1);
   PSMR_CHECK(cfg.proxies >= 1);
   PSMR_CHECK(cfg.batch_size >= 1);
-  PSMR_CHECK(cfg.shards >= 1 && cfg.shards <= 64);
-  PSMR_CHECK(cfg.cross_shard_fraction >= 0.0 && cfg.cross_shard_fraction <= 1.0);
 
-  // One real dependency graph — and one serial monitor resource — per
-  // shard (DESIGN.md §11). S = 1 degenerates to the original single-
-  // scheduler model with every batch in shard 0.
-  const unsigned S = cfg.shards;
-  std::vector<std::unique_ptr<core::DependencyGraph>> graphs;
-  graphs.reserve(S);
-  for (unsigned s = 0; s < S; ++s) {
-    graphs.push_back(std::make_unique<core::DependencyGraph>(cfg.mode, cfg.index));
-  }
+  core::DependencyGraph graph(cfg.mode, cfg.index);
 
   smr::BitmapConfig bitmap;
   bitmap.bits = cfg.bitmap_bits;
@@ -102,21 +89,18 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t tiebreak = 0;
   for (unsigned p = 0; p < cfg.proxies; ++p) {
-    events.push(Event{cfg.broadcast_ns, tiebreak++, Event::Kind::kArrival, p, nullptr, 0});
+    events.push(Event{cfg.broadcast_ns, tiebreak++, Event::Kind::kArrival, p, nullptr});
   }
 
   std::uint64_t now = 0;
-  std::vector<std::uint64_t> monitor_free_at(S, 0);
+  std::uint64_t monitor_free_at = 0;
   std::uint64_t delivery_free_at = 0;
   std::uint64_t monitor_busy_ns = 0;
   std::uint64_t worker_busy_ns = 0;
-  std::vector<unsigned> idle_workers(S, cfg.workers);
+  unsigned idle_workers = cfg.workers;
   std::uint64_t next_seq = 1;
   std::uint64_t commands_done = 0;
   std::uint64_t batches_done = 0;
-  // Sequence numbers of in-flight multi-shard batches (their inserts were
-  // charged to every monitor; see the arrival handler).
-  std::unordered_set<std::uint64_t> cross_inflight;
 
   const std::uint64_t warmup_commands =
       static_cast<std::uint64_t>(cfg.warmup_fraction * static_cast<double>(cfg.commands_target));
@@ -124,23 +108,22 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
   std::uint64_t warmup_commands_actual = 0;
   bool warmed_up = false;
 
-  // Tries to hand shard s's free batches to its idle virtual workers; each
-  // successful or failed dgGetBatch occupies that shard's monitor for its
-  // real measured duration.
-  auto dispatch = [&](unsigned s) {
-    while (idle_workers[s] > 0) {
-      const std::uint64_t start = std::max(now, monitor_free_at[s]);
+  // Tries to hand free batches to idle virtual workers; each successful or
+  // failed dgGetBatch occupies the monitor for its real measured duration.
+  auto dispatch = [&] {
+    while (idle_workers > 0) {
+      const std::uint64_t start = std::max(now, monitor_free_at);
       core::DependencyGraph::Node* node = nullptr;
-      const std::uint64_t d = timed([&] { node = graphs[s]->take_oldest_free(); });
-      monitor_free_at[s] = start + d;
+      const std::uint64_t d = timed([&] { node = graph.take_oldest_free(); });
+      monitor_free_at = start + d;
       monitor_busy_ns += d;
       if (node == nullptr) break;  // workers go back to waiting on the cv
-      --idle_workers[s];
+      --idle_workers;
       const std::uint64_t exec_ns =
           static_cast<std::uint64_t>(node->batch->size()) * cfg.cmd_exec_ns;
       worker_busy_ns += exec_ns;
-      events.push(Event{monitor_free_at[s] + exec_ns, tiebreak++,
-                        Event::Kind::kWorkerFinish, 0, node, s});
+      events.push(Event{monitor_free_at + exec_ns, tiebreak++,
+                        Event::Kind::kWorkerFinish, 0, node});
     }
   };
 
@@ -157,24 +140,8 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
         // charge (see ExecSimConfig::key_compare_cost_ns).
         std::shared_ptr<smr::Batch> batch = make_batch(ev.proxy);
         batch->set_sequence(next_seq++);
-        // Partition-friendly routing: proxy p's disjoint key range belongs
-        // to shard p mod S. A cross_shard_fraction of batches instead
-        // touch every shard (decided by a pure hash of the sequence, so
-        // the schedule is reproducible for a given seed).
-        const unsigned home = ev.proxy % S;
-        const bool cross =
-            S > 1 && static_cast<double>(util::mix64(batch->sequence(), cfg.seed) >> 11) *
-                             0x1.0p-53 <
-                         cfg.cross_shard_fraction;
         const std::uint64_t deliver_start = std::max(now, delivery_free_at) + cfg.delivery_ns;
-        // The batch's node lives in its leader shard's graph (shard 0 for
-        // cross-shard batches: the lowest touched shard leads, DESIGN.md
-        // §11); the barrier is modelled by charging the insert to EVERY
-        // touched monitor, which delays those shards' takes past the
-        // batch's enqueue point, exactly like the real gate's arrival.
-        const unsigned leader = cross ? 0 : home;
-        core::DependencyGraph& graph = *graphs[leader];
-        const std::uint64_t start = std::max(deliver_start, monitor_free_at[leader]);
+        const std::uint64_t start = std::max(deliver_start, monitor_free_at);
         const std::uint64_t comparisons_before = graph.conflict_stats().comparisons;
         std::uint64_t d = timed([&] { graph.insert(batch); });
         const std::uint64_t comparisons =
@@ -184,72 +151,53 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
         } else {
           d += comparisons * cfg.bitmap_word_cost_ns;  // comparisons = words scanned
         }
-        monitor_free_at[leader] = start + d;
+        monitor_free_at = start + d;
         monitor_busy_ns += d;
-        delivery_free_at = monitor_free_at[leader];
-        if (cross) {
-          cross_inflight.insert(batch->sequence());
-          for (unsigned t = 0; t < S; ++t) {
-            if (t == leader) continue;
-            monitor_free_at[t] = std::max(deliver_start, monitor_free_at[t]) + d;
-            monitor_busy_ns += d;
-            delivery_free_at = std::max(delivery_free_at, monitor_free_at[t]);
-          }
-        }
-        dispatch(leader);
+        delivery_free_at = monitor_free_at;
+        dispatch();
         break;
       }
       case Event::Kind::kWorkerFinish: {
-        const unsigned s = ev.shard;
         const unsigned proxy = static_cast<unsigned>(ev.node->batch->proxy_id());
         const std::uint64_t batch_cmds = ev.node->batch->size();
-        const std::uint64_t seq = ev.node->seq;
-        const std::uint64_t start = std::max(now, monitor_free_at[s]);
-        const std::uint64_t d = timed([&] { graphs[s]->remove(ev.node); });
-        monitor_free_at[s] = start + d;
+        const std::uint64_t start = std::max(now, monitor_free_at);
+        const std::uint64_t d = timed([&] { graph.remove(ev.node); });
+        monitor_free_at = start + d;
         monitor_busy_ns += d;
-        ++idle_workers[s];
-        cross_inflight.erase(seq);
+        ++idle_workers;
         commands_done += batch_cmds;
         ++batches_done;
         if (!warmed_up && commands_done >= warmup_commands) {
           warmed_up = true;
-          warmup_time_ns = monitor_free_at[s];
+          warmup_time_ns = monitor_free_at;
           warmup_commands_actual = commands_done;
         }
         // The proxy sees the first response and submits its next batch one
         // transport round-trip later (closed loop, §VI).
-        events.push(Event{monitor_free_at[s] + cfg.broadcast_ns, tiebreak++,
-                          Event::Kind::kArrival, proxy, nullptr, 0});
-        dispatch(s);
+        events.push(Event{monitor_free_at + cfg.broadcast_ns, tiebreak++,
+                          Event::Kind::kArrival, proxy, nullptr});
+        dispatch();
         break;
       }
     }
   }
 
   ExecSimResult result;
-  std::uint64_t end_ns = now;
-  for (unsigned s = 0; s < S; ++s) end_ns = std::max(end_ns, monitor_free_at[s]);
+  const std::uint64_t end_ns = std::max(now, monitor_free_at);
   const std::uint64_t window_ns = end_ns > warmup_time_ns ? end_ns - warmup_time_ns : 1;
   result.commands = commands_done - warmup_commands_actual;
   result.batches = batches_done;
   result.virtual_seconds = static_cast<double>(window_ns) / 1e9;
   result.kcmds_per_sec =
       static_cast<double>(result.commands) / result.virtual_seconds / 1000.0;
-  double graph_size_sum = 0.0;
-  for (unsigned s = 0; s < S; ++s) graph_size_sum += graphs[s]->size_at_insert().mean();
-  result.avg_graph_size = graph_size_sum / static_cast<double>(S);
-  // Busy fraction averaged across the S monitor resources (S = 1 reproduces
-  // the original single-monitor figure).
-  result.monitor_utilization = static_cast<double>(monitor_busy_ns) /
-                               static_cast<double>(end_ns) / static_cast<double>(S);
+  result.avg_graph_size = graph.size_at_insert().mean();
+  result.monitor_utilization =
+      static_cast<double>(monitor_busy_ns) / static_cast<double>(end_ns);
   result.worker_utilization = static_cast<double>(worker_busy_ns) /
                               static_cast<double>(end_ns) /
-                              (static_cast<double>(cfg.workers) * static_cast<double>(S));
-  for (unsigned s = 0; s < S; ++s) {
-    result.conflicts_found += graphs[s]->conflict_stats().conflicts_found;
-    result.conflict_tests += graphs[s]->conflict_stats().tests;
-  }
+                              static_cast<double>(cfg.workers);
+  result.conflicts_found = graph.conflict_stats().conflicts_found;
+  result.conflict_tests = graph.conflict_stats().tests;
   return result;
 }
 

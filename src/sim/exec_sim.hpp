@@ -29,20 +29,8 @@
 namespace psmr::sim {
 
 struct ExecSimConfig {
-  /// Virtual worker threads N (per shard when `shards` > 1, matching
-  /// core::ShardedScheduler's SchedulerOptions::workers semantics).
+  /// Virtual worker threads N.
   unsigned workers = 1;
-  /// Scheduler shards S (DESIGN.md §11). Each shard gets its own real
-  /// dependency graph and its own serial monitor resource on the virtual
-  /// timeline. The workload is modelled as partition-friendly: proxy p's
-  /// (disjoint-range) batches are routed to shard p mod S, except that a
-  /// `cross_shard_fraction` of batches touch EVERY shard and pay the
-  /// deterministic barrier: their insert occupies all S monitors and their
-  /// execution cannot start before every monitor has processed it. 1 =
-  /// exactly the single-scheduler model (every batch in shard 0).
-  unsigned shards = 1;
-  /// Fraction of batches that touch all shards (multi-shard barrier).
-  double cross_shard_fraction = 0.0;
   core::ConflictMode mode = core::ConflictMode::kKeysNested;
   /// Insert-time candidate lookup strategy of the real graph under test.
   /// Defaults to the paper's full scan — the simulator reproduces the

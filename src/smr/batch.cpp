@@ -1,43 +1,11 @@
 #include "smr/batch.hpp"
 
-#include "util/assert.hpp"
-#include "util/hash.hpp"
-
 namespace psmr::smr {
 
-std::size_t shard_of_key(Key key, unsigned shards) noexcept {
-  // mix64 + Lemire reduction: uniform over [0, S) with no modulo bias, and
-  // a pure function of the key (replica-identical, hash.hpp contract).
-  return static_cast<std::size_t>(util::reduce_range(util::mix64(key), shards));
-}
-
-std::uint64_t compute_shard_mask(const Batch& batch, unsigned shards) noexcept {
-  std::uint64_t mask = 0;
-  for (const Command& c : batch.commands()) {
-    mask |= std::uint64_t{1} << shard_of_key(c.key, shards);
-  }
-  return mask;
-}
-
-void Batch::stamp(const PlacementMaps& maps) {
-  const bool do_shards = maps.shards != 0;
-  const bool do_classes = maps.class_map != nullptr;
-  if (do_shards) PSMR_CHECK(maps.shards <= 64);
-  if (!do_shards && !do_classes) return;
-  std::uint64_t smask = 0;
-  std::uint64_t cmask = 0;
-  for (const Command& c : commands_) {
-    if (do_shards) smask |= std::uint64_t{1} << shard_of_key(c.key, maps.shards);
-    if (do_classes) cmask |= maps.class_map->class_mask_of(c);
-  }
-  if (do_shards) {
-    shard_mask_ = smask;
-    shard_count_ = maps.shards;
-  }
-  if (do_classes) {
-    class_mask_ = cmask;
-    class_fp_ = maps.class_map->fingerprint();
-  }
+void Batch::stamp(const std::shared_ptr<const ConflictClassMap>& class_map) {
+  if (class_map == nullptr) return;
+  class_mask_ = compute_class_mask(*this, *class_map);
+  class_fp_ = class_map->fingerprint();
 }
 
 std::uint64_t compute_class_mask(const Batch& batch,

@@ -28,19 +28,6 @@ struct BitmapConfig {
   std::uint64_t seed = 0;
 };
 
-/// The deterministic placement functions a proxy stamps batches under
-/// (API redesign, PR 9): the shard count of the target ShardedScheduler and
-/// the conflict-class map of the target EarlyScheduler. Either half may be
-/// absent (0 / null = skip that stamp). The same struct configures the
-/// BatchFormer's affinity routing, so formation and stamping can never use
-/// different maps.
-struct PlacementMaps {
-  /// 0 = no shard mask (single-graph schedulers); otherwise 1..64.
-  unsigned shards = 0;
-  /// null = no class mask.
-  std::shared_ptr<const ConflictClassMap> class_map;
-};
-
 class Batch {
  public:
   Batch() = default;
@@ -83,25 +70,14 @@ class Batch {
   /// can post O(batch) positions instead of scanning O(m) bits.
   const std::vector<std::uint32_t>& bitmap_positions() const noexcept { return positions_; }
 
-  /// Stamps every configured placement digest in ONE pass over the
-  /// commands, at batch-formation time like the Bloom digest (off the
-  /// delivery critical path):
-  ///  - when maps.shards != 0, the touched-shard set for an S-shard
-  ///    scheduler (DESIGN.md §11): bit s is set iff some command's key maps
-  ///    to shard s under shard_of_key(key, S); S ≤ 64 so it fits one word;
-  ///  - when maps.class_map != null, the touched-conflict-class set under
-  ///    that map (DESIGN.md §13): bit c is set iff some command classifies
-  ///    as class c, bit 63 (ConflictClassMap::kUnclassifiedBit) iff some
-  ///    command matches no rule; plus the map's fingerprint.
-  /// Idempotent; skipped halves leave the existing stamps untouched.
-  void stamp(const PlacementMaps& maps);
-
-  /// Touched-shard bitmask, and the shard count it was computed for
-  /// (0 = never stamped; the scheduler recomputes on the spot when its S
-  /// differs — correctness never depends on the proxy and replica
-  /// agreeing, only cost does).
-  std::uint64_t shard_mask() const noexcept { return shard_mask_; }
-  unsigned shard_count() const noexcept { return shard_count_; }
+  /// Stamps the touched-conflict-class set under `class_map` (DESIGN.md
+  /// §13) at batch-formation time, like the Bloom digest (off the delivery
+  /// critical path): bit c is set iff some command classifies as class c,
+  /// bit 63 (ConflictClassMap::kUnclassifiedBit) iff some command matches
+  /// no rule; plus the map's fingerprint. The same map configures the
+  /// BatchFormer's affinity routing, so formation and stamping can never
+  /// use different maps. Idempotent; a null map leaves the stamp untouched.
+  void stamp(const std::shared_ptr<const ConflictClassMap>& class_map);
 
   /// Touched-class bitmask and the fingerprint of the map it was computed
   /// under (0 = never stamped). The EarlyScheduler recomputes
@@ -117,23 +93,11 @@ class Batch {
   std::vector<Command> commands_;
   util::KeyBloom bloom_;
   std::vector<std::uint32_t> positions_;
-  std::uint64_t shard_mask_ = 0;
-  unsigned shard_count_ = 0;
   std::uint64_t class_mask_ = 0;
   std::uint64_t class_fp_ = 0;
 };
 
 using BatchPtr = std::shared_ptr<const Batch>;
-
-/// Deterministic key → shard map for the sharded scheduler. A pure function
-/// of (key, shards) — identical at every proxy and replica, like the bitmap
-/// hash — so all replicas agree on every batch's touched-shard set.
-std::size_t shard_of_key(Key key, unsigned shards) noexcept;
-
-/// One-pass touched-shard set of a batch (what stamp() caches).
-/// Used by the scheduler when a delivered batch carries no mask, or one
-/// computed for a different shard count.
-std::uint64_t compute_shard_mask(const Batch& batch, unsigned shards) noexcept;
 
 /// One-pass touched-class set of a batch (what stamp() caches).
 /// Used by the EarlyScheduler when a delivered batch carries no class

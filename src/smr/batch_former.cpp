@@ -37,25 +37,18 @@ std::uint64_t BatchFormer::lane_key_of(const Command& cmd,
                                        std::uint32_t* cls_out) const {
   if (config_.policy == FormationPolicy::kOblivious) {
     // One lane: key choice is irrelevant, loads still attributed below.
-    if (config_.placement.class_map != nullptr) {
-      *cls_out = config_.placement.class_map->class_of(cmd);
-    }
+    if (config_.class_map != nullptr) *cls_out = config_.class_map->class_of(cmd);
     return 0;
   }
-  if (config_.placement.class_map == nullptr) {
+  if (config_.class_map == nullptr) {
     // No map: every command is homeless. A single mixed lane with the size
     // watermark is exactly oblivious packing.
     return kMixedLane;
   }
-  const std::uint32_t cls = config_.placement.class_map->class_of(cmd);
+  const std::uint32_t cls = config_.class_map->class_of(cmd);
   *cls_out = cls;
   if (cls == ConflictClassMap::kUnclassified) return kMixedLane;
-  const std::uint64_t shard =
-      config_.placement.shards != 0
-          ? static_cast<std::uint64_t>(shard_of_key(cmd.key, config_.placement.shards))
-          : 0;
-  // Class ids are < 64 and shard ids < 64: 7 bits each is comfortable.
-  return (std::uint64_t{cls} << 7) | shard;
+  return cls;
 }
 
 BatchFormer::Lane* BatchFormer::find_lane(std::uint64_t key) {
@@ -82,7 +75,7 @@ std::size_t BatchFormer::flush_lane(std::size_t idx, std::vector<Batch>& out,
   batch_fill_->record(lane.commands.size());
   if (lane.key == kMixedLane) mixed_batches_->add(1);
   Batch batch(std::move(lane.commands));
-  batch.stamp(config_.placement);
+  batch.stamp(config_.class_map);
   out.push_back(std::move(batch));
   batches_formed_->add(1);
   reason->add(1);
@@ -148,8 +141,8 @@ std::size_t BatchFormer::drain(std::vector<Batch>& out) {
   return flushed;
 }
 
-void BatchFormer::set_placement(PlacementMaps placement) {
-  config_.placement = std::move(placement);
+void BatchFormer::set_placement(std::shared_ptr<const ConflictClassMap> class_map) {
+  config_.class_map = std::move(class_map);
 }
 
 }  // namespace psmr::smr

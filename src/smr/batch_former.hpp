@@ -2,21 +2,20 @@
 // arXiv 2402.05535).
 //
 // The paper's proxy packs batches obliviously: append until full. At low
-// skew nearly every such batch spans several shards and conflict classes,
-// so the sharded scheduler's zero-sync single-shard path and the early
-// scheduler's one-push fast path (PRs 5 and 7) almost never fire —
-// `cross_shard_fraction` and `multi_class_fraction` stay high exactly when
-// the workload is most partitionable. Batch-Schedule-Execute's observation
-// is that batch PACKING is itself a scheduling problem: group commands by
-// their home (class, shard) at formation time and the downstream fast paths
-// fire on nearly every batch.
+// skew nearly every such batch spans several conflict classes, so the
+// early scheduler's one-push fast path almost never fires —
+// `multi_class_fraction` stays high exactly when the workload is most
+// partitionable. Batch-Schedule-Execute's observation is that batch
+// PACKING is itself a scheduling problem: group commands by their home
+// conflict class at formation time and the downstream fast path fires on
+// nearly every batch.
 //
 // BatchFormer is that packer. It maintains per-home open batches ("lanes"):
-// each offered command routes to the lane of its (conflict class, shard)
-// home; commands with no home — unclassified under the map, or (future)
-// multi-key commands spanning classes — collect in one dedicated MIXED
-// lane rather than contaminating every affinity lane they touch. Lanes
-// flush as formed batches on three watermarks:
+// each offered command routes to the lane of its conflict class; commands
+// with no home — unclassified under the map, or (future) multi-key
+// commands spanning classes — collect in one dedicated MIXED lane rather
+// than contaminating every affinity lane they touch. Lanes flush as formed
+// batches on three watermarks:
 //
 //   * SIZE  — a lane reaching batch_size flushes immediately (the common
 //     case; equals the oblivious batch size, so downstream batch-size
@@ -38,7 +37,7 @@
 // input. Per-client response tracking is unaffected: (client_id, sequence)
 // identity rides with the command wherever it is packed.
 //
-// The former also STAMPS every flushed batch under its PlacementMaps in the
+// The former also STAMPS every flushed batch under its class map in the
 // same breath (Batch::stamp — one pass), so formation and stamping can
 // never disagree on the map, and counts per-class load — the feed for the
 // epoch Repartitioner (smr/repartition.hpp).
@@ -63,7 +62,7 @@ enum class FormationPolicy : std::uint8_t {
   /// Append-until-full, FIFO — the paper's packing. One lane; a batch
   /// flushes when batch_size commands arrived, regardless of affinity.
   kOblivious = 0,
-  /// Route each command to its (class, shard) home lane; flush on
+  /// Route each command to its conflict-class home lane; flush on
   /// size/age/lane-count watermarks. Mixed lane for homeless commands.
   kAffinity = 1,
 };
@@ -83,10 +82,10 @@ class BatchFormer {
     /// commands have been offered since it opened. Deterministic (counts
     /// offers, not time). 0 = 4 * batch_size.
     std::size_t max_lane_age = 0;
-    /// Home computation: class from placement.class_map (null = every
-    /// command is homeless → mixed lane degenerates to oblivious), shard
-    /// from placement.shards. Flushed batches are stamped under these maps.
-    PlacementMaps placement;
+    /// A command's home is its class under this map (null = every command
+    /// is homeless → mixed lane degenerates to oblivious). Flushed batches
+    /// are stamped under it.
+    std::shared_ptr<const ConflictClassMap> class_map;
     /// Registry for `former.*` metrics. null = private registry.
     std::shared_ptr<obs::MetricsRegistry> metrics;
   };
@@ -105,14 +104,13 @@ class BatchFormer {
   /// closed loop needs every drawn command broadcast before it waits).
   std::size_t drain(std::vector<Batch>& out);
 
-  /// Swaps the placement maps (epoch repartition, DESIGN.md §15). Open
+  /// Swaps the class map (epoch repartition, DESIGN.md §15). Open
   /// lanes are NOT re-homed: they were routed under the old map and flush
   /// stamped under the new one — the scheduler's fingerprint check
   /// recomputes such stale stamps, a cost not a correctness event. Callers
   /// wanting clean epoch edges drain() first (the Proxy does).
-  void set_placement(PlacementMaps placement);
+  void set_placement(std::shared_ptr<const ConflictClassMap> class_map);
 
-  const PlacementMaps& placement() const noexcept { return config_.placement; }
   const Config& config() const noexcept { return config_; }
 
   std::size_t open_lanes() const noexcept { return lanes_.size(); }
@@ -129,7 +127,7 @@ class BatchFormer {
   obs::Snapshot stats() const { return metrics_->snapshot(); }
 
  private:
-  /// Lane key: (class << 7) | shard, or kMixedLane for homeless commands.
+  /// Lane key: the class id, or kMixedLane for homeless commands.
   static constexpr std::uint64_t kMixedLane = ~std::uint64_t{0};
 
   struct Lane {

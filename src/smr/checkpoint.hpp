@@ -72,7 +72,7 @@ std::optional<CheckpointRecord> decode_checkpoint(std::span<const std::uint8_t> 
 class CheckpointManager {
  public:
   /// Scheduler quiesce hooks (Scheduler / PipelinedScheduler /
-  /// ShardedScheduler all provide this pair). `drain(S)` blocks until the
+  /// EarlyScheduler all provide this pair). `drain(S)` blocks until the
   /// delivered prefix <= S has fully executed while newer batches are held
   /// back; `release()` resumes them.
   struct Barrier {

@@ -10,7 +10,7 @@
 //
 // A ConflictClassMap is that declaration: rules mapping key ranges and/or
 // command kinds to small integer class ids (< 64, so a batch's touched-class
-// set fits one mask word exactly like the sharded scheduler's shard mask).
+// set fits one mask word).
 // Keys matched by no rule are UNCLASSIFIED — the early scheduler routes
 // batches touching them through its embedded dependency graph, recovering
 // the paper's general mechanism as a fallback.
@@ -62,9 +62,8 @@ class ConflictClassMap {
   /// degenerates to its embedded graph engine).
   ConflictClassMap() = default;
 
-  /// Hash-partitions the whole key space into `classes` classes (the
-  /// class-map analogue of shard_of_key). Never leaves a key unclassified;
-  /// sound by construction.
+  /// Hash-partitions the whole key space into `classes` classes. Never
+  /// leaves a key unclassified; sound by construction.
   static ConflictClassMap uniform(std::uint32_t classes);
 
   /// Declares keys in [lo, hi] (inclusive) as class `cls`. Rules are

@@ -32,7 +32,7 @@ Proxy::Proxy(Config config, CommandSource source, BroadcastFn broadcast)
       former_(BatchFormer::Config{
           config.formation.policy, config.formation.batch_size,
           config.formation.max_open_lanes, config.formation.max_lane_age,
-          PlacementMaps{config.formation.shards, config.formation.class_map},
+          config.formation.class_map,
           metrics_}) {
   metrics_->gauge("proxy." + std::to_string(config_.proxy_id) + ".batch_size")
       .set(static_cast<double>(config_.formation.batch_size));
@@ -215,8 +215,7 @@ void Proxy::run_loop() {
           auto ctrl = std::make_unique<Batch>(encode_repartition(*next));
           ctrl->set_proxy_id(config_.proxy_id);
           broadcast_(std::move(ctrl));
-          former_.set_placement(
-              PlacementMaps{config_.formation.shards, std::move(next)});
+          former_.set_placement(std::move(next));
         }
       }
       lk.lock();

@@ -78,7 +78,7 @@ class Proxy {
     /// into several home-pure batches.
     std::size_t batch_size = 1;
     /// Packing policy (BatchFormer): kOblivious = the paper's
-    /// append-until-full loop, kAffinity = per-(class, shard) lanes.
+    /// append-until-full loop, kAffinity = per-class lanes.
     FormationPolicy policy = FormationPolicy::kOblivious;
     /// Affinity watermarks, passed through to BatchFormer::Config
     /// (0 = that struct's defaults).
@@ -87,11 +87,6 @@ class Proxy {
     /// Whether to attach the Bloom digest, and its parameters.
     bool use_bitmap = false;
     BitmapConfig bitmap;
-    /// When non-zero, each batch is stamped with its touched-shard set for
-    /// an S-shard scheduler — computed at formation time, off the delivery
-    /// critical path, like the Bloom digest. 0 = skip. Under kAffinity
-    /// also the shard half of the lane key.
-    unsigned shards = 0;
     /// When set, each batch is stamped with its touched-conflict-class
     /// mask for the EarlyScheduler, and (under kAffinity) classes form the
     /// lane keys. Must be the map the replicas configure (the scheduler
@@ -210,7 +205,7 @@ class Proxy {
   void run_loop();
   /// Draws formation.batch_size commands round-robin across the local
   /// clients, routes them through the former, and drains it — the round's
-  /// broadcast-ready batches (proxy id + Bloom digest applied; shard/class
+  /// broadcast-ready batches (proxy id + Bloom digest applied; class
   /// stamps were already applied by the former's single-pass Batch::stamp).
   std::vector<Batch> build_round();
   std::chrono::nanoseconds backoff_with_jitter(std::chrono::nanoseconds backoff);

@@ -10,7 +10,7 @@
 //   * DETECTION is heuristic and local. The proxy-side Repartitioner
 //     watches per-class load (fed from the BatchFormer's class counters, or
 //     ingested from any obs::Snapshot carrying per-index counters — the
-//     replica-side `early.worker.N.*` / `shard.N.*` families work too,
+//     replica-side `early.worker.N.*` family works too,
 //     since class → worker binding is a pure function). When an epoch
 //     closes imbalanced, it proposes a new map: the hottest class's widest
 //     key range is split at its midpoint and the upper half moves to the

@@ -132,15 +132,19 @@ std::uint64_t SessionTable::digest() const {
 }
 
 std::vector<std::uint8_t> SessionTable::serialize() const {
-  // Hold every stripe (in index order, so no lock cycle with the one-stripe
-  // paths) while the entry pointers are in use, and sort (id, pointer)
-  // pairs instead of copying entries and their `above` sets.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(stripes_.size());
+  // One stripe lock at a time: gather each stripe's live (id, pointer)
+  // pairs under its own lock, then sort and write with no lock held. The
+  // pointers stay valid and their entries unchanged after the lock drops
+  // because no writer runs: the only caller is CheckpointManager::
+  // checkpoint_at, between barrier_.drain(seq) and release() on the
+  // delivery thread, so every claim has finished and none can start.
+  // Holding all 64 stripes at once instead (plus the caller's own locks,
+  // e.g. LocalBroadcast's mutex) overflows ThreadSanitizer's deadlock
+  // detector.
   std::vector<std::pair<std::uint64_t, const Entry*>> entries;
   std::size_t bytes = sizeof(kMagic) + sizeof(std::uint64_t);
   for (const Stripe& s : stripes_) {
-    locks.emplace_back(s.mu);
+    std::lock_guard lk(s.mu);
     for (const auto& [id, e] : s.clients) {
       if (e.last_seq == 0) continue;
       entries.emplace_back(id, &e);

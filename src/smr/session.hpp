@@ -92,8 +92,9 @@ class SessionTable {
 
   /// Serializes the table (sorted by client id) for state transfer. Callers
   /// must quiesce execution first — in a replica the checkpoint barrier
-  /// does — or an in-flight claim would be lost. Holds every stripe lock
-  /// for the duration.
+  /// does — or an in-flight claim would be lost. Takes one stripe lock at a
+  /// time and reads the gathered entries after releasing it, which is safe
+  /// only because nothing writes the table while execution is quiesced.
   std::vector<std::uint8_t> serialize() const;
 
   /// Replaces the table with a snapshot produced by serialize(). Returns

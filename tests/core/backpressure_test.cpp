@@ -1,9 +1,9 @@
 // Bounded, watermark-instrumented delivery queues (DESIGN.md §14) across
-// all four scheduler variants: deliver() blocks while the queue is full,
+// all three scheduler variants: deliver() blocks while the queue is full,
 // completes once it drains, returns false only once stop() has begun, and
 // publishes the backpressure.* metric family while doing it. Cross-
-// participant batches (Sharded, Early) are delivered while one participant
-// is full, with their first legs already handed over.
+// participant batches (Early) are delivered while one participant is full,
+// with their first legs already handed over.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 
 namespace psmr::core {
 namespace {
@@ -175,94 +174,6 @@ TEST(Backpressure, PipelinedBlockWaitsForSpace) {
   EXPECT_EQ(gate.executed.load(), 3u);
   EXPECT_GE(s.stats().counter("backpressure.waits"), 1u);
   s.stop();
-}
-
-// ---------------------------------------------------------------- sharded
-
-/// Two keys living in shards 0 and 1 of a 2-shard scheduler.
-std::pair<smr::Key, smr::Key> keys_in_two_shards() {
-  smr::Key key_a = 0, key_b = 0;
-  for (smr::Key k = 1; k < 1000 && (key_a == 0 || key_b == 0); ++k) {
-    smr::Batch probe({[&] {
-      smr::Command c;
-      c.type = smr::OpType::kUpdate;
-      c.key = k;
-      return c;
-    }()});
-    probe.stamp(smr::PlacementMaps{2, nullptr});
-    if (probe.shard_mask() == 0b01 && key_a == 0) key_a = k;
-    if (probe.shard_mask() == 0b10 && key_b == 0) key_b = k;
-  }
-  return {key_a, key_b};
-}
-
-SchedulerOptions two_shards_of_two() {
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.shards = 2;
-  cfg.max_pending_batches = 2;  // per shard engine
-  return cfg;
-}
-
-TEST(Backpressure, ShardedCrossShardBatchBlocksOnFullShard) {
-  const auto [key_a, key_b] = keys_in_two_shards();
-  ASSERT_NE(key_a, 0u);
-  ASSERT_NE(key_b, 0u);
-  GatedExecutor gate;
-  ShardedScheduler s(two_shards_of_two(), gate.fn());
-  s.start();
-  // Fill shard 1 to capacity.
-  ASSERT_TRUE(s.deliver(make_batch(1, {key_b})));
-  ASSERT_TRUE(s.deliver(make_batch(2, {key_b})));
-  {
-    // Shard 0 takes its leg at once; the shard-1 leg waits for room.
-    AsyncDeliver cross(s, make_batch(3, {key_a, key_b}));
-    ASSERT_TRUE(eventually([&] { return s.shard(0).graph_size() == 1; }));
-    std::this_thread::sleep_for(50ms);
-    EXPECT_EQ(cross.result(), -1);
-
-    gate.release.store(true);
-    ASSERT_TRUE(eventually([&] { return cross.result() != -1; }));
-    EXPECT_EQ(cross.result(), 1);
-  }
-  s.wait_idle();
-  EXPECT_EQ(gate.runs(1), 1);
-  EXPECT_EQ(gate.runs(2), 1);
-  EXPECT_EQ(gate.runs(3), 1);  // once, by the gate leader
-  const auto st = s.stats();
-  EXPECT_EQ(st.counter("scheduler.batches_cross_shard"), 1u);
-  // Per-shard meters merge under shard.N.backpressure.*; sum the family.
-  EXPECT_GE(st.counter_sum("backpressure.waits"), 1u);
-  s.stop();
-}
-
-TEST(Backpressure, ShardedStopDuringBlockedCrossShardDeliver) {
-  const auto [key_a, key_b] = keys_in_two_shards();
-  ASSERT_NE(key_a, 0u);
-  ASSERT_NE(key_b, 0u);
-  GatedExecutor gate;
-  ShardedScheduler s(two_shards_of_two(), gate.fn());
-  s.start();
-  ASSERT_TRUE(s.deliver(make_batch(1, {key_b})));
-  ASSERT_TRUE(s.deliver(make_batch(2, {key_b})));
-  {
-    AsyncDeliver cross(s, make_batch(3, {key_a, key_b}));
-    ASSERT_TRUE(eventually([&] { return s.shard(0).graph_size() == 1; }));
-    std::this_thread::sleep_for(20ms);
-    ASSERT_EQ(cross.result(), -1);
-
-    // stop() refuses the blocked leg before anything drains.
-    std::thread stopper([&] { s.stop(); });
-    EXPECT_TRUE(eventually([&] { return cross.result() == 0; }));
-    gate.release.store(true);  // lets stop() drain and join
-    stopper.join();
-  }
-  // The gate shrank to shard 0, which still ran the batch: nothing waits on
-  // the leg that never arrived.
-  EXPECT_EQ(gate.runs(1), 1);
-  EXPECT_EQ(gate.runs(2), 1);
-  EXPECT_EQ(gate.runs(3), 1);
-  EXPECT_FALSE(s.deliver(make_batch(4, {key_a})));
 }
 
 // ------------------------------------------------------------------ early

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +38,7 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp != nullptr) b->stamp(smr::PlacementMaps{0, std::move(stamp)});
+  if (stamp != nullptr) b->stamp(stamp);
   return b;
 }
 
@@ -281,6 +283,49 @@ TEST(EarlySchedulerTest, FailureFiresOnFailureOnceAndIsolates) {
   EXPECT_EQ(failures.load(), 1);
   EXPECT_EQ(st.counter("scheduler.batches_failed"), 1u);
   EXPECT_EQ(st.counter("scheduler.batches_executed"), 5u);
+  EXPECT_FALSE(s.degraded());
+}
+
+TEST(EarlySchedulerTest, MultiClassFailureFiresOnFailureOnce) {
+  // A throwing executor on a batch that spans every class worker AND the
+  // embedded graph engine (a five-participant gate): counted once in
+  // batches_failed, on_failure fires once (from the leader), and the
+  // dependents queued behind it in every touched class — and behind its
+  // unclassified key in the graph — still run.
+  SchedulerOptions cfg;
+  cfg.workers = 4;
+  cfg.class_map = hot_range_map();  // classes 0..3 -> workers 0..3
+  const smr::Key cold = smr::Key{1} << 30;  // unclassified
+  std::mutex mu;
+  std::vector<std::uint64_t> ran;
+  EarlyScheduler s(cfg, [&](const smr::Batch& b) {
+    if (b.sequence() == 2) throw std::runtime_error("multi-class poison");
+    std::lock_guard lk(mu);
+    ran.push_back(b.sequence());
+  });
+  std::atomic<int> failures{0};
+  s.set_on_failure([&](const smr::Batch& b, const std::string& what) {
+    EXPECT_EQ(b.sequence(), 2u);
+    EXPECT_EQ(what, "multi-class poison");
+    failures.fetch_add(1);
+  });
+  s.start();
+  const std::vector<smr::Key> wide = {0, 6, 12, 18, cold};  // one key per class
+  ASSERT_TRUE(s.deliver(make_batch(1, wide)));
+  ASSERT_TRUE(s.deliver(make_batch(2, wide)));  // throws
+  std::uint64_t seq = 2;
+  for (const smr::Key k : {smr::Key{0}, smr::Key{6}, smr::Key{12}, smr::Key{18}, cold}) {
+    ASSERT_TRUE(s.deliver(make_batch(++seq, {k})));  // depends on 2
+  }
+  s.wait_idle();
+  const auto st = s.stats();
+  s.stop();
+  std::sort(ran.begin(), ran.end());
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{1, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(st.counter("scheduler.batches_failed"), 1u);
+  EXPECT_EQ(st.counter("scheduler.batches_executed"), 6u);
+  EXPECT_EQ(st.counter("early.batches_multi_class"), 2u);
   EXPECT_FALSE(s.degraded());
 }
 

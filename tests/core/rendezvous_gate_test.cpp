@@ -1,5 +1,5 @@
-// The cross-participant rendezvous shared by the ShardedScheduler (shards)
-// and the EarlyScheduler (class workers + fallback engine), tested directly:
+// The cross-participant rendezvous of the EarlyScheduler (class workers +
+// fallback engine), tested directly:
 // the leader runs once and only after every participant arrived, followers
 // leave only after it finished, a throwing action surfaces in the leader
 // alone, exactly one participant retires the gate, and a gate shrunk after
@@ -119,9 +119,9 @@ TEST(RendezvousGate, ThrowingLeadIsRethrownByTheLeaderAlone) {
 }
 
 TEST(RendezvousGate, GateShrunkAfterRegistrationStillResolves) {
-  // Registered for shards {0, 1, 2} with shard 0 leading; shard 0 then
-  // refuses the batch (stop() raced the delivery), so the gate shrinks to
-  // the two shards that hold it and the lowest of them, shard 1, leads.
+  // Registered for participants {0, 1, 2} with 0 leading; participant 0
+  // then refuses the batch (stop() raced the delivery), so the gate shrinks
+  // to the two participants that hold it and the lowest of them, 1, leads.
   RendezvousGate gate(3, /*leader_id=*/0);
   std::atomic<int> lead_runs{0};
   std::atomic<int> led_by{-1};

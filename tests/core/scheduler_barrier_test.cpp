@@ -11,15 +11,14 @@
 #include <set>
 #include <vector>
 
+#include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 
 namespace psmr::core {
 namespace {
 
-smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
-                         unsigned stamp_shards) {
+smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys) {
   std::vector<smr::Command> cmds;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     smr::Command c;
@@ -30,14 +29,13 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp_shards != 0) b->stamp(smr::PlacementMaps{stamp_shards, nullptr});
   return b;
 }
 
 /// Shared harness: deliver 1..10, drain at 10, deliver 11..20 while armed,
 /// verify the executed set is exactly {1..10}, release, verify {1..20}.
 template <typename S>
-void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_barrier_holds_suffix(SchedulerOptions cfg) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -48,7 +46,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
   for (std::uint64_t seq = 1; seq <= 10; ++seq) {
     // Key 42 everywhere: a fully serial dependency chain, so the barrier
     // must wait through real graph dependencies, not just queue depth.
-    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq})));
   }
   s.drain_to_sequence(10);
   {
@@ -59,7 +57,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
   }
   // Ingest continues while armed; nothing newer may execute.
   for (std::uint64_t seq = 11; seq <= 20; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq})));
   }
   {
     std::lock_guard lk(mu);
@@ -78,7 +76,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
 /// Drain on an already-executed prefix must return immediately (the
 /// trigger sequence may have finished before the barrier armed).
 template <typename S>
-void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_barrier_already_quiesced(SchedulerOptions cfg) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -87,7 +85,7 @@ void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
   });
   s.start();
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {seq})));
   }
   s.wait_idle();
   s.drain_to_sequence(5);  // nothing resident <= 5: must not block
@@ -102,7 +100,7 @@ void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
 
 /// Back-to-back barriers — the steady-state checkpoint cadence.
 template <typename S>
-void run_repeated_barriers(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_repeated_barriers(SchedulerOptions cfg) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -113,7 +111,7 @@ void run_repeated_barriers(SchedulerOptions cfg, unsigned stamp_shards) {
   std::uint64_t seq = 0;
   for (int round = 1; round <= 5; ++round) {
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(s.deliver(make_batch(++seq, {7, 200 + seq}, stamp_shards)));
+      ASSERT_TRUE(s.deliver(make_batch(++seq, {7, 200 + seq})));
     }
     s.drain_to_sequence(seq);
     {
@@ -134,54 +132,47 @@ SchedulerOptions base_options(unsigned workers) {
   return cfg;
 }
 
-SchedulerOptions sharded_options(unsigned workers, unsigned shards) {
-  SchedulerOptions cfg;
-  cfg.workers = workers;
-  cfg.shards = shards;
-  return cfg;
-}
-
 TEST(SchedulerBarrier, HoldsSuffixMonitor) {
-  run_barrier_holds_suffix<Scheduler>(base_options(4), 0);
+  run_barrier_holds_suffix<Scheduler>(base_options(4));
 }
 
 TEST(SchedulerBarrier, HoldsSuffixPipelined) {
-  run_barrier_holds_suffix<PipelinedScheduler>(base_options(4), 0);
+  run_barrier_holds_suffix<PipelinedScheduler>(base_options(4));
 }
 
-TEST(SchedulerBarrier, HoldsSuffixSharded) {
-  run_barrier_holds_suffix<ShardedScheduler>(sharded_options(2, 4), 4);
+TEST(SchedulerBarrier, HoldsSuffixEarly) {
+  run_barrier_holds_suffix<EarlyScheduler>(base_options(4));
 }
 
 TEST(SchedulerBarrier, AlreadyQuiescedMonitor) {
-  run_barrier_already_quiesced<Scheduler>(base_options(2), 0);
+  run_barrier_already_quiesced<Scheduler>(base_options(2));
 }
 
 TEST(SchedulerBarrier, AlreadyQuiescedPipelined) {
-  run_barrier_already_quiesced<PipelinedScheduler>(base_options(2), 0);
+  run_barrier_already_quiesced<PipelinedScheduler>(base_options(2));
 }
 
-TEST(SchedulerBarrier, AlreadyQuiescedSharded) {
-  run_barrier_already_quiesced<ShardedScheduler>(sharded_options(2, 4), 4);
+TEST(SchedulerBarrier, AlreadyQuiescedEarly) {
+  run_barrier_already_quiesced<EarlyScheduler>(base_options(2));
 }
 
 TEST(SchedulerBarrier, RepeatedBarriersMonitor) {
-  run_repeated_barriers<Scheduler>(base_options(4), 0);
+  run_repeated_barriers<Scheduler>(base_options(4));
 }
 
 TEST(SchedulerBarrier, RepeatedBarriersPipelined) {
-  run_repeated_barriers<PipelinedScheduler>(base_options(4), 0);
+  run_repeated_barriers<PipelinedScheduler>(base_options(4));
 }
 
-TEST(SchedulerBarrier, RepeatedBarriersSharded) {
-  run_repeated_barriers<ShardedScheduler>(sharded_options(2, 4), 4);
+TEST(SchedulerBarrier, RepeatedBarriersEarly) {
+  run_repeated_barriers<EarlyScheduler>(base_options(4));
 }
 
 TEST(SchedulerBarrier, BarrierMetricCounts) {
   SchedulerOptions cfg = base_options(2);
   Scheduler s(cfg, [](const smr::Batch&) {});
   s.start();
-  ASSERT_TRUE(s.deliver(make_batch(1, {1}, 0)));
+  ASSERT_TRUE(s.deliver(make_batch(1, {1})));
   s.drain_to_sequence(1);
   s.release_barrier();
   EXPECT_EQ(s.stats().counter("scheduler.barriers"), 1u);

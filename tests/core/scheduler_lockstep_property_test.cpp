@@ -1,7 +1,7 @@
 // Cross-variant lockstep property suite (graph_index_property_test
 // pattern, widened to whole schedulers): for random command streams, the
-// final KV state of every scheduler variant — Scheduler, PipelinedScheduler,
-// ShardedScheduler and EarlyScheduler — must be BIT-IDENTICAL to a
+// final KV state of every scheduler variant — Scheduler, PipelinedScheduler
+// and EarlyScheduler — must be BIT-IDENTICAL to a
 // sequential replica that applies the batches one by one in delivery
 // order, for every seed and worker count. This is the paper's
 // replica-determinism requirement: the scheduling mechanism is an execution
@@ -19,7 +19,6 @@
 #include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "smr/conflict_class.hpp"
 #include "util/rng.hpp"
@@ -118,11 +117,6 @@ TEST(SchedulerLockstepPropertyTest, AllVariantsBitIdenticalAcrossSeeds) {
       EXPECT_EQ(run_variant<PipelinedScheduler>(cfg, stream).state, reference)
           << "PipelinedScheduler, seed=" << seed << " workers=" << workers;
 
-      SchedulerOptions sharded = cfg;
-      sharded.shards = 4;
-      EXPECT_EQ(run_variant<ShardedScheduler>(sharded, stream).state, reference)
-          << "ShardedScheduler, seed=" << seed << " workers=" << workers;
-
       // Early scheduler under both map shapes: total (uniform) and partial
       // (hot ranges classified, fresh tail through the embedded graph).
       EXPECT_EQ(run_variant<EarlyScheduler>(cfg, stream).state, reference)
@@ -193,12 +187,6 @@ TEST(SchedulerLockstepPropertyTest, MidRunRepartitionPreservesBitIdenticalState)
                                                             swap_seq, rebalanced),
                   reference)
             << "Pipelined, seed=" << seed << " swap=" << swap_seq;
-        SchedulerOptions sharded = cfg;
-        sharded.shards = 4;
-        EXPECT_EQ(run_variant_with_swap<ShardedScheduler>(sharded, stream,
-                                                          swap_seq, rebalanced),
-                  reference)
-            << "Sharded, seed=" << seed << " swap=" << swap_seq;
         EXPECT_EQ(run_variant_with_swap<EarlyScheduler>(cfg, stream, swap_seq,
                                                         rebalanced),
                   reference)

@@ -1,7 +1,7 @@
 // Lockstep checkpoint property suite (ISSUE 6 acceptance): replicas running
 // the SAME delivery sequence must produce BYTE-IDENTICAL checkpoint frames —
-// the monitor Scheduler, the PipelinedScheduler, the ShardedScheduler and
-// the EarlyScheduler, each equal to a sequential replica's frames, with the
+// the monitor Scheduler, the PipelinedScheduler and the EarlyScheduler,
+// each equal to a sequential replica's frames, with the
 // graph's insert path crossing from scan to index on every run. The
 // executor is the real replicated-state pair (KvStore + SessionTable), so
 // the property covers both record sections end to end.
@@ -18,7 +18,6 @@
 #include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/conflict_class.hpp"
@@ -202,7 +201,7 @@ void expect_frames(const std::vector<RunResult>& results,
 }
 
 template <typename S>
-RunResult run_variant(core::SchedulerOptions cfg, unsigned stamp_shards,
+RunResult run_variant(core::SchedulerOptions cfg,
                       const std::vector<std::vector<smr::Command>>& stream,
                       std::uint64_t swap_seq = 0,
                       std::shared_ptr<const smr::ConflictClassMap> swap_map =
@@ -243,7 +242,6 @@ RunResult run_variant(core::SchedulerOptions cfg, unsigned stamp_shards,
     auto batch = std::make_shared<smr::Batch>(
         std::vector<smr::Command>(stream[seq - 1]));
     batch->set_sequence(seq);
-    if (stamp_shards != 0) batch->stamp(smr::PlacementMaps{stamp_shards, nullptr});
     EXPECT_TRUE(sched.deliver(std::move(batch)));
     // Mid-run repartition in Replica::deliver order: the control sequence
     // applies the map, then advances the checkpoint clock.
@@ -265,27 +263,22 @@ TEST(CheckpointLockstep, BitIdenticalAcrossSchedulersAndIndexModes) {
     core::SchedulerOptions cfg;
     cfg.workers = 4;
     std::vector<RunResult> results;
-    results.push_back(run_variant<core::Scheduler>(cfg, 0, stream));
+    results.push_back(run_variant<core::Scheduler>(cfg, stream));
     // The run crossed from the scan to the indexed insert path.
     EXPECT_GT(results.back().index_activations, 0u) << "seed " << seed;
-    results.push_back(run_variant<core::PipelinedScheduler>(cfg, 0, stream));
-
-    core::SchedulerOptions scfg = cfg;
-    scfg.workers = 2;
-    scfg.shards = 4;
-    results.push_back(run_variant<core::ShardedScheduler>(scfg, 4, stream));
+    results.push_back(run_variant<core::PipelinedScheduler>(cfg, stream));
 
     // EarlyScheduler under both map shapes: a total uniform partition
     // (every batch takes the class fast path) and a partial range map
     // (the fresh-key tail quiesces through the embedded graph engine,
     // exercising the two-sided barrier during every checkpoint).
-    results.push_back(run_variant<core::EarlyScheduler>(cfg, 0, stream));
+    results.push_back(run_variant<core::EarlyScheduler>(cfg, stream));
     core::SchedulerOptions ecfg = cfg;
     auto map = std::make_shared<smr::ConflictClassMap>();
     map->add_range(0, 7, 0);
     map->add_range(8, 15, 1);
     ecfg.class_map = std::move(map);
-    results.push_back(run_variant<core::EarlyScheduler>(ecfg, 0, stream));
+    results.push_back(run_variant<core::EarlyScheduler>(ecfg, stream));
 
     expect_frames(results, expected, "seed", seed);
 
@@ -320,9 +313,9 @@ TEST(CheckpointLockstep, KeySetChurnKeepsFramesIdenticalToSequential) {
     core::SchedulerOptions cfg;
     cfg.workers = 4;
     std::vector<RunResult> results;
-    results.push_back(run_variant<core::Scheduler>(cfg, 0, stream));
+    results.push_back(run_variant<core::Scheduler>(cfg, stream));
     EXPECT_GT(results.back().index_activations, 0u) << "seed " << seed;
-    results.push_back(run_variant<core::PipelinedScheduler>(cfg, 0, stream));
+    results.push_back(run_variant<core::PipelinedScheduler>(cfg, stream));
     expect_frames(results, expected, "seed", seed);
   }
 }
@@ -348,18 +341,13 @@ TEST(CheckpointLockstep, BitIdenticalAcrossMidRunRepartition) {
   for (const std::uint64_t swap_seq : {std::uint64_t{73}, kInterval * 2}) {
     std::vector<RunResult> results;
     results.push_back(
-        run_variant<core::Scheduler>(base, 0, stream, swap_seq, rebalanced));
-    results.push_back(run_variant<core::PipelinedScheduler>(base, 0, stream,
+        run_variant<core::Scheduler>(base, stream, swap_seq, rebalanced));
+    results.push_back(run_variant<core::PipelinedScheduler>(base, stream,
                                                             swap_seq, rebalanced));
-    core::SchedulerOptions scfg = base;
-    scfg.workers = 2;
-    scfg.shards = 4;
-    results.push_back(
-        run_variant<core::ShardedScheduler>(scfg, 4, stream, swap_seq, rebalanced));
     core::SchedulerOptions ecfg = base;
     ecfg.class_map = initial;
     results.push_back(
-        run_variant<core::EarlyScheduler>(ecfg, 0, stream, swap_seq, rebalanced));
+        run_variant<core::EarlyScheduler>(ecfg, stream, swap_seq, rebalanced));
 
     expect_frames(results, expected, "swap at", swap_seq);
   }

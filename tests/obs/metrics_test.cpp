@@ -139,8 +139,8 @@ TEST(Snapshot, MergePrependsPrefix) {
 
 TEST(Snapshot, CounterSumAddsAcrossMergePrefixes) {
   // counter_sum: totals one logical counter across merged per-component
-  // snapshots (e.g. shard.0.scheduler.x + shard.1.scheduler.x + the
-  // top-level scheduler.x).
+  // snapshots (e.g. fallback.scheduler.x, an embedded engine's registry
+  // merged under a prefix, + the top-level scheduler.x).
   Snapshot top;
   top.set_counter("scheduler.batches_executed", 10);
   Snapshot s0;
@@ -148,8 +148,8 @@ TEST(Snapshot, CounterSumAddsAcrossMergePrefixes) {
   s0.set_counter("scheduler.batches_failed", 1);
   Snapshot s1;
   s1.set_counter("scheduler.batches_executed", 6);
-  top.merge(s0, "shard.0.");
-  top.merge(s1, "shard.1.");
+  top.merge(s0, "part.0.");
+  top.merge(s1, "part.1.");
   EXPECT_EQ(top.counter_sum("scheduler.batches_executed"), 20u);
   EXPECT_EQ(top.counter_sum("scheduler.batches_failed"), 1u);
   EXPECT_EQ(top.counter_sum("no.such.counter"), 0u);

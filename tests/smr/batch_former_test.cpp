@@ -56,7 +56,7 @@ TEST(BatchFormer, AffinityFormsClassPureBatches) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 3;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   // Worst case for oblivious packing: perfectly interleaved classes.
@@ -70,35 +70,16 @@ TEST(BatchFormer, AffinityFormsClassPureBatches) {
     EXPECT_EQ(b.size(), 3u);
     // Exactly one class bit per batch — the early scheduler's fast path.
     EXPECT_EQ(__builtin_popcountll(b.class_mask()), 1);
-    EXPECT_EQ(b.class_map_fingerprint(),
-              cfg.placement.class_map->fingerprint());
+    EXPECT_EQ(b.class_map_fingerprint(), cfg.class_map->fingerprint());
   }
   EXPECT_NE(out[0].class_mask(), out[1].class_mask());
-}
-
-TEST(BatchFormer, AffinitySplitsByShardWithinAClass) {
-  BatchFormer::Config cfg;
-  cfg.policy = FormationPolicy::kAffinity;
-  cfg.batch_size = 8;
-  cfg.placement.shards = 4;
-  cfg.placement.class_map = two_class_map();
-  BatchFormer former(cfg);
-  std::vector<Batch> out;
-  for (Key k = 0; k < 40; ++k) former.offer(update(k % 100), out);
-  former.drain(out);
-  ASSERT_FALSE(out.empty());
-  for (const Batch& b : out) {
-    // Lane key = (class, shard): every formed batch is single-shard too.
-    EXPECT_EQ(__builtin_popcountll(b.shard_mask()), 1) << b.shard_mask();
-    EXPECT_EQ(b.shard_count(), 4u);
-  }
 }
 
 TEST(BatchFormer, HomelessCommandsCollectInMixedLane) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 4;
-  cfg.placement.class_map = two_class_map();  // keys >= 200 unclassified
+  cfg.class_map = two_class_map();  // keys >= 200 unclassified
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(5), out);     // class 0
@@ -126,7 +107,7 @@ TEST(BatchFormer, AgeWatermarkBoundsFormationLatency) {
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 8;
   cfg.max_lane_age = 10;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(150), out);  // cold lane (class 1), opened at tick 1
@@ -151,7 +132,7 @@ TEST(BatchFormer, LaneCountWatermarkFlushesOldestFirst) {
   m->add_range(0, 9, 0);
   m->add_range(10, 19, 1);
   m->add_range(20, 29, 2);
-  cfg.placement.class_map = std::move(m);
+  cfg.class_map = std::move(m);
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(0), out);   // lane A (oldest)
@@ -183,7 +164,7 @@ TEST(BatchFormer, SetPlacementStampsSubsequentFlushesUnderNewMap) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 2;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(1), out);
@@ -194,7 +175,7 @@ TEST(BatchFormer, SetPlacementStampsSubsequentFlushesUnderNewMap) {
   auto next = std::make_shared<ConflictClassMap>();
   next->add_range(0, 49, 0);
   next->add_range(50, 199, 1);
-  former.set_placement(PlacementMaps{0, next});
+  former.set_placement(next);
   former.offer(update(60), out);
   former.offer(update(61), out);
   ASSERT_EQ(out.size(), 2u);
@@ -207,7 +188,7 @@ TEST(BatchFormer, WatermarkCountersAttributeFlushes) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 2;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(0), out);

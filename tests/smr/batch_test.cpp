@@ -128,47 +128,44 @@ TEST(Batch, BuildBitmapIsIdempotent) {
 }
 
 TEST(BatchStamp, MatchesLegacyBuildersOnRandomBatches) {
-  // Parity contract: one stamp() pass must compute exactly what the
-  // independent one-pass references compute_shard_mask and
-  // compute_class_mask do, for any command mix (classified, unclassified,
-  // reads, every shard count).
+  // Parity contract: stamp() must compute exactly the per-command
+  // reference — one bit per touched class, kUnclassifiedBit for a command
+  // no rule matches — for any command mix (classified, unclassified,
+  // reads).
   util::Xoshiro256 rng(911);
   auto map = std::make_shared<ConflictClassMap>();
   map->add_range(0, 31, 0);
   map->add_range(32, 63, 1);
   map->map_kind(OpType::kRead, 2);  // keys >= 64 stay unclassified
-  for (unsigned shards : {1u, 2u, 7u, 64u}) {
-    for (int trial = 0; trial < 50; ++trial) {
-      std::vector<Command> cmds;
-      const std::size_t n = 1 + rng.next_below(20);
-      for (std::size_t i = 0; i < n; ++i) {
-        Command c = update(rng.next_below(128));
-        if (rng.next_bool(0.3)) c.type = OpType::kRead;
-        cmds.push_back(c);
-      }
-      Batch unified{std::move(cmds)};
-      unified.stamp(PlacementMaps{shards, map});
-      EXPECT_EQ(unified.shard_mask(), compute_shard_mask(unified, shards));
-      EXPECT_EQ(unified.shard_count(), shards);
-      EXPECT_EQ(unified.class_mask(), compute_class_mask(unified, *map));
-      EXPECT_EQ(unified.class_map_fingerprint(), map->fingerprint());
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Command> cmds;
+    std::uint64_t expected = 0;
+    const std::size_t n = 1 + rng.next_below(20);
+    for (std::size_t i = 0; i < n; ++i) {
+      Command c = update(rng.next_below(128));
+      if (rng.next_bool(0.3)) c.type = OpType::kRead;
+      const std::uint32_t cls = map->class_of(c);
+      expected |= cls == ConflictClassMap::kUnclassified
+                      ? ConflictClassMap::kUnclassifiedBit
+                      : std::uint64_t{1} << cls;
+      cmds.push_back(c);
     }
+    Batch b{std::move(cmds)};
+    b.stamp(map);
+    EXPECT_EQ(b.class_mask(), expected);
+    EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());
   }
 }
 
-TEST(BatchStamp, SkippedHalvesLeaveExistingStampsUntouched) {
+TEST(BatchStamp, NullMapLeavesExistingStampUntouched) {
   auto map = std::make_shared<ConflictClassMap>();
   map->add_range(0, 99, 0);
   Batch b({update(5), update(80)});
-  b.stamp(PlacementMaps{4, map});
-  const std::uint64_t smask = b.shard_mask();
+  b.stamp(map);
   const std::uint64_t cmask = b.class_mask();
-  b.stamp(PlacementMaps{0, nullptr});  // no-op: both halves skipped
-  EXPECT_EQ(b.shard_mask(), smask);
+  b.stamp(nullptr);  // no-op
   EXPECT_EQ(b.class_mask(), cmask);
-  b.stamp(PlacementMaps{2, nullptr});  // shard half only
-  EXPECT_EQ(b.shard_count(), 2u);
-  EXPECT_EQ(b.class_mask(), cmask);  // class stamp survives
+  EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());
 }
 
 TEST(Batch, EmptyBatchBitmapIsEmpty) {

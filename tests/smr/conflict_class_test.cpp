@@ -89,7 +89,7 @@ TEST(ConflictClassMapTest, FingerprintDistinguishesMaps) {
             ConflictClassMap::uniform(3).fingerprint());
 }
 
-TEST(ConflictClassMapTest, BatchStampMirrorsShardMask) {
+TEST(ConflictClassMapTest, BatchStampSetsClassMaskAndFingerprint) {
   auto map = std::make_shared<ConflictClassMap>();
   map->add_range(0, 9, 0);
   map->add_range(10, 19, 3);
@@ -97,7 +97,7 @@ TEST(ConflictClassMapTest, BatchStampMirrorsShardMask) {
   b.set_sequence(1);
   EXPECT_EQ(b.class_mask(), 0u);  // never stamped
   EXPECT_EQ(b.class_map_fingerprint(), 0u);
-  b.stamp(PlacementMaps{0, map});
+  b.stamp(map);
   EXPECT_EQ(b.class_mask(), (std::uint64_t{1} << 0) | (std::uint64_t{1} << 3) |
                                 ConflictClassMap::kUnclassifiedBit);
   EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());

@@ -128,10 +128,6 @@ TEST(Replica, BitmapReplicaRejectsBatchWithoutDigest) {
     Replica::Config rcfg;
     rcfg.scheduler.workers = 2;
     rcfg.scheduler.mode = core::ConflictMode::kBitmap;
-    // Without the session table: its checkpoint capture holds all 64
-    // stripe locks, which under LocalBroadcast's delivery lock is more
-    // locks than ThreadSanitizer's deadlock detector can track.
-    rcfg.exactly_once = false;
     rcfg.checkpoint_interval = 4;
     rcfg.checkpoint_state = [&store] { return store.serialize(); };
     return rcfg;
@@ -194,6 +190,9 @@ TEST(Replica, BitmapReplicaRejectsBatchWithoutDigest) {
     EXPECT_EQ(replica->checkpoints()->latest()->sequence, 8u);
   }
   EXPECT_EQ(ra.checkpoints()->latest()->state, rb.checkpoints()->latest()->state);
+  // The session table is on, so the checkpoints carry it, alike too.
+  EXPECT_FALSE(ra.checkpoints()->latest()->sessions.empty());
+  EXPECT_EQ(ra.checkpoints()->latest()->sessions, rb.checkpoints()->latest()->sessions);
 }
 
 TEST(Proxy, ClosedLoopCompletesBatches) {

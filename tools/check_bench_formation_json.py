@@ -5,16 +5,16 @@ Usage: check_bench_formation_json.py BENCH_scheduler_formation.json [more ...]
 
 Checks, per file:
   * parses as JSON and is an object with schema == "psmr.bench.formation.v1";
-  * `config` carries the resolved run shape (workers, shards, batch_size,
-    policies, zipf_thetas);
+  * `config` carries the resolved run shape (workers, batch_size, policies,
+    zipf_thetas);
   * `formation_sweep` is a non-empty list of (theta, policy) rows, oblivious
     and affinity paired per theta, each carrying the full field set with sane
     types/ranges (fractions in [0,1], positive throughput, avg_batch_fill in
     (0, batch_size]);
-  * the ISSUE-9 acceptance bar: on the fully partitionable workload
-    (theta == 0), affinity formation drops BOTH multi_class_fraction and
-    cross_shard_fraction by at least 5x vs oblivious packing (which must
-    itself produce mixed batches — otherwise the comparison is vacuous).
+  * the acceptance bar: on the fully partitionable workload (theta == 0),
+    affinity formation drops multi_class_fraction by at least 5x vs
+    oblivious packing (which must itself produce mixed batches — otherwise
+    the comparison is vacuous).
 
 Exit status 0 when every file validates; 1 otherwise, with one line per
 problem on stderr. Stdlib only — runs anywhere CI has a python3.
@@ -26,13 +26,13 @@ import sys
 
 SCHEMA = "psmr.bench.formation.v1"
 ROW_FIELDS = {
-    "zipf_theta", "policy", "workers", "shards", "batch_size", "commands",
+    "zipf_theta", "policy", "workers", "batch_size", "commands",
     "batches_formed", "avg_batch_fill", "multi_class_fraction",
-    "cross_shard_fraction", "delivery_kcmds_per_sec",
+    "delivery_kcmds_per_sec",
 }
 NUM_FIELDS = ROW_FIELDS - {"policy"}
-CONFIG_FIELDS = {"workers", "shards", "batch_size", "policies", "zipf_thetas"}
-FRACTION_FIELDS = ("multi_class_fraction", "cross_shard_fraction")
+CONFIG_FIELDS = {"workers", "batch_size", "policies", "zipf_thetas"}
+FRACTION_FIELDS = ("multi_class_fraction",)
 MIN_DROP = 5.0
 
 
@@ -106,7 +106,7 @@ def check_file(path, problems):
             fail(path, f"theta={theta} lacks an oblivious/affinity pair", problems)
 
     # The acceptance bar: theta == 0 is perfectly partitionable, so affinity
-    # formation must collapse both mixing fractions by >= MIN_DROP x.
+    # formation must collapse the mixing fraction by >= MIN_DROP x.
     zero = by_theta.get(0.0) or by_theta.get(0)
     if zero is None or set(zero) != {"oblivious", "affinity"}:
         fail(path, "no complete theta=0 pair — acceptance comparison impossible",
