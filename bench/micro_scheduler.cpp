@@ -24,7 +24,6 @@
 #include "host.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
-#include "smr/batch_former.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/codec.hpp"
 #include "smr/conflict_class.hpp"
@@ -427,7 +426,7 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->stamp(map);  // stamped at formation time, as the proxy does
+    b->stamp(map);  // stamped before delivery: the fast path reads the mask
     return b;
   };
 
@@ -636,7 +635,7 @@ void write_zipf_rows(FILE* f, bool smoke, double extra_theta) {
 
 // ---------------------------------------------------------------------------
 // Shared bench-file scaffolding for the single-mode entry points (--early,
-// --zipf-theta, --checkpoints, --former). Every mode opens its file
+// --zipf-theta, --checkpoints). Every mode opens its file
 // with the same resolved-configuration header — bench name, smoke flag,
 // optional schema tag, and a "config" object naming exactly what runs — so
 // headers are printed by ONE function and cannot drift from the measurement
@@ -672,190 +671,6 @@ int write_metrics_export(const char* path, const psmr::obs::Snapshot& snap) {
   std::fclose(mf);
   std::printf("wrote %s\n", path);
   return 0;
-}
-
-// ---------------------------------------------------------------------------
-// `--former` mode (ISSUE 9): affinity-aware batch formation vs the paper's
-// oblivious append-until-full packing, swept over Zipf skew. The fraction
-// that gates the early scheduler's fast path, multi_class_fraction, is
-// computed from the FORMED batches' class stamps, and the formed stream is
-// then delivered through the EarlyScheduler so the throughput column shows
-// what formation buys (theta=0) and what it costs where it cannot help
-// (theta=0.99).
-// ---------------------------------------------------------------------------
-
-constexpr unsigned kFormationWorkers = 4;
-constexpr std::size_t kFormationBatchSize = 16;
-constexpr std::uint64_t kFormationUniverse = 1ull << 20;
-constexpr double kFormationThetas[] = {0.0, 0.5, 0.99};
-
-struct FormationMeasurement {
-  std::size_t batches_formed = 0;
-  double avg_batch_fill = 0.0;
-  double multi_class_fraction = 0.0;
-  double delivery_kcmds_per_sec = 0.0;
-  psmr::obs::Snapshot final_metrics;
-};
-
-/// Runs `n_commands` Zipf-drawn commands through a BatchFormer under the
-/// given policy (4-class contiguous-range map over a 2^20 universe), then
-/// delivers the formed stream through the EarlyScheduler with
-/// sentinel-pinned workers — identical plumbing for both policies, so the
-/// rows differ only in packing.
-FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
-                                       double theta, std::size_t n_commands) {
-  const std::uint64_t span = kFormationUniverse / kFormationWorkers;
-  auto map = std::make_shared<psmr::smr::ConflictClassMap>();
-  for (unsigned c = 0; c < kFormationWorkers; ++c) {
-    map->add_range(c * span, (c + 1) * span - 1, c);
-  }
-
-  auto registry = std::make_shared<psmr::obs::MetricsRegistry>();
-  psmr::smr::BatchFormer::Config fcfg;
-  fcfg.policy = policy;
-  fcfg.batch_size = kFormationBatchSize;
-  fcfg.class_map = map;
-  fcfg.metrics = registry;
-  psmr::smr::BatchFormer former(std::move(fcfg));
-
-  psmr::util::ZipfGenerator zipf(kFormationUniverse, theta);
-  psmr::util::Xoshiro256 rng(0xf0241ull +
-                             static_cast<std::uint64_t>(theta * 1000.0));
-  std::vector<psmr::smr::Batch> formed;
-  for (std::size_t i = 0; i < n_commands; ++i) {
-    psmr::smr::Command c;
-    c.type = psmr::smr::OpType::kUpdate;
-    c.key = zipf(rng);
-    c.value = i;
-    former.offer(c, formed);
-  }
-  former.drain(formed);
-
-  FormationMeasurement m;
-  m.batches_formed = formed.size();
-  std::size_t multi = 0;
-  for (const psmr::smr::Batch& b : formed) {
-    if (__builtin_popcountll(b.class_mask()) > 1) ++multi;
-  }
-  if (!formed.empty()) {
-    const auto n = static_cast<double>(formed.size());
-    m.avg_batch_fill = static_cast<double>(n_commands) / n;
-    m.multi_class_fraction = static_cast<double>(multi) / n;
-  }
-
-  // Sentinel-pinned delivery of the formed stream (same harness as the
-  // early/zipf measurements): one in-class sentinel per worker, then the
-  // timed loop over every formed batch.
-  std::uint64_t seq = 0;
-  std::vector<psmr::smr::BatchPtr> pinned;
-  for (unsigned w = 0; w < kFormationWorkers; ++w) {
-    std::vector<psmr::smr::Command> cmds(1);
-    cmds[0].type = psmr::smr::OpType::kUpdate;
-    cmds[0].key = w * span;
-    auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
-    b->set_sequence(++seq);
-    b->stamp(map);
-    pinned.push_back(std::move(b));
-  }
-  std::vector<psmr::smr::BatchPtr> stream;
-  stream.reserve(formed.size());
-  for (psmr::smr::Batch& b : formed) {
-    auto p = std::make_shared<psmr::smr::Batch>(std::move(b));
-    p->set_sequence(++seq);
-    stream.push_back(std::move(p));
-  }
-
-  std::atomic<bool> release{false};
-  psmr::core::SchedulerOptions opts;
-  opts.workers = kFormationWorkers;
-  opts.mode = ConflictMode::kKeysNested;
-  opts.class_map = map;
-  opts.metrics = registry;  // former.* + scheduler.* + early.* in one export
-  psmr::core::EarlyScheduler scheduler(
-      std::move(opts), [&release](const psmr::smr::Batch& b) {
-        if (b.sequence() <= kFormationWorkers) {
-          while (!release.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        }
-      });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : stream) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  m.final_metrics = scheduler.stats();
-  scheduler.stop();
-  m.delivery_kcmds_per_sec = static_cast<double>(n_commands) / secs / 1000.0;
-  return m;
-}
-
-/// The formation sweep rows: theta x policy, oblivious first per theta so
-/// readers (and tools/check_bench_formation_json.py) can compare pairs.
-void write_formation_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) {
-  const std::size_t n_commands = smoke ? 16000 : 160000;
-  bool first = true;
-  for (const double theta : kFormationThetas) {
-    for (const psmr::smr::FormationPolicy policy :
-         {psmr::smr::FormationPolicy::kOblivious,
-          psmr::smr::FormationPolicy::kAffinity}) {
-      const FormationMeasurement m = measure_formation(policy, theta, n_commands);
-      std::fprintf(f,
-                   "%s    {\"zipf_theta\": %.2f, \"policy\": \"%s\", "
-                   "\"workers\": %u, \"batch_size\": %zu, "
-                   "\"commands\": %zu, \"batches_formed\": %zu, "
-                   "\"avg_batch_fill\": %.2f, \"multi_class_fraction\": %.4f, "
-                   "\"delivery_kcmds_per_sec\": %.1f}",
-                   first ? "" : ",\n", theta, psmr::smr::to_string(policy),
-                   kFormationWorkers, kFormationBatchSize, n_commands,
-                   m.batches_formed, m.avg_batch_fill, m.multi_class_fraction,
-                   m.delivery_kcmds_per_sec);
-      first = false;
-      std::printf("formation    theta=%.2f %-9s: %6zu batches, fill %5.2f, "
-                  "multi-class %.4f, %10.1f kCmds/s\n",
-                  theta, psmr::smr::to_string(policy), m.batches_formed,
-                  m.avg_batch_fill, m.multi_class_fraction,
-                  m.delivery_kcmds_per_sec);
-      if (last_metrics != nullptr) *last_metrics = m.final_metrics;
-    }
-  }
-}
-
-std::string formation_config_json() {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"workers\": %u, \"batch_size\": %zu, "
-                "\"classes\": %u, \"key_universe\": %llu, "
-                "\"policies\": [\"oblivious\", \"affinity\"], "
-                "\"zipf_thetas\": [0.0, 0.5, 0.99]}",
-                kFormationWorkers, kFormationBatchSize,
-                kFormationWorkers,
-                static_cast<unsigned long long>(kFormationUniverse));
-  return buf;
-}
-
-/// `--former` mode: the formation sweep, written to
-/// BENCH_scheduler_formation.json (schema psmr.bench.formation.v1, checked
-/// by tools/check_bench_formation_json.py) + METRICS_formation.json (the
-/// psmr.metrics.v1 export carrying former.* alongside early.*).
-int formation_main(bool smoke, const char* metrics_path) {
-  FILE* f = open_bench_file("BENCH_scheduler_formation.json",
-                            "micro_scheduler_formation", smoke,
-                            "psmr.bench.formation.v1", formation_config_json());
-  if (f == nullptr) return 1;
-  std::fprintf(f, "  \"formation_sweep\": [\n");
-  psmr::obs::Snapshot last_metrics;
-  write_formation_rows(f, smoke, &last_metrics);
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_scheduler_formation.json\n");
-  return write_metrics_export(metrics_path, last_metrics);
 }
 
 struct CheckpointMeasurement {
@@ -1170,7 +985,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool checkpoints = false;
   bool early = false;
-  bool former = false;
   bool zipf = false;
   double zipf_theta = -1.0;
   bool smoke = false;
@@ -1180,7 +994,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--checkpoint-interval") == 0) checkpoints = true;
     if (std::strcmp(argv[i], "--checkpoints") == 0) checkpoints = true;
     if (std::strcmp(argv[i], "--early") == 0) early = true;
-    if (std::strcmp(argv[i], "--former") == 0) former = true;
     if (std::strcmp(argv[i], "--zipf-theta") == 0) zipf = true;
     if (std::strncmp(argv[i], "--zipf-theta=", 13) == 0) {
       zipf = true;
@@ -1199,11 +1012,6 @@ int main(int argc, char** argv) {
     return early_main(smoke,
                       metrics_path != nullptr ? metrics_path
                                               : "METRICS_early_scheduler.json");
-  }
-  if (former) {
-    return formation_main(smoke,
-                          metrics_path != nullptr ? metrics_path
-                                                  : "METRICS_formation.json");
   }
   if (zipf) return zipf_main(smoke, zipf_theta);
   if (json) return json_main(smoke, metrics_path);

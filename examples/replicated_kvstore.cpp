@@ -117,22 +117,17 @@ int main() {
   // gap recovery (100 ms probe period), so wait until both replicas have
   // consumed the same delivery prefix for four 50 ms polls in a row (10 s
   // cap). A consumed batch was scheduled, answered from the dedup cache, or
-  // applied as a repartition; executed-command counts may differ between
-  // replicas, because the dedup fast path fires on one and not the other.
+  // rejected (Replica::batches_consumed); executed-command counts may differ
+  // between replicas, because the dedup fast path fires on one and not the
+  // other.
   for (auto& p : proxies) p->stop();
-  const auto consumed = [](const smr::Replica& r) {
-    const obs::Snapshot st = r.stats();
-    return st.counter("scheduler.batches_delivered") +
-           st.counter("replica.batches_deduped") +
-           st.counter("replica.repartitions_applied");
-  };
   const auto drain_deadline = std::chrono::steady_clock::now() + 10s;
   std::uint64_t stable = ~std::uint64_t{0};
   int stable_rounds = 0;
   while (stable_rounds < 4 && std::chrono::steady_clock::now() < drain_deadline) {
     std::this_thread::sleep_for(50ms);
-    const std::uint64_t a = consumed(replica_a);
-    const std::uint64_t b = consumed(replica_b);
+    const std::uint64_t a = replica_a.batches_consumed();
+    const std::uint64_t b = replica_b.batches_consumed();
     if (a == b && a == stable) {
       ++stable_rounds;
     } else {
@@ -151,8 +146,8 @@ int main() {
   if (!drained) {
     std::printf("FAIL: replicas did not consume one delivery prefix within 10 s "
                 "(A %llu, B %llu batches)\n",
-                static_cast<unsigned long long>(consumed(replica_a)),
-                static_cast<unsigned long long>(consumed(replica_b)));
+                static_cast<unsigned long long>(replica_a.batches_consumed()),
+                static_cast<unsigned long long>(replica_b.batches_consumed()));
     return 1;
   }
 

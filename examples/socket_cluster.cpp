@@ -90,21 +90,17 @@ bool read_exact(int fd, void* buf, std::size_t n) {
 }
 
 /// Waits until `replica` has consumed every broadcast batch — handed to its
-/// scheduler or dropped as a duplicate at delivery — then for the scheduler
-/// to go idle. This counts delivery progress, not executed commands, which
-/// a deduplicated or failed command never adds to. When kDeliveryCap
-/// expires first, names the shortfall on stderr and returns false.
+/// scheduler, dropped as a duplicate or rejected at delivery
+/// (Replica::batches_consumed) — then for the scheduler to go idle. This
+/// counts delivery progress, not executed commands, which a deduplicated or
+/// failed command never adds to. When kDeliveryCap expires first, names the
+/// shortfall on stderr and returns false.
 bool await_delivery(smr::Replica& replica, const std::string& who) {
-  const auto consumed = [&] {
-    const auto st = replica.stats();
-    return st.counter("scheduler.batches_delivered") +
-           st.counter("replica.batches_deduped");
-  };
   const auto deadline = std::chrono::steady_clock::now() + kDeliveryCap;
-  std::uint64_t n = consumed();
+  std::uint64_t n = replica.batches_consumed();
   while (n != kBatches && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
-    n = consumed();
+    n = replica.batches_consumed();
   }
   if (n != kBatches) {
     std::fprintf(stderr, "%s: consumed %llu of %llu batches within %llds\n",

@@ -15,6 +15,11 @@ constexpr std::size_t kDefaultQueueCapacity = std::size_t{1} << 16;
 EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
     : config_(std::move(options)),
       executor_(std::move(executor)),
+      map_(config_.class_map != nullptr
+               ? config_.class_map
+               : std::make_shared<const smr::ConflictClassMap>(
+                     smr::ConflictClassMap::uniform(config_.workers))),
+      map_fingerprint_(map_->fingerprint()),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
       m_(*metrics_, config_.workers, "early.worker."),
@@ -30,11 +35,6 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
   // Participant ids are class workers 0..W-1 plus the fallback engine at
   // bit W, all in one 64-bit set — same cap as the class mask itself.
   PSMR_CHECK(config_.workers <= smr::ConflictClassMap::kMaxClasses);
-  map_ = config_.class_map != nullptr
-             ? config_.class_map
-             : std::make_shared<const smr::ConflictClassMap>(
-                   smr::ConflictClassMap::uniform(config_.workers));
-  map_fingerprint_.store(map_->fingerprint(), std::memory_order_relaxed);
 
   const std::size_t cap = config_.max_pending_batches != 0
                               ? config_.max_pending_batches
@@ -117,13 +117,11 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   if (stopping_.load(std::memory_order_relaxed)) return false;
   const std::uint64_t seq = batch->sequence();
   tracer_.begin(seq);
-  // Trust the class mask stamped at batch formation only when it was
+  // Trust the class mask stamped before delivery only when it was
   // computed under our exact map; otherwise recompute (one pass).
-  // Relaxed: the delivery thread is the only writer of map_fingerprint_.
-  std::uint64_t mask =
-      batch->class_map_fingerprint() == map_fingerprint_.load(std::memory_order_relaxed)
-          ? batch->class_mask()
-          : smr::compute_class_mask(*batch, *map_);
+  std::uint64_t mask = batch->class_map_fingerprint() == map_fingerprint_
+                           ? batch->class_mask()
+                           : smr::compute_class_mask(*batch, *map_);
   if (mask == 0) mask = 1;  // empty batch: route to class 0's worker
   const std::uint64_t pset = participants_of(mask);
   const int touched = std::popcount(pset);
@@ -392,22 +390,6 @@ void EarlyScheduler::release_barrier() {
 void EarlyScheduler::drain_to_sequence(std::uint64_t seq) {
   begin_barrier(seq);
   await_barrier();
-}
-
-void EarlyScheduler::apply_class_map(
-    std::shared_ptr<const smr::ConflictClassMap> map, std::uint64_t seq) {
-  PSMR_CHECK(map != nullptr);
-  // Quiesce the <= seq prefix: every batch routed under the OLD map has
-  // executed, so no in-flight work observes the swap. The barrier is the
-  // same mechanism the CheckpointManager uses (PR 6), and the caller is the
-  // delivery thread — the only reader of map_ — so the swap itself is a
-  // plain store.
-  drain_to_sequence(seq);
-  map_ = std::move(map);
-  map_fingerprint_.store(map_->fingerprint(), std::memory_order_release);
-  metrics_->gauge("early.classes").set(static_cast<double>(map_->num_classes()));
-  metrics_->counter("scheduler.repartitions").add(1);
-  release_barrier();
 }
 
 void EarlyScheduler::wait_idle() {

@@ -13,7 +13,7 @@
 // shared monitor.
 //
 // Three delivery paths, chosen per batch from its touched-class mask
-// (stamped at batch formation by the Proxy through Batch::stamp):
+// (stamped before delivery through Batch::stamp, or computed on the spot):
 //
 //   1. FAST PATH — all classes owned by one worker: push onto that
 //      worker's queue. Each queue is filled only by the (single) delivery
@@ -112,25 +112,6 @@ class EarlyScheduler {
   void release_barrier();
   void drain_to_sequence(std::uint64_t seq);
 
-  /// Applies a new conflict-class map at `seq` (epoch repartitioning,
-  /// DESIGN.md §15): quiesces the delivered <= seq prefix through the
-  /// checkpoint barrier, swaps the map + fingerprint, and releases.
-  /// Delivery thread only, with the <= seq prefix fully delivered — every
-  /// replica then routes the same batches under the old map and the same
-  /// under the new one. Batches stamped under the old map now carry a
-  /// stale fingerprint; deliver() already recomputes on mismatch, so the
-  /// swap costs recompute passes, never correctness. The class → worker
-  /// binding function is unchanged; only class membership of keys moves.
-  void apply_class_map(std::shared_ptr<const smr::ConflictClassMap> map,
-                       std::uint64_t seq);
-
-  /// Fingerprint of the currently applied map (never 0). Safe from any
-  /// thread — published through an atomic, so observers may poll it while
-  /// the delivery thread is mid-swap.
-  std::uint64_t class_map_fingerprint() const noexcept {
-    return map_fingerprint_.load(std::memory_order_acquire);
-  }
-
   /// Fires exactly once per failed batch (from the worker — or gate
   /// leader — that ran it). Set before start().
   void set_on_failure(FailureFn fn);
@@ -205,10 +186,9 @@ class EarlyScheduler {
   SchedulerOptions config_;
   Executor executor_;
   FailureFn on_failure_;
-  std::shared_ptr<const smr::ConflictClassMap> map_;
-  // Written by the delivery thread (constructor, apply_class_map); atomic so
-  // class_map_fingerprint() is safe to poll from any other thread.
-  std::atomic<std::uint64_t> map_fingerprint_{0};
+  // Fixed for the scheduler's lifetime (DESIGN.md §13.1).
+  const std::shared_ptr<const smr::ConflictClassMap> map_;
+  const std::uint64_t map_fingerprint_;
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   SchedulerMetrics m_;  // per-worker counters are early.worker.N.*

@@ -80,18 +80,6 @@ class PipelinedScheduler {
   void release_barrier();
   void drain_to_sequence(std::uint64_t seq);
 
-  /// Applies a new conflict-class map at `seq` — same contract as
-  /// Scheduler::apply_class_map (quiesce, swap, release; delivery thread
-  /// only). The pipelined variant schedules by the dependency graph, so the
-  /// map is observability here; the surface exists for variant parity.
-  void apply_class_map(std::shared_ptr<const smr::ConflictClassMap> map,
-                       std::uint64_t seq);
-  /// Safe from any thread — published through an atomic, so observers may
-  /// poll it while the graph-owner thread is mid-swap.
-  std::uint64_t class_map_fingerprint() const noexcept {
-    return class_map_fp_.load(std::memory_order_acquire);
-  }
-
   /// Optional hook observing failed batches. Set before start().
   void set_on_failure(FailureFn fn) { on_failure_ = std::move(fn); }
 
@@ -143,7 +131,6 @@ class PipelinedScheduler {
   SchedulerOptions config_;
   Executor executor_;
   FailureFn on_failure_;
-  std::atomic<std::uint64_t> class_map_fp_{0};
 
   // Registry handles resolved once at construction; hot paths touch only
   // the cached pointers.

@@ -18,9 +18,6 @@ Scheduler::Scheduler(SchedulerOptions options, Executor executor)
       graph_(config_.mode) {
   config_.validate();
   PSMR_CHECK(executor_ != nullptr);
-  if (config_.class_map != nullptr) {
-    class_map_fp_.store(config_.class_map->fingerprint(), std::memory_order_relaxed);
-  }
   metrics_->gauge("scheduler.workers").set(static_cast<double>(config_.workers));
   graph_.set_tracer(&tracer_);
 }
@@ -121,17 +118,6 @@ void Scheduler::release_barrier() {
 void Scheduler::drain_to_sequence(std::uint64_t seq) {
   begin_barrier(seq);
   await_barrier();
-}
-
-void Scheduler::apply_class_map(std::shared_ptr<const smr::ConflictClassMap> map,
-                                std::uint64_t seq) {
-  drain_to_sequence(seq);
-  config_.class_map = std::move(map);
-  class_map_fp_.store(
-      config_.class_map != nullptr ? config_.class_map->fingerprint() : 0,
-      std::memory_order_release);
-  metrics_->counter("scheduler.repartitions").add(1);
-  release_barrier();
 }
 
 obs::Snapshot Scheduler::stats() const {

@@ -14,7 +14,6 @@
 // type every other component exports — instead of a bespoke struct.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -91,25 +90,6 @@ class Scheduler {
   /// begin_barrier(seq) + await_barrier() in one call.
   void drain_to_sequence(std::uint64_t seq);
 
-  /// Applies a new conflict-class map at `seq` (epoch repartitioning,
-  /// DESIGN.md §15): quiesces the delivered <= seq prefix through the
-  /// checkpoint barrier, swaps the stored map, and releases. Delivery
-  /// thread only (the serialization drain_to_sequence already requires),
-  /// with the <= seq prefix fully delivered — every variant then applies
-  /// the map at the identical total-order position. The graph scheduler
-  /// never consults the map for scheduling (batches conflict by keys or
-  /// bitmaps), so here the swap is observability; the uniform surface
-  /// keeps Replica and the lockstep suites variant-agnostic.
-  void apply_class_map(std::shared_ptr<const smr::ConflictClassMap> map,
-                       std::uint64_t seq);
-
-  /// Fingerprint of the most recently applied (or configured) class map;
-  /// 0 when none was ever set. Safe from any thread — published through an
-  /// atomic, so observers may poll it while the delivery thread is mid-swap.
-  std::uint64_t class_map_fingerprint() const noexcept {
-    return class_map_fp_.load(std::memory_order_acquire);
-  }
-
   /// Optional hook observing failed batches (e.g. to emit error responses
   /// when the executor itself cannot). Set before start().
   void set_on_failure(FailureFn fn) { on_failure_ = std::move(fn); }
@@ -162,7 +142,6 @@ class Scheduler {
   SchedulerOptions config_;
   Executor executor_;
   FailureFn on_failure_;
-  std::atomic<std::uint64_t> class_map_fp_{0};
 
   // Observability: registry handles are resolved once, in the constructor;
   // the hot path only touches the cached pointers (sharded relaxed adds).

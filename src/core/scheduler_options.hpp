@@ -50,8 +50,9 @@ struct SchedulerOptions {
 
   /// Conflict-class declarations for the EarlyScheduler (DESIGN.md §13).
   /// null = the EarlyScheduler builds a uniform hash partition with one
-  /// class per worker. Ignored by the other variants. All replicas must
-  /// configure the identical map (like the bitmap hash config).
+  /// class per worker. Ignored by the other variants. The map is fixed for
+  /// the scheduler's lifetime; all replicas must configure the identical
+  /// map (like the bitmap hash config).
   std::shared_ptr<const smr::ConflictClassMap> class_map;
 
   /// Ring capacity of the batch-lifecycle tracer (obs::BatchTracer),

@@ -146,13 +146,6 @@ class KvService final : public smr::Service {
       case smr::OpType::kRemove:
         r.status = store_.remove(cmd.key);
         break;
-      case smr::OpType::kRepartition:
-        // Control command — replicas intercept repartition batches before
-        // execution (smr/repartition.hpp). Reaching the service means a
-        // malformed batch mixed control and data commands; fail it without
-        // touching state (deterministic at every replica).
-        r.status = smr::Status::kFailed;
-        break;
     }
     return r;
   }

@@ -102,11 +102,6 @@ smr::Response LockService::execute(const smr::Command& cmd) {
       r.status = table_.force_transfer(cmd.key, cmd.value);
       r.value = cmd.value;
       break;
-    case smr::OpType::kRepartition:
-      // Control command: intercepted at delivery, never executed here. A
-      // malformed batch that leaks one through fails deterministically.
-      r.status = smr::Status::kFailed;
-      break;
   }
   return r;
 }

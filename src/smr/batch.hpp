@@ -71,12 +71,11 @@ class Batch {
   const std::vector<std::uint32_t>& bitmap_positions() const noexcept { return positions_; }
 
   /// Stamps the touched-conflict-class set under `class_map` (DESIGN.md
-  /// §13) at batch-formation time, like the Bloom digest (off the delivery
-  /// critical path): bit c is set iff some command classifies as class c,
-  /// bit 63 (ConflictClassMap::kUnclassifiedBit) iff some command matches
-  /// no rule; plus the map's fingerprint. The same map configures the
-  /// BatchFormer's affinity routing, so formation and stamping can never
-  /// use different maps. Idempotent; a null map leaves the stamp untouched.
+  /// §13) before delivery, like the Bloom digest (off the delivery critical
+  /// path): bit c is set iff some command classifies as class c, bit 63
+  /// (ConflictClassMap::kUnclassifiedBit) iff some command matches no rule;
+  /// plus the map's fingerprint. Idempotent; a null map leaves the stamp
+  /// untouched.
   void stamp(const std::shared_ptr<const ConflictClassMap>& class_map);
 
   /// Touched-class bitmask and the fingerprint of the map it was computed

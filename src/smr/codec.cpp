@@ -72,7 +72,7 @@ std::optional<Batch> decode_batch(std::span<const std::uint8_t> bytes,
   for (std::uint32_t i = 0; i < count; ++i) {
     Command c;
     std::uint8_t type = 0;
-    if (!get(bytes, type) || type > static_cast<std::uint8_t>(OpType::kRepartition)) {
+    if (!get(bytes, type) || type > static_cast<std::uint8_t>(OpType::kRemove)) {
       return std::nullopt;
     }
     c.type = static_cast<OpType>(type);

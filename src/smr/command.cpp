@@ -8,7 +8,6 @@ const char* to_string(OpType t) noexcept {
     case OpType::kRead: return "read";
     case OpType::kUpdate: return "update";
     case OpType::kRemove: return "remove";
-    case OpType::kRepartition: return "repartition";
   }
   return "?";
 }

@@ -18,19 +18,12 @@ namespace psmr::smr {
 using Key = std::uint64_t;
 using Value = std::uint64_t;
 
-/// CRUD command set of the evaluated key-value service (§VI), plus the
-/// repartition control command (DESIGN.md §15).
+/// CRUD command set of the evaluated key-value service (§VI).
 enum class OpType : std::uint8_t {
   kCreate = 0,  // insert; fails if the key exists
   kRead = 1,    // lookup; no state change
   kUpdate = 2,  // upsert
   kRemove = 3,  // delete; fails if absent
-  /// Control command: one record of an encoded ConflictClassMap riding the
-  /// total order (smr/repartition.hpp). Replicas intercept repartition
-  /// batches at delivery and swap their class map at that sequence — the
-  /// command never reaches the Service. Delivery-ordered like every other
-  /// command, so all replicas apply the same map at the same sequence.
-  kRepartition = 4,
 };
 
 const char* to_string(OpType t) noexcept;

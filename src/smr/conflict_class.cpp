@@ -21,20 +21,6 @@ void ConflictClassMap::add_range(Key lo, Key hi, std::uint32_t cls) {
   if (cls + 1 > num_classes_) num_classes_ = cls + 1;
 }
 
-void ConflictClassMap::map_kind(OpType t, std::uint32_t cls) {
-  PSMR_CHECK(cls < kMaxClasses);
-  PSMR_CHECK(uniform_classes_ == 0);
-  kind_class_[static_cast<std::size_t>(t)] = cls;
-  if (cls + 1 > num_classes_) num_classes_ = cls + 1;
-}
-
-void ConflictClassMap::set_default_class(std::uint32_t cls) {
-  PSMR_CHECK(cls < kMaxClasses);
-  PSMR_CHECK(uniform_classes_ == 0);
-  default_class_ = cls;
-  if (cls + 1 > num_classes_) num_classes_ = cls + 1;
-}
-
 std::uint32_t ConflictClassMap::class_of_key(Key key) const noexcept {
   if (uniform_classes_ != 0) {
     return static_cast<std::uint32_t>(
@@ -43,13 +29,7 @@ std::uint32_t ConflictClassMap::class_of_key(Key key) const noexcept {
   for (const RangeRule& r : ranges_) {
     if (key >= r.lo && key <= r.hi) return r.cls;
   }
-  return default_class_;
-}
-
-std::uint32_t ConflictClassMap::class_of(const Command& c) const noexcept {
-  const std::uint32_t by_kind = kind_class_[static_cast<std::size_t>(c.type)];
-  if (by_kind != kUnclassified) return by_kind;
-  return class_of_key(c.key);
+  return kUnclassified;
 }
 
 std::uint64_t ConflictClassMap::class_mask_of(const Command& c) const noexcept {
@@ -68,8 +48,6 @@ std::uint64_t ConflictClassMap::fingerprint() const noexcept {
     h = util::mix64(h ^ r.hi);
     h = util::mix64(h ^ r.cls);
   }
-  for (const std::uint32_t k : kind_class_) h = util::mix64(h ^ k);
-  h = util::mix64(h ^ default_class_);
   return h == 0 ? 1 : h;
 }
 

@@ -8,30 +8,26 @@
 // then only reads a precomputed class mask and pushes the batch onto the
 // owning worker's queue; no dependency graph, no conflict probe.
 //
-// A ConflictClassMap is that declaration: rules mapping key ranges and/or
-// command kinds to small integer class ids (< 64, so a batch's touched-class
-// set fits one mask word).
+// A ConflictClassMap is that declaration: rules mapping key ranges to small
+// integer class ids (< 64, so a batch's touched-class set fits one mask
+// word), or a uniform hash partition of the whole key space.
 // Keys matched by no rule are UNCLASSIFIED — the early scheduler routes
 // batches touching them through its embedded dependency graph, recovering
 // the paper's general mechanism as a fallback.
 //
 // Soundness contract (the early-scheduling papers put this on the
 // declarer): any two commands that can conflict must either be mapped to
-// the same class, or both be left unclassified. Purely key-based maps
-// (uniform(), or range rules without kind rules) satisfy this by
-// construction, because conflicting commands share a key and the class of a
-// command is then a function of its key alone. Kind rules override key
-// rules and are trusted — use them only for command types whose conflicts
-// are not expressible through keys.
+// the same class, or both be left unclassified. Every map satisfies this by
+// construction: conflicting commands share a key, and the class of a
+// command is a function of its key alone.
 //
-// The map is immutable once a scheduler is constructed from it; all
+// The map is fixed for a scheduler's lifetime (DESIGN.md §13.1); all
 // replicas must configure the identical map (like the bitmap hash config).
 // fingerprint() lets a scheduler detect that a batch was stamped with a
 // DIFFERENT map and recompute the mask on the spot, so correctness never
 // depends on proxy/replica agreement — only cost does.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,15 +45,6 @@ class ConflictClassMap {
   /// Mask bit carried by batches that touch any unclassified key.
   static constexpr std::uint64_t kUnclassifiedBit = std::uint64_t{1} << 63;
 
-  /// One key-range declaration, exposed so the repartitioner can read the
-  /// current rules and rebuild a shifted map (DESIGN.md §15) and so the
-  /// repartition codec can serialize the map into a command batch.
-  struct RangeRule {
-    Key lo;
-    Key hi;
-    std::uint32_t cls;
-  };
-
   /// Empty map: every command is unclassified (the early scheduler then
   /// degenerates to its embedded graph engine).
   ConflictClassMap() = default;
@@ -67,15 +54,9 @@ class ConflictClassMap {
   static ConflictClassMap uniform(std::uint32_t classes);
 
   /// Declares keys in [lo, hi] (inclusive) as class `cls`. Rules are
-  /// checked in declaration order; the first match wins.
+  /// checked in declaration order; the first match wins. Keys no rule
+  /// matches stay unclassified.
   void add_range(Key lo, Key hi, std::uint32_t cls);
-
-  /// Declares every command of kind `t` as class `cls`, regardless of key.
-  /// Overrides key rules — see the soundness contract above.
-  void map_kind(OpType t, std::uint32_t cls);
-
-  /// Class for keys matched by no range rule (instead of unclassified).
-  void set_default_class(std::uint32_t cls);
 
   /// 1 + the highest class id any rule can produce (uniform(C) → C).
   /// 0 for the empty map.
@@ -83,12 +64,12 @@ class ConflictClassMap {
 
   bool empty() const noexcept { return num_classes_ == 0; }
 
-  /// Class of a key under the range rules / default / uniform partition.
+  /// Class of a key under the range rules / uniform partition.
   /// kUnclassified when nothing matches.
   std::uint32_t class_of_key(Key key) const noexcept;
 
-  /// Class of a command: kind rule first, then class_of_key.
-  std::uint32_t class_of(const Command& c) const noexcept;
+  /// Class of a command: the class of its key.
+  std::uint32_t class_of(const Command& c) const noexcept { return class_of_key(c.key); }
 
   /// One-bit mask for a command: 1 << class_of(c), or kUnclassifiedBit.
   std::uint64_t class_mask_of(const Command& c) const noexcept;
@@ -106,28 +87,15 @@ class ConflictClassMap {
   /// foreign stamp.
   std::uint64_t fingerprint() const noexcept;
 
-  /// Declaration-order range rules (first match wins). Empty for uniform
-  /// maps.
-  const std::vector<RangeRule>& range_rules() const noexcept { return ranges_; }
-
-  /// Nonzero iff this map is a uniform(n) hash partition.
-  std::uint32_t uniform_classes() const noexcept { return uniform_classes_; }
-
-  /// Class for unmatched keys; kUnclassified when no default was set.
-  std::uint32_t default_class() const noexcept { return default_class_; }
-
-  /// Kind-rule class for command type `t`; kUnclassified when unmapped.
-  std::uint32_t kind_class(OpType t) const noexcept {
-    return kind_class_[static_cast<std::size_t>(t)];
-  }
-
  private:
+  struct RangeRule {
+    Key lo;
+    Key hi;
+    std::uint32_t cls;
+  };
+
   std::uint32_t uniform_classes_ = 0;  // nonzero = uniform hash partition
   std::vector<RangeRule> ranges_;
-  std::array<std::uint32_t, 5> kind_class_ = {kUnclassified, kUnclassified,
-                                              kUnclassified, kUnclassified,
-                                              kUnclassified};
-  std::uint32_t default_class_ = kUnclassified;
   std::uint32_t num_classes_ = 0;
 };
 

@@ -68,9 +68,6 @@ bool apply_matches(const HistoryOp& op, KeyState& state) {
       if (!state.present) return r.status == Status::kNotFound;
       state.present = false;
       return r.status == Status::kOk;
-    case OpType::kRepartition:
-      // Control commands never reach a service and are never recorded.
-      return false;
   }
   return false;
 }

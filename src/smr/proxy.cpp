@@ -23,17 +23,10 @@ Proxy::Proxy(Config config, CommandSource source, BroadcastFn broadcast)
                                             ".batches_abandoned")),
       admission_rejections_(&metrics_->counter(
           "proxy." + std::to_string(config.proxy_id) + ".admission_rejections")),
-      repartitions_proposed_(&metrics_->counter(
-          "proxy." + std::to_string(config.proxy_id) + ".repartitions_proposed")),
       latency_(&metrics_->histogram("proxy." + std::to_string(config.proxy_id) +
                                     ".latency_ns")),
       admission_wait_ns_(&metrics_->histogram("proxy." + std::to_string(config.proxy_id) +
-                                              ".admission_wait_ns")),
-      former_(BatchFormer::Config{
-          config.formation.policy, config.formation.batch_size,
-          config.formation.max_open_lanes, config.formation.max_lane_age,
-          config.formation.class_map,
-          metrics_}) {
+                                              ".admission_wait_ns")) {
   metrics_->gauge("proxy." + std::to_string(config_.proxy_id) + ".batch_size")
       .set(static_cast<double>(config_.formation.batch_size));
   PSMR_CHECK(config_.formation.batch_size >= 1);
@@ -43,13 +36,6 @@ Proxy::Proxy(Config config, CommandSource source, BroadcastFn broadcast)
   PSMR_CHECK(config_.reliability.retry.jitter >= 0.0);
   PSMR_CHECK(source_ != nullptr);
   PSMR_CHECK(broadcast_ != nullptr);
-  if (config_.repartition.epoch_commands != 0 &&
-      config_.formation.class_map != nullptr) {
-    Repartitioner::Config rc = config_.repartition;
-    rc.metrics = metrics_;
-    repartitioner_ =
-        std::make_unique<Repartitioner>(rc, config_.formation.class_map);
-  }
 }
 
 Proxy::~Proxy() { stop(); }
@@ -71,8 +57,9 @@ void Proxy::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-std::vector<Batch> Proxy::build_round() {
-  std::vector<Batch> formed;
+Batch Proxy::build_round() {
+  std::vector<Command> commands;
+  commands.reserve(config_.formation.batch_size);
   for (std::size_t j = 0; j < config_.formation.batch_size; ++j) {
     const std::size_t local = j % config_.num_clients;
     const std::uint64_t client_id = config_.proxy_id * config_.num_clients + local;
@@ -80,16 +67,12 @@ std::vector<Batch> Proxy::build_round() {
     Command cmd = source_(client_id, seq);
     cmd.client_id = client_id;
     cmd.sequence = seq;
-    former_.offer(std::move(cmd), formed);
+    commands.push_back(cmd);
   }
-  // The closed loop waits on every drawn command, so every open lane must
-  // flush before the round is broadcast.
-  former_.drain(formed);
-  for (Batch& b : formed) {
-    b.set_proxy_id(config_.proxy_id);
-    if (config_.formation.use_bitmap) b.build_bitmap(config_.formation.bitmap);
-  }
-  return formed;
+  Batch batch(std::move(commands));
+  batch.set_proxy_id(config_.proxy_id);
+  if (config_.formation.use_bitmap) batch.build_bitmap(config_.formation.bitmap);
+  return batch;
 }
 
 std::chrono::nanoseconds Proxy::backoff_with_jitter(std::chrono::nanoseconds backoff) {
@@ -106,8 +89,7 @@ void Proxy::run_loop() {
     // Pre-order admission (DESIGN.md §14): acquire credits for the whole
     // round BEFORE it can reach the total order. A rejection is the
     // kOverloaded answer a real client would get; the wait below is that
-    // client's backoff between re-asks. Credits are counted in commands, so
-    // the round's cost is the same however the former packs it.
+    // client's backoff between re-asks. Credits are counted in commands.
     const std::uint64_t n_admit = config_.formation.batch_size;
     bool holds_credits = false;
     if (config_.admission.controller != nullptr) {
@@ -146,27 +128,23 @@ void Proxy::run_loop() {
       if (!holds_credits) break;  // stopped while shedding
     }
     lk.unlock();
-    const std::vector<Batch> round = build_round();  // kept for retransmission
-    std::size_t n = 0;
+    const Batch batch = build_round();  // kept for retransmission
     lk.lock();
     outstanding_.clear();
-    for (const Batch& b : round) {
-      for (const Command& c : b.commands()) {
-        outstanding_.insert(op_token(c.client_id, c.sequence));
-        ++n;
-      }
+    for (const Command& c : batch.commands()) {
+      outstanding_.insert(op_token(c.client_id, c.sequence));
     }
     lk.unlock();
     const std::uint64_t t0 = util::now_ns();
-    for (const Batch& b : round) broadcast_(std::make_unique<Batch>(b));
+    broadcast_(std::make_unique<Batch>(batch));
     auto backoff = std::chrono::duration_cast<std::chrono::nanoseconds>(retry.initial);
     unsigned attempt = 1;
     bool completed = false;
     bool abandoned = false;
     lk.lock();
     for (;;) {
-      // Wait for the first reply to every command in the round (§VI) — but
-      // only up to the retry deadline: fair-lossy links may have eaten a
+      // Wait for the first reply to every command in the batch (§VI) — but
+      // only up to the retry deadline: fair-lossy links may have eaten the
       // batch or its responses.
       all_done_.wait_for(lk, backoff_with_jitter(backoff),
                          [&] { return outstanding_.empty() || stop_; });
@@ -183,14 +161,12 @@ void Proxy::run_loop() {
       ++attempt;
       retransmits_->add(1);
       lk.unlock();
-      // The whole round is re-broadcast: replicas deduplicate through their
-      // session tables, so re-sending an already-delivered batch of the
-      // round costs one cached-response replay, never a re-execution.
-      for (const Batch& b : round) {
-        auto resend = std::make_unique<Batch>(b);
-        resend->set_attempt(attempt);
-        broadcast_(std::move(resend));
-      }
+      // Replicas deduplicate through their session tables, so re-sending
+      // an already-delivered batch costs one cached-response replay, never
+      // a re-execution.
+      auto resend = std::make_unique<Batch>(batch);
+      resend->set_attempt(attempt);
+      broadcast_(std::move(resend));
       lk.lock();
       backoff = std::min(
           std::chrono::nanoseconds(static_cast<std::int64_t>(
@@ -200,24 +176,8 @@ void Proxy::run_loop() {
     if (completed) {
       lk.unlock();
       latency_->record(util::now_ns() - t0);
-      commands_completed_->add(n);
-      batches_completed_->add(round.size());
-      // Epoch repartition (DESIGN.md §15): feed the former's per-class
-      // loads, and when an epoch closes hot, broadcast the rebalanced map
-      // through the SAME total order as data — fire-and-forget (sequence-0
-      // control commands are untracked, so there is no response to await;
-      // loss is benign, the next hot epoch proposes again) — then adopt it
-      // locally so subsequent rounds form and stamp under the new map.
-      if (repartitioner_ != nullptr) {
-        repartitioner_->ingest(former_.class_loads());
-        if (auto next = repartitioner_->maybe_repartition()) {
-          repartitions_proposed_->add(1);
-          auto ctrl = std::make_unique<Batch>(encode_repartition(*next));
-          ctrl->set_proxy_id(config_.proxy_id);
-          broadcast_(std::move(ctrl));
-          former_.set_placement(std::move(next));
-        }
-      }
+      commands_completed_->add(batch.size());
+      batches_completed_->add(1);
       lk.lock();
     } else if (abandoned) {
       batches_abandoned_->add(1);

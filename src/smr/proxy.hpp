@@ -1,14 +1,13 @@
 // Client proxy (paper §V-A "Batched commands" and §VI).
 //
-// A proxy fronts a group of clients: it draws one command per client from a
-// command source, routes them through a BatchFormer (append-until-full
-// under FormationPolicy::kOblivious — the paper's packing — or per-home
-// affinity lanes under kAffinity, DESIGN.md §15), computes each formed
-// batch's Bloom digest CLIENT-SIDE ("to alleviate the burden on the
-// parallelizer, the bitmaps for a batch are computed by the client proxy"),
-// broadcasts the round's batches, and waits for the FIRST response to every
-// command in the round before drawing the next one — a closed loop. Offered
-// load is therefore controlled by the number of proxies.
+// A proxy fronts a group of clients: each round it draws one command per
+// client, round-robin, and appends them into ONE batch of batch_size
+// commands (the paper's append-until-full packing), computes the batch's
+// Bloom digest CLIENT-SIDE ("to alleviate the burden on the parallelizer,
+// the bitmaps for a batch are computed by the client proxy"), broadcasts
+// it, and waits for the FIRST response to every command in the batch
+// before drawing the next round — a closed loop. Offered load is therefore
+// controlled by the number of proxies.
 //
 // Reliability (fair-lossy links, §II): the wait on a batch carries a
 // deadline. On expiry the proxy RE-BROADCASTS the batch with exponential
@@ -32,9 +31,7 @@
 #include "obs/metrics.hpp"
 #include "smr/admission.hpp"
 #include "smr/batch.hpp"
-#include "smr/batch_former.hpp"
 #include "smr/command.hpp"
-#include "smr/repartition.hpp"
 #include "stats/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -70,29 +67,14 @@ class Proxy {
   /// ConsensusAdapter::broadcast).
   using BroadcastFn = std::function<void(std::unique_ptr<Batch>)>;
 
-  /// How this proxy packs commands into batches (DESIGN.md §15).
+  /// How this proxy forms its batch.
   struct FormationConfig {
-    /// Commands drawn per round (the paper evaluates 1, 100, 200). Under
-    /// kOblivious each round is exactly one batch of this size; under
-    /// kAffinity it is the former's size watermark, and a round may split
-    /// into several home-pure batches.
+    /// Commands per round, all in one batch (the paper evaluates 1, 100,
+    /// 200).
     std::size_t batch_size = 1;
-    /// Packing policy (BatchFormer): kOblivious = the paper's
-    /// append-until-full loop, kAffinity = per-class lanes.
-    FormationPolicy policy = FormationPolicy::kOblivious;
-    /// Affinity watermarks, passed through to BatchFormer::Config
-    /// (0 = that struct's defaults).
-    std::size_t max_open_lanes = 0;
-    std::size_t max_lane_age = 0;
     /// Whether to attach the Bloom digest, and its parameters.
     bool use_bitmap = false;
     BitmapConfig bitmap;
-    /// When set, each batch is stamped with its touched-conflict-class
-    /// mask for the EarlyScheduler, and (under kAffinity) classes form the
-    /// lane keys. Must be the map the replicas configure (the scheduler
-    /// recomputes on a fingerprint mismatch, so a drifted proxy costs
-    /// cycles, not correctness). null = skip.
-    std::shared_ptr<const ConflictClassMap> class_map;
   };
 
   /// Retransmission discipline.
@@ -128,14 +110,6 @@ class Proxy {
     FormationConfig formation;
     ReliabilityConfig reliability;
     AdmissionConfig admission;
-    /// Epoch repartitioning (DESIGN.md §15): with epoch_commands != 0 and
-    /// formation.class_map set, the proxy watches per-class load from its
-    /// former, and when an epoch closes hot it broadcasts the rebalanced
-    /// map as a kRepartition batch through the total order, then adopts it
-    /// locally (fingerprint bump — replicas recompute stale stamps).
-    /// Default: disabled.
-    Repartitioner::Config repartition{
-        .epoch_commands = 0, .imbalance_factor = 2.0, .metrics = nullptr};
   };
 
   Proxy(Config config, CommandSource source, BroadcastFn broadcast);
@@ -176,23 +150,9 @@ class Proxy {
     return admission_rejections_->value();
   }
 
-  /// Repartition proposals this proxy has broadcast (kRepartition batches).
-  std::uint64_t repartitions_proposed() const noexcept {
-    return repartitions_proposed_->value();
-  }
-
-  /// Round (= batch under kOblivious) round-trip latency (ns), recorded per
-  /// completed round. Returns a merged copy of the registry histogram
-  /// (`proxy.N.latency_ns`).
+  /// Batch round-trip latency (ns), recorded per completed round. Returns
+  /// a merged copy of the registry histogram (`proxy.N.latency_ns`).
   stats::Histogram latency() const { return latency_->merged(); }
-
-  /// The formation pipeline (watermark counters, class loads — test hook).
-  const BatchFormer& former() const noexcept { return former_; }
-
-  /// The epoch repartitioner, or null when disabled (test hook).
-  const Repartitioner* repartitioner() const noexcept {
-    return repartitioner_.get();
-  }
 
   /// Unified metrics snapshot. Names carry the proxy id (`proxy.N.metric`,
   /// like `worker.N.*` — DESIGN.md §10), so snapshots of several proxies
@@ -204,10 +164,9 @@ class Proxy {
  private:
   void run_loop();
   /// Draws formation.batch_size commands round-robin across the local
-  /// clients, routes them through the former, and drains it — the round's
-  /// broadcast-ready batches (proxy id + Bloom digest applied; class
-  /// stamps were already applied by the former's single-pass Batch::stamp).
-  std::vector<Batch> build_round();
+  /// clients into one broadcast-ready batch (proxy id + Bloom digest
+  /// applied).
+  Batch build_round();
   std::chrono::nanoseconds backoff_with_jitter(std::chrono::nanoseconds backoff);
 
   static std::uint64_t op_token(std::uint64_t client_id, std::uint64_t seq) noexcept {
@@ -236,15 +195,8 @@ class Proxy {
   obs::Counter* retransmits_;
   obs::Counter* batches_abandoned_;
   obs::Counter* admission_rejections_;
-  obs::Counter* repartitions_proposed_;
   obs::HistogramMetric* latency_;
   obs::HistogramMetric* admission_wait_ns_;
-
-  // Formation pipeline + epoch repartitioner (null = disabled). Both share
-  // metrics_, so `former.*` / `repartition.*` ride the proxy snapshot.
-  // Touched only from the loop thread.
-  BatchFormer former_;
-  std::unique_ptr<Repartitioner> repartitioner_;
 
   std::thread thread_;
 };

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "smr/repartition.hpp"
 #include "util/assert.hpp"
 
 namespace psmr::smr {
@@ -16,9 +15,9 @@ Replica::Replica(Config config, Service& service, ResponseSink sink)
       metrics_(config_.scheduler.metrics != nullptr
                    ? config_.scheduler.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
+      batches_delivered_(&metrics_->counter("scheduler.batches_delivered")),
       batches_deduped_(&metrics_->counter("replica.batches_deduped")),
       responses_from_cache_(&metrics_->counter("replica.responses_from_cache")),
-      repartitions_applied_(&metrics_->counter("replica.repartitions_applied")),
       batches_rejected_(&metrics_->counter("replica.batches_rejected")),
       scheduler_(
           [&] {
@@ -60,24 +59,6 @@ bool Replica::install_checkpoint(const CheckpointRecord& record) {
 
 bool Replica::deliver(BatchPtr batch) {
   const std::uint64_t seq = batch != nullptr ? batch->sequence() : 0;
-  if (batch != nullptr && is_repartition(*batch)) {
-    // Repartition control batch (DESIGN.md §15): never reaches the service.
-    // Every replica sees it at the same sequence (total order), quiesces its
-    // scheduler's <= seq prefix through the checkpoint barrier, and swaps
-    // the map — so all replicas route every data batch under the same map.
-    // Applying is idempotent (same map -> same fingerprint), which makes
-    // retransmitted control batches harmless, and a malformed batch is
-    // ignored identically everywhere (decode is deterministic).
-    auto map = decode_repartition(*batch);
-    if (map != nullptr) {
-      scheduler_.apply_class_map(std::move(map), seq);
-      repartitions_applied_->add(1);
-    }
-    // The control sequence still advances the checkpoint clock, like the
-    // dedup fast path: every replica checkpoints at the same sequence.
-    if (checkpoints_ != nullptr) checkpoints_->on_delivered(seq);
-    return true;
-  }
   if (batch != nullptr && config_.scheduler.mode == core::ConflictMode::kBitmap &&
       !batch->has_bitmap()) {
     // The digest flag travels in the payload, so a batch from another

@@ -95,17 +95,14 @@ class Replica {
     return batches_deduped_->value();
   }
 
-  /// kRepartition control batches applied at delivery (DESIGN.md §15).
-  /// Also exported as the `replica.repartitions_applied` counter.
-  std::uint64_t repartitions_applied() const noexcept {
-    return repartitions_applied_->value();
-  }
-
-  /// Fingerprint of the scheduler's current conflict-class map (0 = none
-  /// configured). Changes exactly when a repartition batch is applied —
-  /// replicas in lockstep agree on this value at every sequence.
-  std::uint64_t class_map_fingerprint() const noexcept {
-    return scheduler_.class_map_fingerprint();
+  /// Batches this replica has taken from the total order and finished
+  /// with at delivery: handed to the scheduler
+  /// (`scheduler.batches_delivered`), answered from the session cache
+  /// (`replica.batches_deduped`) or rejected (`replica.batches_rejected`).
+  /// Replicas fed the same order agree on it once delivery has caught up.
+  std::uint64_t batches_consumed() const noexcept {
+    return batches_delivered_->value() + batches_deduped_->value() +
+           batches_rejected_->value();
   }
 
   /// The checkpoint subsystem; null unless Config::checkpoint_interval > 0.
@@ -128,9 +125,9 @@ class Replica {
   ResponseSink sink_;
   SessionTable sessions_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;  // shared with scheduler_
+  obs::Counter* batches_delivered_;  // the scheduler's, resolved here once
   obs::Counter* batches_deduped_;
   obs::Counter* responses_from_cache_;
-  obs::Counter* repartitions_applied_;
   obs::Counter* batches_rejected_;
   core::Scheduler scheduler_;
   std::unique_ptr<CheckpointManager> checkpoints_;

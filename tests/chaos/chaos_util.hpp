@@ -17,20 +17,13 @@
 
 namespace psmr::chaos {
 
-/// Batches a replica has consumed from its delivery stream. Every batch
-/// Replica::deliver accepts lands in exactly one of these counters, and
-/// every replica sees the same stream, so the sum converges to the same
-/// value everywhere. Execution counts do not: the dedup fast path answers a
-/// fully duplicated batch on one replica while another, further behind in
-/// execution, schedules it and skips its commands one by one.
-inline std::uint64_t batches_consumed(const obs::Snapshot& st) {
-  return st.counter("scheduler.batches_delivered") + st.counter("replica.batches_deduped") +
-         st.counter("replica.repartitions_applied");
-}
-
-/// Returns once every replica reports the same batches_consumed() for four
-/// consecutive 50 ms polls and has then gone idle. Reaching `cap` first
-/// fails the calling test and prints each replica's counts.
+/// Returns once every replica reports the same
+/// Replica::batches_consumed() for four consecutive 50 ms polls and has
+/// then gone idle. Every replica sees the same stream, so that count
+/// converges; execution counts do not, because the dedup fast path answers
+/// a fully duplicated batch on one replica while another, further behind in
+/// execution, schedules it and skips its commands one by one. Reaching
+/// `cap` first fails the calling test and prints each replica's counts.
 inline void drain_replicas(const std::vector<smr::Replica*>& replicas,
                            std::chrono::seconds cap = std::chrono::seconds(15)) {
   const auto deadline = std::chrono::steady_clock::now() + cap;
@@ -43,8 +36,8 @@ inline void drain_replicas(const std::vector<smr::Replica*>& replicas,
         const auto st = replicas[i]->stats();
         report << "\n  replica " << i << ": batches_delivered "
                << st.counter("scheduler.batches_delivered") << ", batches_deduped "
-               << st.counter("replica.batches_deduped") << ", repartitions_applied "
-               << st.counter("replica.repartitions_applied") << ", commands_executed "
+               << st.counter("replica.batches_deduped") << ", batches_rejected "
+               << st.counter("replica.batches_rejected") << ", commands_executed "
                << st.counter("scheduler.commands_executed") << ", batches_failed "
                << st.counter("scheduler.batches_failed");
       }
@@ -55,7 +48,7 @@ inline void drain_replicas(const std::vector<smr::Replica*>& replicas,
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
     for (smr::Replica* r : replicas) {
-      const std::uint64_t n = batches_consumed(r->stats());
+      const std::uint64_t n = r->batches_consumed();
       lo = std::min(lo, n);
       hi = std::max(hi, n);
     }

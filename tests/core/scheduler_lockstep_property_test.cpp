@@ -132,71 +132,6 @@ TEST(SchedulerLockstepPropertyTest, AllVariantsBitIdenticalAcrossSeeds) {
   }
 }
 
-template <typename S>
-State run_variant_with_swap(
-    SchedulerOptions cfg, const std::vector<smr::BatchPtr>& stream,
-    std::uint64_t swap_seq,
-    std::shared_ptr<const smr::ConflictClassMap> next) {
-  kv::KvStore store;
-  S s(std::move(cfg), [&](const smr::Batch& b) {
-    for (const smr::Command& c : b.commands()) {
-      if (c.is_write()) store.update(c.key, c.value);
-    }
-  });
-  s.start();
-  for (const auto& b : stream) {
-    EXPECT_TRUE(s.deliver(b));
-    // Mid-run repartition, exactly as Replica::deliver applies it: quiesce
-    // the <= swap_seq prefix, swap, resume.
-    if (b->sequence() == swap_seq) s.apply_class_map(next, swap_seq);
-  }
-  s.wait_idle();
-  s.stop();
-  EXPECT_EQ(s.class_map_fingerprint(), next->fingerprint());
-  return store.snapshot();
-}
-
-TEST(SchedulerLockstepPropertyTest, MidRunRepartitionPreservesBitIdenticalState) {
-  // The repartition contract (DESIGN.md §15): a class-map swap at a fixed
-  // sequence is an execution-resource change, never an ordering input — so
-  // every variant, swapped mid-run, must still match the sequential
-  // reference bit for bit. Batches after the swap carry stamps computed
-  // under the OLD map (the stream was stamped once up front in real
-  // deployments too); the early scheduler's fingerprint check recomputes
-  // them.
-  auto initial = std::make_shared<smr::ConflictClassMap>();
-  initial->add_range(0, 15, 0);
-  initial->add_range(16, 31, 1);
-  auto rebalanced = std::make_shared<smr::ConflictClassMap>();
-  rebalanced->add_range(0, 7, 0);
-  rebalanced->add_range(8, 23, 1);
-  rebalanced->add_range(24, 31, 2);
-  for (const std::uint64_t seed : {19ull, 555ull}) {
-    const auto stream = random_stream(seed, 250);
-    const State reference = sequential_state(stream);
-    for (const std::uint64_t swap_seq : {1ull, 120ull, 250ull}) {
-      for (const unsigned workers : {2u, 4u}) {
-        SchedulerOptions cfg;
-        cfg.workers = workers;
-        cfg.class_map = initial;
-        EXPECT_EQ(run_variant_with_swap<Scheduler>(cfg, stream, swap_seq,
-                                                   rebalanced),
-                  reference)
-            << "Scheduler, seed=" << seed << " swap=" << swap_seq;
-        EXPECT_EQ(run_variant_with_swap<PipelinedScheduler>(cfg, stream,
-                                                            swap_seq, rebalanced),
-                  reference)
-            << "Pipelined, seed=" << seed << " swap=" << swap_seq;
-        EXPECT_EQ(run_variant_with_swap<EarlyScheduler>(cfg, stream, swap_seq,
-                                                        rebalanced),
-                  reference)
-            << "Early, seed=" << seed << " swap=" << swap_seq
-            << " workers=" << workers;
-      }
-    }
-  }
-}
-
 TEST(SchedulerLockstepPropertyTest, ConflictModesAgreeOnEarlyFallback) {
   // The embedded graph engine inherits the conflict mode; with every batch
   // through the early fallback path, both modes must reach the sequential

@@ -202,10 +202,7 @@ void expect_frames(const std::vector<RunResult>& results,
 
 template <typename S>
 RunResult run_variant(core::SchedulerOptions cfg,
-                      const std::vector<std::vector<smr::Command>>& stream,
-                      std::uint64_t swap_seq = 0,
-                      std::shared_ptr<const smr::ConflictClassMap> swap_map =
-                          nullptr) {
+                      const std::vector<std::vector<smr::Command>>& stream) {
   kv::KvStore store;
   kv::KvService service(store);
   smr::SessionTable sessions;
@@ -243,9 +240,6 @@ RunResult run_variant(core::SchedulerOptions cfg,
         std::vector<smr::Command>(stream[seq - 1]));
     batch->set_sequence(seq);
     EXPECT_TRUE(sched.deliver(std::move(batch)));
-    // Mid-run repartition in Replica::deliver order: the control sequence
-    // applies the map, then advances the checkpoint clock.
-    if (swap_seq != 0 && seq == swap_seq) sched.apply_class_map(swap_map, seq);
     mgr.on_delivered(seq);
   }
   sched.wait_idle();
@@ -317,39 +311,6 @@ TEST(CheckpointLockstep, KeySetChurnKeepsFramesIdenticalToSequential) {
     EXPECT_GT(results.back().index_activations, 0u) << "seed " << seed;
     results.push_back(run_variant<core::PipelinedScheduler>(cfg, stream));
     expect_frames(results, expected, "seed", seed);
-  }
-}
-
-TEST(CheckpointLockstep, BitIdenticalAcrossMidRunRepartition) {
-  // ISSUE 9 acceptance: a kRepartition applied at the same sequence on
-  // every variant leaves checkpoint frames byte-identical to a sequential
-  // replica's — including a swap landing exactly ON a checkpoint boundary
-  // (the two barriers nest).
-  const auto stream = command_stream(29);
-  const auto expected = sequential_frames(stream);
-  auto initial = std::make_shared<smr::ConflictClassMap>();
-  initial->add_range(0, 7, 0);
-  initial->add_range(8, 15, 1);
-  auto rebalanced = std::make_shared<smr::ConflictClassMap>();
-  rebalanced->add_range(0, 3, 0);
-  rebalanced->add_range(4, 11, 1);
-  rebalanced->add_range(12, 15, 2);
-
-  core::SchedulerOptions base;
-  base.workers = 4;
-
-  for (const std::uint64_t swap_seq : {std::uint64_t{73}, kInterval * 2}) {
-    std::vector<RunResult> results;
-    results.push_back(
-        run_variant<core::Scheduler>(base, stream, swap_seq, rebalanced));
-    results.push_back(run_variant<core::PipelinedScheduler>(base, stream,
-                                                            swap_seq, rebalanced));
-    core::SchedulerOptions ecfg = base;
-    ecfg.class_map = initial;
-    results.push_back(
-        run_variant<core::EarlyScheduler>(ecfg, stream, swap_seq, rebalanced));
-
-    expect_frames(results, expected, "swap at", swap_seq);
   }
 }
 

@@ -92,9 +92,12 @@ TEST(Codec, RejectsBadOpType) {
   BitmapConfig cfg;
   auto bytes = encode_batch(sample_batch(1, false, cfg));
   // Command block starts after magic(4) + version(1) + seq(8) + proxy(8) +
-  // attempt(4) + flag(1) + count(4) = 30; first byte is the op type.
-  bytes[30] = 17;
-  EXPECT_FALSE(decode_batch(bytes, cfg).has_value());
+  // attempt(4) + flag(1) + count(4) = 30; first byte is the op type. 4 is
+  // the first value past OpType::kRemove.
+  for (const std::uint8_t bad : {std::uint8_t{4}, std::uint8_t{17}}) {
+    bytes[30] = bad;
+    EXPECT_FALSE(decode_batch(bytes, cfg).has_value()) << "op type " << int{bad};
+  }
 }
 
 TEST(Codec, RandomMutationsNeverCrashOrFalselyDecode) {
@@ -115,8 +118,7 @@ TEST(Codec, RandomMutationsNeverCrashOrFalselyDecode) {
     if (decoded.has_value()) {
       EXPECT_LE(decoded->size(), 1u << 24);
       for (const Command& c : decoded->commands()) {
-        EXPECT_LE(static_cast<int>(c.type),
-                  static_cast<int>(OpType::kRepartition));
+        EXPECT_LE(static_cast<int>(c.type), static_cast<int>(OpType::kRemove));
       }
     }
   }

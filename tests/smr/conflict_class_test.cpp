@@ -1,7 +1,6 @@
-// ConflictClassMap declaration surface (DESIGN.md §13): key-range /
-// command-kind rules, the uniform hash partition, the unclassified
-// sentinel, fingerprint stability, and the formation-time class-mask
-// stamping on Batch.
+// ConflictClassMap declaration surface (DESIGN.md §13): key-range rules,
+// the uniform hash partition, the unclassified sentinel, fingerprint
+// stability, and the class-mask stamping on Batch.
 #include "smr/conflict_class.hpp"
 
 #include <gtest/gtest.h>
@@ -13,9 +12,9 @@
 namespace psmr::smr {
 namespace {
 
-Command cmd(Key key, OpType type = OpType::kUpdate) {
+Command cmd(Key key) {
   Command c;
-  c.type = type;
+  c.type = OpType::kUpdate;
   c.key = key;
   return c;
 }
@@ -37,25 +36,6 @@ TEST(ConflictClassMapTest, RangeRulesFirstMatchWins) {
   EXPECT_EQ(map.class_of_key(75), 0u);
   EXPECT_EQ(map.class_of_key(150), 1u);
   EXPECT_EQ(map.class_of_key(200), ConflictClassMap::kUnclassified);
-}
-
-TEST(ConflictClassMapTest, DefaultClassCatchesTheRest) {
-  ConflictClassMap map;
-  map.add_range(0, 9, 0);
-  map.set_default_class(5);
-  EXPECT_EQ(map.num_classes(), 6u);
-  EXPECT_EQ(map.class_of_key(3), 0u);
-  EXPECT_EQ(map.class_of_key(1000), 5u);
-  EXPECT_EQ(map.class_mask_of(cmd(1000)), std::uint64_t{1} << 5);
-}
-
-TEST(ConflictClassMapTest, KindRulesOverrideKeyRules) {
-  ConflictClassMap map;
-  map.add_range(0, 99, 0);
-  map.map_kind(OpType::kRemove, 7);
-  EXPECT_EQ(map.class_of(cmd(10, OpType::kUpdate)), 0u);
-  EXPECT_EQ(map.class_of(cmd(10, OpType::kRemove)), 7u);
-  EXPECT_EQ(map.num_classes(), 8u);
 }
 
 TEST(ConflictClassMapTest, UniformPartitionIsTotalAndDeterministic) {

@@ -176,6 +176,8 @@ TEST(Replica, BitmapReplicaRejectsBatchWithoutDigest) {
     }
     EXPECT_EQ(failed, rejected.size()) << "replica " << r;
     EXPECT_EQ(ok, 9u) << "replica " << r;
+    // Every delivered batch is consumed once: 6 scheduled, 2 rejected.
+    EXPECT_EQ(replica.batches_consumed(), 8u) << "replica " << r;
   }
   // Only the batches with digests ran: keys 3 and 10 were never written.
   const auto state = store_a.snapshot();
@@ -196,6 +198,12 @@ TEST(Replica, BitmapReplicaRejectsBatchWithoutDigest) {
 }
 
 TEST(Proxy, ClosedLoopCompletesBatches) {
+  // Each round is one batch of batch_size commands, drawn round-robin over
+  // the proxy's clients, each client's sequences consecutive.
+  constexpr std::uint64_t kProxyId = 3;
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kBatchSize = 10;
+  constexpr std::uint64_t kRounds = 20;
   consensus::LocalBroadcast broadcast;
   ConsensusAdapter order(broadcast, BitmapConfig{});
   kv::KvStore store;
@@ -210,10 +218,11 @@ TEST(Proxy, ClosedLoopCompletesBatches) {
   replica.start();
 
   Proxy::Config pcfg;
-  pcfg.proxy_id = 0;
-  pcfg.formation.batch_size = 10;
-  pcfg.num_clients = 4;
+  pcfg.proxy_id = kProxyId;
+  pcfg.formation.batch_size = kBatchSize;
+  pcfg.num_clients = kClients;
   util::Xoshiro256 rng(3);
+  std::vector<Batch> sent;  // written by the proxy thread until stop() joins it
   Proxy proxy(
       pcfg,
       [&](std::uint64_t, std::uint64_t) {
@@ -222,17 +231,45 @@ TEST(Proxy, ClosedLoopCompletesBatches) {
         c.key = rng();
         return c;
       },
-      [&](std::unique_ptr<Batch> b) { order.broadcast(std::move(b)); });
+      [&](std::unique_ptr<Batch> b) {
+        sent.push_back(*b);
+        order.broadcast(std::move(b));
+      });
   proxy_ptr = &proxy;
   proxy.start();
-  std::this_thread::sleep_for(100ms);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (proxy.batches_completed() < kRounds &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   proxy.stop();
   replica.wait_idle();
   replica.stop();
 
-  EXPECT_GT(proxy.batches_completed(), 0u);
-  EXPECT_EQ(proxy.commands_completed(), proxy.batches_completed() * 10);
+  ASSERT_GE(proxy.batches_completed(), kRounds)
+      << "proxy completed " << proxy.batches_completed() << " of " << kRounds
+      << " rounds within 10 s";
+  EXPECT_EQ(proxy.commands_completed(), proxy.batches_completed() * kBatchSize);
   EXPECT_GT(proxy.latency().count(), 0u);
+
+  // A retransmission resends its round's batch unchanged; only first sends
+  // are rounds. stop() may cut the last round short after its broadcast.
+  std::vector<std::uint64_t> next_seq(kClients, 1);
+  std::uint64_t rounds = 0;
+  for (const Batch& b : sent) {
+    if (b.is_retransmission()) continue;
+    ++rounds;
+    EXPECT_EQ(b.proxy_id(), kProxyId);
+    ASSERT_EQ(b.size(), kBatchSize) << "round " << rounds;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      const Command& c = b.commands()[j];
+      const std::size_t local = j % kClients;
+      EXPECT_EQ(c.client_id, kProxyId * kClients + local) << "round " << rounds;
+      EXPECT_EQ(c.sequence, next_seq[local]++) << "round " << rounds;
+    }
+  }
+  EXPECT_GE(rounds, proxy.batches_completed());
+  EXPECT_LE(rounds, proxy.batches_completed() + 1);
 }
 
 TEST(Proxy, AttachesBitmapWhenConfigured) {
