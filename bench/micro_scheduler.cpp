@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,19 +18,14 @@
 #include <vector>
 
 #include "core/dependency_graph.hpp"
-#include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "host.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/codec.hpp"
-#include "smr/conflict_class.hpp"
 #include "util/bitmap.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_queue.hpp"
-#include "util/zipf.hpp"
 
 namespace {
 
@@ -162,28 +156,6 @@ void BM_KvStoreUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_KvStoreUpdate);
 
-void BM_MpmcQueueSingleThread(benchmark::State& state) {
-  psmr::util::MpmcQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.try_push(++v);
-    benchmark::DoNotOptimize(q.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpmcQueueSingleThread);
-
-void BM_SpscQueueSingleThread(benchmark::State& state) {
-  psmr::util::SpscQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.try_push(++v);
-    benchmark::DoNotOptimize(q.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscQueueSingleThread);
-
 // ---------------------------------------------------------------------------
 // `--json` mode: deterministic scan-vs-indexed comparison, machine-readable.
 //
@@ -313,8 +285,8 @@ struct ThroughputMeasurement {
   psmr::obs::Snapshot final_metrics;
 };
 
-/// Delivery throughput through the real threaded Scheduler in the ISSUE's
-/// acceptance regime — low conflict, LARGE pending graph. The workers are
+/// Delivery throughput through the real threaded Scheduler in the regime
+/// the graph index targets — low conflict, LARGE pending graph. The workers are
 /// pinned on sentinel batches (executor spins on a flag) so the
 /// conflict-free measurement batches accumulate in the graph while the
 /// delivery thread is timed: past kIndexActivateAbove residents the graph's
@@ -346,7 +318,8 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, unsigned w
   psmr::core::Scheduler scheduler(
       psmr::core::SchedulerOptions{.workers = workers,
                                    .mode = mode,
-                                   .max_pending_batches = 0},
+                                   .max_pending_batches = 0,
+                                   .metrics = nullptr},
       [&release, workers](const psmr::smr::Batch& b) {
         if (b.sequence() <= workers) {
           while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -381,276 +354,23 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, unsigned w
   return m;
 }
 
-struct EarlyMeasurement {
-  double delivery_kcmds_per_sec = 0.0;
-  double fast_path_fraction = 0.0;
-  double multi_class_fraction = 0.0;
-  psmr::obs::Snapshot final_metrics;
-};
-
-/// Contiguous-range class map with one class per worker: class c owns
-/// [c*2^40, (c+1)*2^40), and worker_of_class is the identity. This is the
-/// declared-conflict-class regime of the early-scheduling model — the
-/// binding is fixed before any batch is delivered.
-std::shared_ptr<psmr::smr::ConflictClassMap> make_range_class_map(unsigned classes) {
-  constexpr std::uint64_t kClassSpan = 1ull << 40;
-  auto map = std::make_shared<psmr::smr::ConflictClassMap>();
-  for (unsigned c = 0; c < classes; ++c) {
-    map->add_range(c * kClassSpan, (c + 1) * kClassSpan - 1, c);
-  }
-  return map;
-}
-
-/// Delivery throughput on a single-class-dominant workload (the ISSUE 7
-/// acceptance regime), templated over the scheduler variant so the
-/// EarlyScheduler and the graph Scheduler (indexed once the pinned backlog
-/// passes kIndexActivateAbove) run the IDENTICAL batch
-/// stream with identical sentinel pinning. Batch i touches only class
-/// (i % workers)'s key range with globally distinct keys (conflict-free),
-/// so the graph pays insert + aggregate probe per batch while the early
-/// path pays one FIFO push — the delivery-loop cost the tentpole removes.
-template <typename S>
-EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_size,
-                                          std::size_t n_batches) {
-  constexpr std::uint64_t kClassSpan = 1ull << 40;
-  auto map = make_range_class_map(workers);
-  std::vector<std::uint64_t> cursor(workers, 0);
-  auto make_class_batch = [&](std::uint64_t seq, unsigned cls) {
-    std::vector<psmr::smr::Command> cmds;
-    cmds.reserve(batch_size);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      psmr::smr::Command c;
-      c.type = psmr::smr::OpType::kUpdate;
-      c.key = cls * kClassSpan + cursor[cls]++;
-      cmds.push_back(c);
-    }
-    auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
-    b->set_sequence(seq);
-    b->stamp(map);  // stamped before delivery: the fast path reads the mask
-    return b;
-  };
-
-  std::uint64_t seq = 0;
-  std::vector<psmr::smr::BatchPtr> pinned;
-  for (unsigned w = 0; w < workers; ++w) {
-    pinned.push_back(make_class_batch(++seq, w));
-  }
-  std::vector<psmr::smr::BatchPtr> batches;
-  batches.reserve(n_batches);
-  for (std::size_t i = 0; i < n_batches; ++i) {
-    batches.push_back(make_class_batch(++seq, static_cast<unsigned>(i % workers)));
-  }
-
-  std::atomic<bool> release{false};
-  psmr::core::SchedulerOptions opts;
-  opts.workers = workers;
-  opts.mode = ConflictMode::kKeysNested;
-  opts.class_map = map;  // the graph Scheduler ignores it
-  S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
-    if (b.sequence() <= workers) {
-      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-  });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  // Let every worker take its sentinel before the timed window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
-
-  EarlyMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.fast_path_fraction = st.gauge("early.fast_path_fraction");
-  const auto delivered = st.counter("scheduler.batches_delivered");
-  m.multi_class_fraction =
-      delivered != 0 ? static_cast<double>(st.counter("early.batches_multi_class")) /
-                           static_cast<double>(delivered)
-                     : 0.0;
-  m.final_metrics = st;
-  return m;
-}
-
-/// The early-scheduler rows (ISSUE 7 acceptance: >= 2x delivery throughput
-/// vs the indexed single Scheduler on a single-class-dominant workload,
-/// with the fast-path fraction reported through the early.* metrics).
-void write_early_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) {
-  const std::size_t n = smoke ? 300 : 2000;
-  const std::size_t batch_size = 16;
-  bool first = true;
-  for (const unsigned workers : {4u, 8u}) {
-    const EarlyMeasurement base =
-        measure_early_throughput<psmr::core::Scheduler>(workers, batch_size, n);
-    const EarlyMeasurement early =
-        measure_early_throughput<psmr::core::EarlyScheduler>(workers, batch_size, n);
-    const double speedup = base.delivery_kcmds_per_sec > 0.0
-                               ? early.delivery_kcmds_per_sec / base.delivery_kcmds_per_sec
-                               : 0.0;
-    const struct {
-      const char* name;
-      const EarlyMeasurement* m;
-      double speedup;
-    } rows[] = {{"graph-indexed", &base, 1.0}, {"early", &early, speedup}};
-    for (const auto& r : rows) {
-      std::fprintf(f,
-                   "%s    {\"scheduler\": \"%s\", \"workers\": %u, \"classes\": %u, "
-                   "\"batch_size\": %zu, \"batches\": %zu, "
-                   "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_indexed\": %.2f, "
-                   "\"fast_path_fraction\": %.3f}",
-                   first ? "" : ",\n", r.name, workers, workers, batch_size, n,
-                   r.m->delivery_kcmds_per_sec, r.speedup, r.m->fast_path_fraction);
-      first = false;
-      std::printf("early        %-13s workers=%u: %10.1f kCmds/s delivery, "
-                  "%.2fx vs indexed, fast-path %.3f\n",
-                  r.name, workers, r.m->delivery_kcmds_per_sec, r.speedup,
-                  r.m->fast_path_fraction);
-    }
-    if (last_metrics != nullptr) *last_metrics = early.final_metrics;
-  }
-}
-
-/// Zipf-skewed delivery throughput (ISSUE 7 satellite): keys drawn from a
-/// ZipfGenerator over a 2^20-key universe split into `workers` contiguous
-/// class ranges. Low theta spreads batches across classes (multi-class
-/// gates); high theta concentrates them in class 0's range (fast path, but
-/// one hot worker) — the sweep shows where each regime pays.
-template <typename S>
-EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_size,
-                                         std::size_t n_batches, double theta) {
-  constexpr std::uint64_t kUniverse = 1ull << 20;
-  const std::uint64_t span = kUniverse / workers;
-  auto map = std::make_shared<psmr::smr::ConflictClassMap>();
-  for (unsigned c = 0; c < workers; ++c) {
-    map->add_range(c * span, (c + 1) * span - 1, c);
-  }
-  psmr::util::ZipfGenerator zipf(kUniverse, theta);
-  psmr::util::Xoshiro256 rng(0x5eedull + static_cast<std::uint64_t>(theta * 1000.0));
-  auto make_zipf_batch = [&](std::uint64_t seq) {
-    std::vector<psmr::smr::Command> cmds;
-    cmds.reserve(batch_size);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      psmr::smr::Command c;
-      c.type = psmr::smr::OpType::kUpdate;
-      c.key = zipf(rng);
-      cmds.push_back(c);
-    }
-    auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
-    b->set_sequence(seq);
-    b->stamp(map);
-    return b;
-  };
-
-  std::uint64_t seq = 0;
-  std::vector<psmr::smr::BatchPtr> pinned;
-  for (unsigned w = 0; w < workers; ++w) {
-    // One in-class sentinel per worker (key = the range's first rank).
-    std::vector<psmr::smr::Command> cmds(1);
-    cmds[0].type = psmr::smr::OpType::kUpdate;
-    cmds[0].key = w * span;
-    auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
-    b->set_sequence(++seq);
-    b->stamp(map);
-    pinned.push_back(std::move(b));
-  }
-  std::vector<psmr::smr::BatchPtr> batches;
-  batches.reserve(n_batches);
-  for (std::size_t i = 0; i < n_batches; ++i) batches.push_back(make_zipf_batch(++seq));
-
-  std::atomic<bool> release{false};
-  psmr::core::SchedulerOptions opts;
-  opts.workers = workers;
-  opts.mode = ConflictMode::kKeysNested;
-  opts.class_map = map;
-  S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
-    if (b.sequence() <= workers) {
-      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-  });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
-
-  EarlyMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.fast_path_fraction = st.gauge("early.fast_path_fraction");
-  const auto delivered = st.counter("scheduler.batches_delivered");
-  m.multi_class_fraction =
-      delivered != 0 ? static_cast<double>(st.counter("early.batches_multi_class")) /
-                           static_cast<double>(delivered)
-                     : 0.0;
-  m.final_metrics = st;
-  return m;
-}
-
-/// The `--zipf-theta` sweep rows: early vs indexed-graph delivery under
-/// increasing key skew. `extra_theta >= 0` appends one user-chosen point.
-void write_zipf_rows(FILE* f, bool smoke, double extra_theta) {
-  const std::size_t n = smoke ? 200 : 1000;
-  const std::size_t batch_size = 16;
-  std::vector<double> thetas = {0.0, 0.5, 0.99};
-  if (extra_theta >= 0.0) thetas.push_back(extra_theta);
-  bool first = true;
-  for (const double theta : thetas) {
-    const EarlyMeasurement base =
-        measure_zipf_throughput<psmr::core::Scheduler>(4, batch_size, n, theta);
-    const EarlyMeasurement early =
-        measure_zipf_throughput<psmr::core::EarlyScheduler>(4, batch_size, n, theta);
-    const double speedup = base.delivery_kcmds_per_sec > 0.0
-                               ? early.delivery_kcmds_per_sec / base.delivery_kcmds_per_sec
-                               : 0.0;
-    std::fprintf(f,
-                 "%s    {\"zipf_theta\": %.2f, \"workers\": 4, \"batch_size\": %zu, "
-                 "\"batches\": %zu, \"indexed_kcmds_per_sec\": %.1f, "
-                 "\"early_kcmds_per_sec\": %.1f, \"early_speedup_vs_indexed\": %.2f, "
-                 "\"fast_path_fraction\": %.3f, \"multi_class_fraction\": %.3f}",
-                 first ? "" : ",\n", theta, batch_size, n,
-                 base.delivery_kcmds_per_sec, early.delivery_kcmds_per_sec, speedup,
-                 early.fast_path_fraction, early.multi_class_fraction);
-    first = false;
-    std::printf("zipf         theta=%.2f: early %10.1f kCmds/s (%.2fx vs indexed), "
-                "fast-path %.3f, multi-class %.3f\n",
-                theta, early.delivery_kcmds_per_sec, speedup,
-                early.fast_path_fraction, early.multi_class_fraction);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Shared bench-file scaffolding for the single-mode entry points (--early,
-// --zipf-theta, --checkpoints). Every mode opens its file
-// with the same resolved-configuration header — bench name, smoke flag,
-// optional schema tag, and a "config" object naming exactly what runs — so
-// headers are printed by ONE function and cannot drift from the measurement
-// loops. The psmr.metrics.v1 export is likewise written by one helper.
+// Shared bench-file scaffolding for the --json and --checkpoint-interval
+// entry points. Both open their file with the same resolved-configuration
+// header — bench name, smoke flag, and a "config" object naming exactly
+// what runs — so headers are printed by ONE function and cannot drift from
+// the measurement loops. The psmr.metrics.v1 export is likewise written by
+// one helper.
 // ---------------------------------------------------------------------------
 
 FILE* open_bench_file(const char* path, const char* bench, bool smoke,
-                      const char* schema, const std::string& config_json) {
+                      const std::string& config_json) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return nullptr;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
-  if (schema != nullptr) std::fprintf(f, "  \"schema\": \"%s\",\n", schema);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   if (!config_json.empty()) {
     std::fprintf(f, "  \"config\": %s,\n", config_json.c_str());
@@ -806,12 +526,12 @@ void write_checkpoint_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metric
   }
 }
 
-/// `--checkpoints` mode: only the checkpoint-interval sweep, written to
-/// BENCH_scheduler_checkpoints.json (+ the psmr.metrics.v1 export carrying
-/// the `checkpoint.*` metrics for the schema fixture).
+/// `--checkpoint-interval` mode: only the checkpoint-interval sweep, written
+/// to BENCH_scheduler_checkpoints.json (+ the psmr.metrics.v1 export
+/// carrying the `checkpoint.*` metrics for the schema fixture).
 int checkpoints_main(bool smoke, const char* metrics_path) {
   FILE* f = open_bench_file("BENCH_scheduler_checkpoints.json",
-                            "micro_scheduler_checkpoints", smoke, nullptr,
+                            "micro_scheduler_checkpoints", smoke,
                             "{\"workers\": 4, \"mode\": \"keys-nested\", "
                             "\"intervals\": [0, 200, 50, 10]}");
   if (f == nullptr) return 1;
@@ -823,49 +543,6 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
   std::fclose(f);
   std::printf("wrote BENCH_scheduler_checkpoints.json\n");
   return write_metrics_export(metrics_path, last_metrics);
-}
-
-/// `--early` mode: only the early-scheduler acceptance rows, written to
-/// BENCH_scheduler_early.json (+ the early run's psmr.metrics.v1 export
-/// carrying the early.* counters/gauges for the schema fixture).
-int early_main(bool smoke, const char* metrics_path) {
-  FILE* f = open_bench_file("BENCH_scheduler_early.json",
-                            "micro_scheduler_early", smoke, nullptr,
-                            "{\"map\": \"contiguous-ranges\", "
-                            "\"classes_per_worker\": 1, \"worker_counts\": [4, 8]}");
-  if (f == nullptr) return 1;
-  std::fprintf(f, "  \"early_scheduler\": [\n");
-  psmr::obs::Snapshot last_metrics;
-  write_early_rows(f, smoke, &last_metrics);
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_scheduler_early.json\n");
-  return write_metrics_export(metrics_path, last_metrics);
-}
-
-/// `--zipf-theta[=t]` mode: only the Zipf skew sweep, written to
-/// BENCH_scheduler_zipf.json.
-int zipf_main(bool smoke, double extra_theta) {
-  // The sweep config now prints through the shared header path too, so
-  // `--zipf-theta=t` runs advertise the extra point they actually measured.
-  std::string config =
-      "{\"workers\": 4, \"batch_size\": 16, \"key_universe\": 1048576, "
-      "\"zipf_thetas\": [0.0, 0.5, 0.99";
-  if (extra_theta >= 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ", %.2f", extra_theta);
-    config += buf;
-  }
-  config += "]}";
-  FILE* f = open_bench_file("BENCH_scheduler_zipf.json", "micro_scheduler_zipf",
-                            smoke, nullptr, config);
-  if (f == nullptr) return 1;
-  std::fprintf(f, "  \"zipf_sweep\": [\n");
-  write_zipf_rows(f, smoke, extra_theta);
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_scheduler_zipf.json\n");
-  return 0;
 }
 
 int json_main(bool smoke, const char* metrics_path) {
@@ -888,8 +565,7 @@ int json_main(bool smoke, const char* metrics_path) {
   // thresholds (DependencyGraph::kIndexActivateAbove) come from this sweep.
   const std::size_t pending_sizes[] = {1, 2, 4, 8, 16, 32, 64};
 
-  FILE* f = open_bench_file("BENCH_scheduler.json", "micro_scheduler", smoke,
-                            nullptr, "");
+  FILE* f = open_bench_file("BENCH_scheduler.json", "micro_scheduler", smoke, "");
   if (f == nullptr) return 1;
   std::fprintf(f, "  \"host\": %s,\n", psmr::bench::host_json().c_str());
   std::fprintf(f, "  \"simd_backend\": \"%s\",\n", psmr::util::Bitmap::simd_backend());
@@ -964,10 +640,6 @@ int json_main(bool smoke, const char* metrics_path) {
                 m.pair_tests_per_insert, m.avg_graph_size);
     last_metrics = std::move(m.final_metrics);
   }
-  std::fprintf(f, "\n  ],\n  \"early_scheduler\": [\n");
-  write_early_rows(f, smoke, nullptr);
-  std::fprintf(f, "\n  ],\n  \"zipf_sweep\": [\n");
-  write_zipf_rows(f, smoke, /*extra_theta=*/-1.0);
   std::fprintf(f, "\n  ],\n  \"checkpoint_sweep\": [\n");
   write_checkpoint_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ]\n}\n");
@@ -984,21 +656,11 @@ int json_main(bool smoke, const char* metrics_path) {
 int main(int argc, char** argv) {
   bool json = false;
   bool checkpoints = false;
-  bool early = false;
-  bool zipf = false;
-  double zipf_theta = -1.0;
   bool smoke = false;
   const char* metrics_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--checkpoint-interval") == 0) checkpoints = true;
-    if (std::strcmp(argv[i], "--checkpoints") == 0) checkpoints = true;
-    if (std::strcmp(argv[i], "--early") == 0) early = true;
-    if (std::strcmp(argv[i], "--zipf-theta") == 0) zipf = true;
-    if (std::strncmp(argv[i], "--zipf-theta=", 13) == 0) {
-      zipf = true;
-      zipf_theta = std::atof(argv[i] + 13);
-    }
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--metrics-json") == 0) metrics_path = "METRICS_scheduler.json";
     if (std::strncmp(argv[i], "--metrics-json=", 15) == 0) metrics_path = argv[i] + 15;
@@ -1008,12 +670,6 @@ int main(int argc, char** argv) {
                             metrics_path != nullptr ? metrics_path
                                                     : "METRICS_checkpoint.json");
   }
-  if (early) {
-    return early_main(smoke,
-                      metrics_path != nullptr ? metrics_path
-                                              : "METRICS_early_scheduler.json");
-  }
-  if (zipf) return zipf_main(smoke, zipf_theta);
   if (json) return json_main(smoke, metrics_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,5 +1,5 @@
-// Shared watermark/backpressure instrumentation for the delivery queues of
-// all three scheduler variants (DESIGN.md §14). Each variant owns one meter.
+// Watermark/backpressure instrumentation for the Scheduler's bounded
+// delivery queue (DESIGN.md §14). The scheduler owns one meter.
 //
 // Thread-safety: update() and the wait counters are called only from the
 // single delivery thread of the owning scheduler, which is the contract

@@ -32,7 +32,8 @@ class CbaseScheduler {
       : scheduler_(
             SchedulerOptions{.workers = config.workers,
                              .mode = ConflictMode::kKeysNested,
-                             .max_pending_batches = config.max_pending_commands},
+                             .max_pending_batches = config.max_pending_commands,
+                             .metrics = nullptr},
             [executor = std::move(executor)](const smr::Batch& batch) {
               for (const smr::Command& cmd : batch.commands()) executor(cmd);
             }) {}

@@ -17,18 +17,16 @@ void publish_total(obs::Counter& c, std::uint64_t current, std::uint64_t& publis
 
 }  // namespace
 
-SchedulerMetrics::SchedulerMetrics(obs::MetricsRegistry& registry, unsigned workers,
-                                   std::string_view worker_prefix)
+SchedulerMetrics::SchedulerMetrics(obs::MetricsRegistry& registry, unsigned workers)
     : batches_delivered(registry.counter("scheduler.batches_delivered")),
       batches_executed(registry.counter("scheduler.batches_executed")),
       commands_executed(registry.counter("scheduler.commands_executed")),
-      batches_failed(registry.counter("scheduler.batches_failed")) {
-  if (workers == 0) return;
-  queue_wait_ns = &registry.histogram("scheduler.queue_wait_ns");
+      batches_failed(registry.counter("scheduler.batches_failed")),
+      queue_wait_ns(registry.histogram("scheduler.queue_wait_ns")) {
   worker_batches.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    worker_batches.push_back(&registry.counter(std::string(worker_prefix) +
-                                               std::to_string(i) + ".batches_executed"));
+    worker_batches.push_back(
+        &registry.counter("worker." + std::to_string(i) + ".batches_executed"));
   }
 }
 
@@ -71,25 +69,6 @@ std::string failure_message(const std::exception_ptr& error) {
   } catch (...) {
     return "non-standard exception";
   }
-}
-
-std::shared_ptr<RendezvousGate> GateTable::open(std::uint64_t seq, unsigned expected,
-                                                std::size_t leader) {
-  auto gate = std::make_shared<RendezvousGate>(expected, leader);
-  std::lock_guard lk(mu_);
-  gates_.emplace(seq, gate);
-  return gate;
-}
-
-std::shared_ptr<RendezvousGate> GateTable::find(std::uint64_t seq) const {
-  std::lock_guard lk(mu_);
-  const auto it = gates_.find(seq);
-  return it != gates_.end() ? it->second : nullptr;
-}
-
-void GateTable::close(std::uint64_t seq) {
-  std::lock_guard lk(mu_);
-  gates_.erase(seq);
 }
 
 }  // namespace psmr::core

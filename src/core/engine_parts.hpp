@@ -1,22 +1,13 @@
-// Support parts shared by every scheduler variant (Scheduler,
-// PipelinedScheduler, EarlyScheduler): the registry
-// handles of the exactly-once totals, the graph-stat delta publisher, the
-// guarded executor call, the consecutive-failure circuit breaker, and the
-// cross-participant rendezvous gate. Each exists once, here; the variants
-// differ only in how they serialize access to them (stated per part).
+// Support parts of the threaded Scheduler: the registry handles of the
+// exactly-once totals, the graph-stat delta publisher, the guarded executor
+// call and the consecutive-failure circuit breaker.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -27,14 +18,13 @@ namespace psmr::core {
 
 class DependencyGraph;
 
-/// Registry handles every variant publishes its totals through
+/// Registry handles the scheduler publishes its totals through
 /// (DESIGN.md §10). Resolved once at construction; the hot path only
 /// touches the cached references.
 struct SchedulerMetrics {
-  /// `workers` > 0 also registers `scheduler.queue_wait_ns` and one
-  /// `<worker_prefix>N.batches_executed` counter per worker of the pool.
-  explicit SchedulerMetrics(obs::MetricsRegistry& registry, unsigned workers = 0,
-                            std::string_view worker_prefix = "worker.");
+  /// Also registers `scheduler.queue_wait_ns` and one
+  /// `worker.N.batches_executed` counter per worker of the pool.
+  SchedulerMetrics(obs::MetricsRegistry& registry, unsigned workers);
 
   /// One successful batch: `scheduler.batches_executed` +1 and
   /// `scheduler.commands_executed` += its size.
@@ -47,7 +37,7 @@ struct SchedulerMetrics {
   obs::Counter& batches_executed;
   obs::Counter& commands_executed;
   obs::Counter& batches_failed;
-  obs::HistogramMetric* queue_wait_ns = nullptr;  // null without a pool
+  obs::HistogramMetric& queue_wait_ns;
   std::vector<obs::Counter*> worker_batches;
 };
 
@@ -74,8 +64,8 @@ void publish_graph_stats(const DependencyGraph& graph, const obs::BatchTracer& t
                          obs::MetricsRegistry& registry, GraphStatsCursor& cursor);
 
 /// Runs `executor(batch)` and returns what it threw (null on success).
-/// A throwing executor must never kill a worker or wedge a graph: every
-/// variant accounts the batch as failed and carries on.
+/// A throwing executor must never kill a worker or wedge a graph: the
+/// scheduler accounts the batch as failed and carries on.
 template <typename Executor>
 inline std::exception_ptr guarded_execute(const Executor& executor,
                                           const smr::Batch& batch) noexcept {
@@ -98,9 +88,8 @@ std::string failure_message(const std::exception_ptr& error);
 /// `scheduler.circuit.recoveries` and the `scheduler.degraded` gauge.
 ///
 /// Takes no lock: on_success()/on_failure() must be serialized by the
-/// owner (Scheduler: its monitor; PipelinedScheduler: the graph-owner
-/// thread; EarlyScheduler: its circuit mutex). degraded() is an atomic
-/// load, safe from any thread.
+/// owner (the Scheduler's monitor). degraded() is an atomic load, safe from
+/// any thread.
 class CircuitBreaker {
  public:
   CircuitBreaker(obs::MetricsRegistry& registry, unsigned failure_threshold,
@@ -152,90 +141,6 @@ class CircuitBreaker {
   obs::Counter& trips_;
   obs::Counter& recoveries_;
   obs::Gauge& degraded_gauge_;
-};
-
-/// Rendezvous state for one batch handed to several participants (the
-/// class workers and the fallback engine of the EarlyScheduler), keyed by
-/// its delivery sequence. The lowest participant
-/// leads: it runs the batch once every participant has arrived.
-struct RendezvousGate {
-  RendezvousGate(unsigned expected_participants, std::size_t leader_id)
-      : expected(expected_participants), leader(leader_id) {}
-
-  /// Partial acceptance: some participants never received the batch, so
-  /// the gate resolves over the ones that did. Safe at any time before the
-  /// gate resolves.
-  void shrink(unsigned expected_participants, std::size_t leader_id) {
-    {
-      std::lock_guard lk(mu);
-      expected = expected_participants;
-      leader = leader_id;
-    }
-    cv.notify_all();
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  unsigned expected;
-  std::size_t leader;
-  unsigned arrived = 0;
-  unsigned departed = 0;
-  bool done = false;  // leader finished (successfully or not)
-};
-
-/// Arrive at `gate` as `participant` and wait. The leader runs `lead()`
-/// once every participant has arrived — with no gate lock held — and the
-/// rest return only after it finished. The last participant out calls
-/// `retire()` (exactly once per gate). If `lead()` throws, the leader
-/// alone rethrows, after departing, so the failure surfaces in exactly one
-/// participant.
-template <typename Lead, typename Retire>
-void rendezvous(RendezvousGate& gate, std::size_t participant, Lead&& lead,
-                Retire&& retire) {
-  std::unique_lock lk(gate.mu);
-  if (++gate.arrived == gate.expected) gate.cv.notify_all();
-  gate.cv.wait(lk, [&] {
-    return gate.done || (participant == gate.leader && gate.arrived >= gate.expected);
-  });
-  std::exception_ptr err;
-  if (!gate.done) {
-    lk.unlock();
-    try {
-      lead();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lk.lock();
-    gate.done = true;
-    gate.cv.notify_all();
-  }
-  const bool last = ++gate.departed == gate.expected;
-  lk.unlock();
-  if (last) retire();
-  if (err != nullptr) std::rethrow_exception(err);
-}
-
-/// The registered gates of one scheduler, keyed by delivery sequence.
-class GateTable {
- public:
-  /// Registers the gate for `seq`. Call before handing the batch to any
-  /// participant: a worker may reach the gate the instant it holds a leg.
-  std::shared_ptr<RendezvousGate> open(std::uint64_t seq, unsigned expected,
-                                       std::size_t leader);
-  /// The gate for `seq`, or null when the batch runs ungated.
-  std::shared_ptr<RendezvousGate> find(std::uint64_t seq) const;
-  void close(std::uint64_t seq);
-
-  /// rendezvous() on the gate of `seq`, retiring it from this table.
-  template <typename Lead>
-  void rendezvous(RendezvousGate& gate, std::uint64_t seq, std::size_t participant,
-                  Lead&& lead) {
-    core::rendezvous(gate, participant, std::forward<Lead>(lead), [&] { close(seq); });
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<RendezvousGate>> gates_;
 };
 
 }  // namespace psmr::core

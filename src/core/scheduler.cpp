@@ -172,7 +172,7 @@ void Scheduler::worker_loop(unsigned worker_index) {
     // executor later fails (failed batches are removed, never re-enqueued),
     // so histogram count == batches executed + batches failed. The striped
     // histogram keeps this off the scheduling critical section.
-    m_.queue_wait_ns->record(util::now_ns() - inserted_at_ns);
+    m_.queue_wait_ns.record(util::now_ns() - inserted_at_ns);
     // Line 45: execute commands in their order. A throwing executor must
     // not kill the worker or wedge the graph: the batch is accounted as
     // failed, removed below like any other (dependents unblock), and the

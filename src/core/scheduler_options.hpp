@@ -1,12 +1,11 @@
-// One construction surface for every scheduler variant: Scheduler,
-// PipelinedScheduler and EarlyScheduler all take this options struct.
+// Construction options of the threaded Scheduler (and, through it, of
+// Replica and CbaseScheduler).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 
 #include "core/conflict.hpp"
-#include "smr/conflict_class.hpp"
 #include "util/assert.hpp"
 
 namespace psmr::obs {
@@ -35,9 +34,7 @@ struct SchedulerOptions {
   /// failed batches (executor threw), the scheduler degrades to sequential
   /// single-batch execution — one batch in flight at a time, delivery order
   /// — instead of crashing or wedging. 0 disables the circuit (failures are
-  /// still isolated and counted). Honoured by every variant (the
-  /// EarlyScheduler by its class workers and, independently, its fallback
-  /// engine).
+  /// still isolated and counted).
   unsigned circuit_failure_threshold = 0;
 
   /// Half-open recovery for the circuit breaker: while degraded, this many
@@ -47,13 +44,6 @@ struct SchedulerOptions {
   /// circuit as usual). 0 keeps the pre-recovery behaviour: once tripped,
   /// the scheduler stays sequential until restart.
   unsigned circuit_recovery_threshold = 0;
-
-  /// Conflict-class declarations for the EarlyScheduler (DESIGN.md §13).
-  /// null = the EarlyScheduler builds a uniform hash partition with one
-  /// class per worker. Ignored by the other variants. The map is fixed for
-  /// the scheduler's lifetime; all replicas must configure the identical
-  /// map (like the bitmap hash config).
-  std::shared_ptr<const smr::ConflictClassMap> class_map;
 
   /// Ring capacity of the batch-lifecycle tracer (obs::BatchTracer),
   /// rounded up to a power of two. 0 disables tracing at runtime; building

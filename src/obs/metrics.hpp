@@ -2,11 +2,10 @@
 // JSON schema across the stack (DESIGN.md §10).
 //
 // Before this layer, every component grew its own incompatible stats struct
-// and mutex (`Scheduler::Stats`, `PipelinedScheduler::Stats`, proxy counter
-// accessors, the consensus group's broadcast counter). Each surface had its
-// own field names, its own locking, and no common export path — the PR-2
-// bench numbers were only measurable through one-off counters. This header
-// replaces that sprawl:
+// and mutex (`Scheduler::Stats`, proxy counter accessors, the consensus
+// group's broadcast counter). Each surface had its own field names, its own
+// locking, and no common export path — bench numbers were only measurable
+// through one-off counters. This header replaces that sprawl:
 //
 //   * MetricsRegistry — named counters / gauges / histograms. Creation is
 //     mutex-guarded (cold path, components cache the returned handles);

@@ -2,21 +2,6 @@
 
 namespace psmr::smr {
 
-void Batch::stamp(const std::shared_ptr<const ConflictClassMap>& class_map) {
-  if (class_map == nullptr) return;
-  class_mask_ = compute_class_mask(*this, *class_map);
-  class_fp_ = class_map->fingerprint();
-}
-
-std::uint64_t compute_class_mask(const Batch& batch,
-                                 const ConflictClassMap& map) noexcept {
-  std::uint64_t mask = 0;
-  for (const Command& c : batch.commands()) {
-    mask |= map.class_mask_of(c);
-  }
-  return mask;
-}
-
 void Batch::build_bitmap(const BitmapConfig& cfg) {
   bloom_ = util::KeyBloom(cfg.bits, 1, cfg.seed);
   positions_.clear();

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "smr/command.hpp"
-#include "smr/conflict_class.hpp"
 #include "util/bloom.hpp"
 
 namespace psmr::smr {
@@ -70,21 +69,6 @@ class Batch {
   /// can post O(batch) positions instead of scanning O(m) bits.
   const std::vector<std::uint32_t>& bitmap_positions() const noexcept { return positions_; }
 
-  /// Stamps the touched-conflict-class set under `class_map` (DESIGN.md
-  /// §13) before delivery, like the Bloom digest (off the delivery critical
-  /// path): bit c is set iff some command classifies as class c, bit 63
-  /// (ConflictClassMap::kUnclassifiedBit) iff some command matches no rule;
-  /// plus the map's fingerprint. Idempotent; a null map leaves the stamp
-  /// untouched.
-  void stamp(const std::shared_ptr<const ConflictClassMap>& class_map);
-
-  /// Touched-class bitmask and the fingerprint of the map it was computed
-  /// under (0 = never stamped). The EarlyScheduler recomputes
-  /// on the spot when the fingerprint differs from its configured map —
-  /// correctness never depends on proxy/replica agreement, only cost does.
-  std::uint64_t class_mask() const noexcept { return class_mask_; }
-  std::uint64_t class_map_fingerprint() const noexcept { return class_fp_; }
-
  private:
   std::uint64_t sequence_ = 0;
   std::uint64_t proxy_id_ = 0;
@@ -92,17 +76,9 @@ class Batch {
   std::vector<Command> commands_;
   util::KeyBloom bloom_;
   std::vector<std::uint32_t> positions_;
-  std::uint64_t class_mask_ = 0;
-  std::uint64_t class_fp_ = 0;
 };
 
 using BatchPtr = std::shared_ptr<const Batch>;
-
-/// One-pass touched-class set of a batch (what stamp() caches).
-/// Used by the EarlyScheduler when a delivered batch carries no class
-/// stamp, or one computed under a different map.
-std::uint64_t compute_class_mask(const Batch& batch,
-                                 const ConflictClassMap& map) noexcept;
 
 /// Bitmap-based batch conflict test (paper lines 28–29): true iff the
 /// digests intersect, computed exactly as the paper's prototype does — a

@@ -71,10 +71,10 @@ std::optional<CheckpointRecord> decode_checkpoint(std::span<const std::uint8_t> 
 
 class CheckpointManager {
  public:
-  /// Scheduler quiesce hooks (Scheduler / PipelinedScheduler /
-  /// EarlyScheduler all provide this pair). `drain(S)` blocks until the
-  /// delivered prefix <= S has fully executed while newer batches are held
-  /// back; `release()` resumes them.
+  /// Scheduler quiesce hooks (core::Scheduler's drain_to_sequence /
+  /// release_barrier pair). `drain(S)` blocks until the delivered prefix
+  /// <= S has fully executed while newer batches are held back;
+  /// `release()` resumes them.
   struct Barrier {
     std::function<void(std::uint64_t)> drain;
     std::function<void()> release;

@@ -192,8 +192,8 @@ TEST_P(ChaosTest, ScriptedFaultTimelineKeepsReplicasIdenticalAndExactlyOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest, ::testing::Values(3u, 11u, 29u),
-                         [](const auto& info) {
-                           return "seed_" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "seed_" + std::to_string(param_info.param);
                          });
 
 TEST(ChaosRecovery, CircuitRecoversAfterFaultsStopInjecting) {

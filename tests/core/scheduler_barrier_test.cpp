@@ -1,5 +1,5 @@
-// Quiesce-at-sequence barrier (DESIGN.md §12) across all three scheduler
-// variants: drain_to_sequence(S) must return with EXACTLY the delivered
+// Quiesce-at-sequence barrier (DESIGN.md §12) of the Scheduler:
+// drain_to_sequence(S) must return with EXACTLY the delivered
 // prefix <= S executed, hold back everything newer (including batches
 // delivered while armed — ingest keeps flowing), and release_barrier must
 // resume the held-back suffix without losing or reordering work.
@@ -11,8 +11,6 @@
 #include <set>
 #include <vector>
 
-#include "core/early_scheduler.hpp"
-#include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
 
 namespace psmr::core {
@@ -32,13 +30,19 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys) {
   return b;
 }
 
-/// Shared harness: deliver 1..10, drain at 10, deliver 11..20 while armed,
-/// verify the executed set is exactly {1..10}, release, verify {1..20}.
-template <typename S>
-void run_barrier_holds_suffix(SchedulerOptions cfg) {
+SchedulerOptions base_options(unsigned workers) {
+  SchedulerOptions cfg;
+  cfg.workers = workers;
+  return cfg;
+}
+
+// Deliver 1..10, drain at 10, deliver 11..20 while armed,
+// verify the executed set is exactly {1..10}, release, verify {1..20}.
+TEST(SchedulerBarrier, HoldsSuffixMonitor) {
+  const SchedulerOptions cfg = base_options(4);
   std::mutex mu;
   std::set<std::uint64_t> executed;
-  S s(cfg, [&](const smr::Batch& b) {
+  Scheduler s(cfg, [&](const smr::Batch& b) {
     std::lock_guard lk(mu);
     executed.insert(b.sequence());
   });
@@ -73,13 +77,13 @@ void run_barrier_holds_suffix(SchedulerOptions cfg) {
   s.stop();
 }
 
-/// Drain on an already-executed prefix must return immediately (the
-/// trigger sequence may have finished before the barrier armed).
-template <typename S>
-void run_barrier_already_quiesced(SchedulerOptions cfg) {
+// Drain on an already-executed prefix must return immediately (the
+// trigger sequence may have finished before the barrier armed).
+TEST(SchedulerBarrier, AlreadyQuiescedMonitor) {
+  const SchedulerOptions cfg = base_options(2);
   std::mutex mu;
   std::set<std::uint64_t> executed;
-  S s(cfg, [&](const smr::Batch& b) {
+  Scheduler s(cfg, [&](const smr::Batch& b) {
     std::lock_guard lk(mu);
     executed.insert(b.sequence());
   });
@@ -98,12 +102,12 @@ void run_barrier_already_quiesced(SchedulerOptions cfg) {
   s.stop();
 }
 
-/// Back-to-back barriers — the steady-state checkpoint cadence.
-template <typename S>
-void run_repeated_barriers(SchedulerOptions cfg) {
+// Back-to-back barriers — the steady-state checkpoint cadence.
+TEST(SchedulerBarrier, RepeatedBarriersMonitor) {
+  const SchedulerOptions cfg = base_options(4);
   std::mutex mu;
   std::set<std::uint64_t> executed;
-  S s(cfg, [&](const smr::Batch& b) {
+  Scheduler s(cfg, [&](const smr::Batch& b) {
     std::lock_guard lk(mu);
     executed.insert(b.sequence());
   });
@@ -124,48 +128,6 @@ void run_repeated_barriers(SchedulerOptions cfg) {
   s.stop();
   std::lock_guard lk(mu);
   EXPECT_EQ(executed.size(), 40u);
-}
-
-SchedulerOptions base_options(unsigned workers) {
-  SchedulerOptions cfg;
-  cfg.workers = workers;
-  return cfg;
-}
-
-TEST(SchedulerBarrier, HoldsSuffixMonitor) {
-  run_barrier_holds_suffix<Scheduler>(base_options(4));
-}
-
-TEST(SchedulerBarrier, HoldsSuffixPipelined) {
-  run_barrier_holds_suffix<PipelinedScheduler>(base_options(4));
-}
-
-TEST(SchedulerBarrier, HoldsSuffixEarly) {
-  run_barrier_holds_suffix<EarlyScheduler>(base_options(4));
-}
-
-TEST(SchedulerBarrier, AlreadyQuiescedMonitor) {
-  run_barrier_already_quiesced<Scheduler>(base_options(2));
-}
-
-TEST(SchedulerBarrier, AlreadyQuiescedPipelined) {
-  run_barrier_already_quiesced<PipelinedScheduler>(base_options(2));
-}
-
-TEST(SchedulerBarrier, AlreadyQuiescedEarly) {
-  run_barrier_already_quiesced<EarlyScheduler>(base_options(2));
-}
-
-TEST(SchedulerBarrier, RepeatedBarriersMonitor) {
-  run_repeated_barriers<Scheduler>(base_options(4));
-}
-
-TEST(SchedulerBarrier, RepeatedBarriersPipelined) {
-  run_repeated_barriers<PipelinedScheduler>(base_options(4));
-}
-
-TEST(SchedulerBarrier, RepeatedBarriersEarly) {
-  run_repeated_barriers<EarlyScheduler>(base_options(4));
 }
 
 TEST(SchedulerBarrier, BarrierMetricCounts) {

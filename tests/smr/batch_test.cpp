@@ -127,47 +127,6 @@ TEST(Batch, BuildBitmapIsIdempotent) {
   EXPECT_EQ(b.bloom().bitmap(), first);
 }
 
-TEST(BatchStamp, MatchesLegacyBuildersOnRandomBatches) {
-  // Parity contract: stamp() must compute exactly the per-command
-  // reference — one bit per touched class, kUnclassifiedBit for a command
-  // no rule matches — for any command mix (classified, unclassified,
-  // reads).
-  util::Xoshiro256 rng(911);
-  auto map = std::make_shared<ConflictClassMap>();
-  map->add_range(0, 31, 0);
-  map->add_range(32, 63, 1);
-  map->add_range(64, 95, 2);  // keys >= 96 stay unclassified
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<Command> cmds;
-    std::uint64_t expected = 0;
-    const std::size_t n = 1 + rng.next_below(20);
-    for (std::size_t i = 0; i < n; ++i) {
-      Command c = update(rng.next_below(128));
-      if (rng.next_bool(0.3)) c.type = OpType::kRead;
-      const std::uint32_t cls = map->class_of(c);
-      expected |= cls == ConflictClassMap::kUnclassified
-                      ? ConflictClassMap::kUnclassifiedBit
-                      : std::uint64_t{1} << cls;
-      cmds.push_back(c);
-    }
-    Batch b{std::move(cmds)};
-    b.stamp(map);
-    EXPECT_EQ(b.class_mask(), expected);
-    EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());
-  }
-}
-
-TEST(BatchStamp, NullMapLeavesExistingStampUntouched) {
-  auto map = std::make_shared<ConflictClassMap>();
-  map->add_range(0, 99, 0);
-  Batch b({update(5), update(80)});
-  b.stamp(map);
-  const std::uint64_t cmask = b.class_mask();
-  b.stamp(nullptr);  // no-op
-  EXPECT_EQ(b.class_mask(), cmask);
-  EXPECT_EQ(b.class_map_fingerprint(), map->fingerprint());
-}
-
 TEST(Batch, EmptyBatchBitmapIsEmpty) {
   BitmapConfig cfg;
   cfg.bits = 1024;
