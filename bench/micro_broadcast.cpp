@@ -1,6 +1,6 @@
 // Atomic-broadcast substrate comparison: the in-process LocalBroadcast
-// reference vs the full Multi-Paxos stack vs the ring-dissemination variant
-// (§VI context: the paper used Ring Paxos as its transport; our figure
+// reference vs the full Multi-Paxos stack (§VI context: the paper used Ring
+// Paxos as its transport and Multi-Paxos stands in for it here; our figure
 // benches use the local orderer so the SCHEDULER is what is measured — this
 // bench quantifies what the consensus substrate itself can sustain on this
 // host, wall-clock, every role timesharing the host's CPUs).
@@ -168,15 +168,6 @@ int main(int argc, char** argv) {
       psmr::consensus::PaxosGroup group(cfg);
       const auto r = run(group, messages, payload);
       table.add_row({"Multi-Paxos (3 acceptors, fan-out)", Table::fmt_int(payload),
-                     Table::fmt(r.kmsgs_per_sec, 1), Table::fmt(r.p50_us, 1),
-                     Table::fmt(r.p99_us, 1)});
-    }
-    {
-      psmr::consensus::GroupConfig cfg;
-      cfg.ring = true;
-      psmr::consensus::PaxosGroup group(cfg);
-      const auto r = run(group, messages, payload);
-      table.add_row({"Ring Paxos variant (chained accepts)", Table::fmt_int(payload),
                      Table::fmt(r.kmsgs_per_sec, 1), Table::fmt(r.p50_us, 1),
                      Table::fmt(r.p99_us, 1)});
     }

@@ -6,17 +6,9 @@
 
 namespace psmr::consensus {
 
-Acceptor::Acceptor(PaxosNetwork& network, PaxosEndpoint* endpoint,
-                   std::vector<net::ProcessId> ring, std::size_t self_index,
-                   std::uint32_t majority)
-    : network_(network),
-      endpoint_(endpoint),
-      ring_(std::move(ring)),
-      self_index_(self_index),
-      majority_(majority) {
+Acceptor::Acceptor(PaxosNetwork& network, PaxosEndpoint* endpoint)
+    : network_(network), endpoint_(endpoint) {
   PSMR_CHECK(endpoint_ != nullptr);
-  PSMR_CHECK(self_index_ < ring_.size());
-  PSMR_CHECK(ring_[self_index_] == endpoint_->id());
 }
 
 Acceptor::~Acceptor() { stop(); }
@@ -82,21 +74,7 @@ void Acceptor::on_accept(net::ProcessId from, const Accept& msg) {
   promised_ = msg.ballot;
   accepted_[msg.instance] = PromiseEntry{msg.instance, msg.ballot, msg.request_id, msg.value};
   lk.unlock();
-
-  if (msg.ring) {
-    const std::uint32_t votes = msg.votes + 1;
-    if (votes >= majority_) {
-      // End of the chain: report the accumulated majority to the leader.
-      network_.send(endpoint_->id(), msg.ballot.node, Accepted{msg.ballot, msg.instance, votes});
-    } else {
-      Accept forward = msg;
-      forward.votes = votes;
-      const net::ProcessId next = ring_[(self_index_ + 1) % ring_.size()];
-      network_.send(endpoint_->id(), next, forward);
-    }
-  } else {
-    network_.send(endpoint_->id(), from, Accepted{msg.ballot, msg.instance, 1});
-  }
+  network_.send(endpoint_->id(), from, Accepted{msg.ballot, msg.instance});
 }
 
 }  // namespace psmr::consensus

@@ -5,19 +5,14 @@
 // accepted (vballot, value) pairs are retained for Phase 1 recovery. The
 // acceptor is passive — it only ever replies to Prepare/Accept — so crash
 // simulation is just stopping its thread (or isolating it at the network).
-//
-// Ring mode: an Accept carrying ring=true and fewer than `majority`
-// accumulated votes is forwarded to the next acceptor on the ring after
-// local acceptance; the acceptor that completes the majority reports a
-// single Accepted to the leader. This reproduces Ring Paxos's chained
-// dissemination with f+1 unicasts instead of a fan-out.
+// Each Accept is answered with one Accepted to its sender; the leader
+// counts a vote per distinct acceptor.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <thread>
-#include <vector>
 
 #include "consensus/types.hpp"
 
@@ -25,11 +20,7 @@ namespace psmr::consensus {
 
 class Acceptor {
  public:
-  /// `ring` lists all acceptor ids in ring order (used only for ring-mode
-  /// forwarding); `self_index` is this acceptor's position in it.
-  Acceptor(PaxosNetwork& network, PaxosEndpoint* endpoint,
-           std::vector<net::ProcessId> ring, std::size_t self_index,
-           std::uint32_t majority);
+  Acceptor(PaxosNetwork& network, PaxosEndpoint* endpoint);
 
   ~Acceptor();
 
@@ -51,9 +42,6 @@ class Acceptor {
 
   PaxosNetwork& network_;
   PaxosEndpoint* endpoint_;
-  std::vector<net::ProcessId> ring_;
-  std::size_t self_index_;
-  std::uint32_t majority_;
 
   mutable std::mutex mu_;
   Ballot promised_;

@@ -14,7 +14,6 @@ PaxosGroup::PaxosGroup(GroupConfig config)
       backpressure_waits_counter_(&metrics_->counter("consensus.backpressure_waits")) {
   PSMR_CHECK(config_.acceptors >= 1);
   PSMR_CHECK(config_.proposers >= 1);
-  PSMR_CHECK(config_.proposer_window >= 1);
   metrics_->gauge("consensus.acceptors").set(static_cast<double>(config_.acceptors));
   metrics_->gauge("consensus.proposers").set(static_cast<double>(config_.proposers));
   metrics_->gauge("consensus.unacked").set(0.0);
@@ -44,12 +43,9 @@ void PaxosGroup::start() {
     learner_ids.push_back(learner_id(i));
   }
 
-  const std::uint32_t majority = static_cast<std::uint32_t>(config_.acceptors / 2 + 1);
-
   for (unsigned i = 0; i < config_.acceptors; ++i) {
     auto* ep = network_->register_process(acceptor_id(i));
-    acceptor_roles_.push_back(
-        std::make_unique<Acceptor>(*network_, ep, acceptor_ids, i, majority));
+    acceptor_roles_.push_back(std::make_unique<Acceptor>(*network_, ep));
   }
   for (unsigned i = 0; i < config_.proposers; ++i) {
     auto* ep = network_->register_process(proposer_id(i));
@@ -57,12 +53,10 @@ void PaxosGroup::start() {
     pcfg.proposers = proposer_ids;
     pcfg.acceptors = acceptor_ids;
     pcfg.learners = learner_ids;
-    pcfg.ring = config_.ring;
     pcfg.client = kClientId;
     pcfg.heartbeat_interval = config_.heartbeat_interval;
     pcfg.election_timeout = config_.election_timeout;
     pcfg.retransmit_timeout = config_.retransmit_timeout;
-    pcfg.window = config_.proposer_window;
     pcfg.seed = config_.seed;
     proposer_roles_.push_back(std::make_unique<Proposer>(*network_, ep, pcfg));
   }

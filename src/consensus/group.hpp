@@ -4,11 +4,11 @@
 // with agreement, total order, and integrity. Implementations:
 //   * LocalBroadcast — an in-process sequencer; the zero-overhead reference
 //     (useful to isolate the consensus stack's cost in benches).
-//   * PaxosGroup — a full deployment over the simulated network: A
-//     acceptors, P proposers, L learners, Multi-Paxos or ring mode, with
-//     crash/partition injection for tests and examples. f = (A-1)/2
-//     acceptor crashes are tolerated; any minority of proposers may crash
-//     (a standby takes over via election).
+//   * PaxosGroup — a full Multi-Paxos deployment over the simulated
+//     network: A acceptors, P proposers, L learners, with crash/partition
+//     injection for tests and examples. f = (A-1)/2 acceptor crashes are
+//     tolerated; any minority of proposers may crash (a standby takes over
+//     via election).
 #pragma once
 
 #include <atomic>
@@ -71,16 +71,11 @@ class LocalBroadcast final : public AtomicBroadcast {
 struct GroupConfig {
   unsigned acceptors = 3;  // n = 2f+1
   unsigned proposers = 2;  // leader + standby
-  bool ring = false;       // ring-mode Phase 2 (simplified Ring Paxos)
   std::uint64_t seed = 1;
   net::LinkConfig default_link{};  // fault injection for every link
   std::chrono::milliseconds heartbeat_interval{30};
   std::chrono::milliseconds election_timeout{150};
   std::chrono::milliseconds retransmit_timeout{60};
-  /// Phase-2 pipelining window per proposer (maximum undecided instances in
-  /// flight — ProposerConfig::window). Bounds the proposer's memory and the
-  /// burst it can dump on the acceptors.
-  std::size_t proposer_window = 128;
   /// Cap on the client-side retransmit buffer (requests broadcast but not
   /// yet observed decided). When full, broadcast() BLOCKS until decisions
   /// drain — consensus applies backpressure to its caller instead of
@@ -137,13 +132,9 @@ class PaxosGroup final : public AtomicBroadcast {
   /// Network access for custom fault plans.
   PaxosNetwork& network() { return *network_; }
 
-  /// Process ids of the group's roles — lets scripted fault schedules cut
-  /// or degrade specific links through network() without knowing the id
-  /// layout.
-  net::ProcessId proposer_process(unsigned i) const { return proposer_id(i); }
+  /// Process id of acceptor `i` — lets scripted fault schedules cut or
+  /// degrade its links through network() without knowing the id layout.
   net::ProcessId acceptor_process(unsigned i) const { return acceptor_id(i); }
-  net::ProcessId learner_process(unsigned i) const { return learner_id(i); }
-  net::ProcessId client_process() const { return kClientId; }
   /// Id space reserved for state-transfer endpoints (checkpoint servers and
   /// rejoin clients register these themselves through network()).
   net::ProcessId state_process(unsigned i) const { return 400 + i; }

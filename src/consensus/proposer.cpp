@@ -43,11 +43,6 @@ void Proposer::truncate_decided_below(InstanceId instance) {
   decided_.erase(decided_.begin(), decided_.lower_bound(instance));
 }
 
-std::size_t Proposer::retained_decided() const {
-  std::lock_guard lk(mu_);
-  return decided_.size();
-}
-
 void Proposer::run() {
   {
     std::lock_guard lk(mu_);
@@ -168,7 +163,6 @@ void Proposer::become_leader() {
     flight.request_id = entry.request_id;
     flight.value = entry.value;
     flight.votes.clear();
-    flight.ring_votes = 0;
     send_accept_locked(instance);
   }
   recovered_.clear();
@@ -191,7 +185,7 @@ void Proposer::become_leader() {
 
 void Proposer::flush_pending_locked() {
   for (auto it = pending_requests_.begin();
-       it != pending_requests_.end() && in_flight_.size() < config_.window;) {
+       it != pending_requests_.end() && in_flight_.size() < kProposerWindow;) {
     if (proposed_or_decided_.contains(it->first)) {
       it = pending_requests_.erase(it);
       continue;
@@ -213,17 +207,8 @@ void Proposer::propose_locked(std::uint64_t request_id, Value value) {
 void Proposer::send_accept_locked(InstanceId instance) {
   auto& flight = in_flight_[instance];
   flight.last_send = Clock::now();
-  Accept accept{ballot_, instance, flight.request_id, flight.value, 0, config_.ring};
-  if (config_.ring) {
-    // Chain the Accept around the acceptor ring starting at the successor
-    // of... the ring is anchored at acceptor 0 for simplicity; the chain
-    // accumulates votes and the majority-completing acceptor reports back.
-    network_.send(endpoint_->id(), config_.acceptors.front(), accept);
-  } else {
-    for (net::ProcessId a : config_.acceptors) {
-      network_.send(endpoint_->id(), a, accept);
-    }
-  }
+  const Accept accept{ballot_, instance, flight.request_id, flight.value};
+  for (net::ProcessId a : config_.acceptors) network_.send(endpoint_->id(), a, accept);
 }
 
 void Proposer::on_accepted(net::ProcessId from, const Accepted& msg) {
@@ -231,13 +216,8 @@ void Proposer::on_accepted(net::ProcessId from, const Accepted& msg) {
   if (role_ != Role::kLeader || msg.ballot != ballot_) return;
   auto it = in_flight_.find(msg.instance);
   if (it == in_flight_.end()) return;  // already decided
-  if (config_.ring) {
-    it->second.ring_votes = std::max(it->second.ring_votes, msg.votes);
-    if (it->second.ring_votes >= majority()) decide_locked(msg.instance);
-  } else {
-    it->second.votes.insert(from);
-    if (it->second.votes.size() >= majority()) decide_locked(msg.instance);
-  }
+  it->second.votes.insert(from);
+  if (it->second.votes.size() >= majority()) decide_locked(msg.instance);
 }
 
 void Proposer::decide_locked(InstanceId instance) {

@@ -31,18 +31,20 @@
 
 namespace psmr::consensus {
 
+/// Maximum undecided instances a leader keeps in flight (the Phase 2
+/// pipelining window). Bounds the proposer's memory and the burst it can
+/// dump on the acceptors.
+inline constexpr std::size_t kProposerWindow = 128;
+
 struct ProposerConfig {
   std::vector<net::ProcessId> proposers;  // all proposer ids, sorted
-  std::vector<net::ProcessId> acceptors;  // ring order
+  std::vector<net::ProcessId> acceptors;
   std::vector<net::ProcessId> learners;
   net::ProcessId client = 0;  // 0 = no client acks
-  bool ring = false;  // ring-mode Phase 2 dissemination
   std::chrono::milliseconds heartbeat_interval{30};
   std::chrono::milliseconds election_timeout{150};
   std::chrono::milliseconds retransmit_timeout{60};
   std::uint64_t seed = 1;
-  /// Maximum undecided instances in flight (Phase 2 pipelining window).
-  std::size_t window = 128;
 };
 
 class Proposer {
@@ -72,9 +74,6 @@ class Proposer {
   /// durable); learners that later ask for truncated instances cannot be
   /// served from this proposer and must recover via snapshot instead.
   void truncate_decided_below(InstanceId instance);
-
-  /// Number of decided values currently retained (diagnostics/GC tests).
-  std::size_t retained_decided() const;
 
  private:
   enum class Role { kFollower, kCandidate, kLeader };
@@ -118,8 +117,7 @@ class Proposer {
   struct InFlight {
     std::uint64_t request_id = 0;  // 0 = no-op
     Value value;
-    std::unordered_set<net::ProcessId> votes;
-    std::uint32_t ring_votes = 0;
+    std::unordered_set<net::ProcessId> votes;  // acceptors that accepted
     std::chrono::steady_clock::time_point last_send{};
   };
   std::map<InstanceId, InFlight> in_flight_;

@@ -1,11 +1,11 @@
 // Message and state types for the consensus substrate.
 //
 // The paper's prototype obtained its total order from Ring Paxos
-// (URingPaxos). We implement Multi-Paxos over the simulated network of
-// src/net, with an optional ring dissemination mode for Phase 2 (a
-// simplified Ring Paxos: Accepts chain through f+1 acceptors instead of
-// fanning out). Values are opaque byte payloads; every message that carries
-// one also carries its request id, the dedup key across leader failovers.
+// (URingPaxos). Multi-Paxos over the simulated network of src/net stands
+// in for it: the leader fans each Accept out to every acceptor, and each
+// acceptor answers the leader directly. Values are opaque byte payloads;
+// every message that carries one also carries its request id, the dedup
+// key across leader failovers.
 // The payload buffer itself is never copied on the way through: the
 // proposer, acceptors, learners and the caller's delivery stream all hold
 // the one buffer the client broadcast.
@@ -67,23 +67,19 @@ struct Promise {
   std::vector<PromiseEntry> accepted;
 };
 
-/// Phase 2a. In ring mode the Accept chains through acceptors accumulating
-/// `votes`; in fan-out mode votes stays 0 and each acceptor replies
-/// directly to the leader.
+/// Phase 2a, sent by the leader to every acceptor.
 struct Accept {
   Ballot ballot;
   InstanceId instance = 0;
   std::uint64_t request_id = 0;
   Value value;
-  std::uint32_t votes = 0;
-  bool ring = false;
 };
 
-/// Phase 2b (fan-out mode) or end-of-chain report (ring mode).
+/// Phase 2b, sent by an acceptor to the leader. The leader counts one vote
+/// per distinct sender.
 struct Accepted {
   Ballot ballot;
   InstanceId instance = 0;
-  std::uint32_t votes = 1;  // ring mode: accumulated count
 };
 
 /// Rejection carrying the currently promised ballot so the proposer can

@@ -263,7 +263,6 @@ void DependencyGraph::insert(Prepared&& probe) {
     ready_.emplace(node.seq, &node);
     if (tracer_ != nullptr) tracer_->record(node.seq, obs::Stage::kReady);
   }
-  ++inserted_;
 }
 
 DependencyGraph::Node* DependencyGraph::take_oldest_free() {
@@ -317,7 +316,6 @@ std::size_t DependencyGraph::remove(Node* node) {
   const std::uint64_t seq = node->seq;
   release_node(node);  // line 42
   if (tracer_ != nullptr) tracer_->record(seq, obs::Stage::kRemoved);
-  ++removed_;
   return freed;
 }
 
@@ -336,7 +334,6 @@ void DependencyGraph::remove_newest() {
   const std::uint64_t seq = last.seq;
   release_node(&last);
   if (tracer_ != nullptr) tracer_->record(seq, obs::Stage::kRemoved);
-  ++removed_;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> DependencyGraph::edges() const {

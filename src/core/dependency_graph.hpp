@@ -196,18 +196,13 @@ class DependencyGraph {
   const ConflictStats& conflict_stats() const noexcept { return detector_.stats(); }
   ConflictMode mode() const noexcept { return detector_.mode(); }
 
-  /// Configured index mode and whether the index is currently maintained
-  /// (kAuto scans small graphs).
-  IndexMode index_mode() const noexcept { return index_mode_; }
+  /// Whether the index is currently maintained (kAuto scans small graphs).
   bool index_active() const noexcept { return index_active_; }
   const IndexStats& index_stats() const noexcept { return index_stats_; }
 
   /// Average graph size observed at insertion time — the quantity the paper
   /// reports per configuration (§VII-D) and feeds into Table I.
   const stats::RunningStat& size_at_insert() const noexcept { return size_at_insert_; }
-
-  std::uint64_t batches_inserted() const noexcept { return inserted_; }
-  std::uint64_t batches_removed() const noexcept { return removed_; }
 
   /// Bench/test support: removes the most recently inserted batch whatever
   /// its state (free, blocked by predecessors, or taken), detaching any
@@ -263,8 +258,6 @@ class DependencyGraph {
   std::size_t num_edges_ = 0;
   std::size_t num_taken_ = 0;
   std::uint64_t last_seq_ = 0;
-  std::uint64_t inserted_ = 0;
-  std::uint64_t removed_ = 0;
   stats::RunningStat size_at_insert_;
 
   // Inverted index: aggregate bitmap (OR of all resident batches' positions,

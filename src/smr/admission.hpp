@@ -69,8 +69,8 @@ class AdmissionController {
   /// All-or-nothing: a partially admittable request is fully rejected.
   Decision try_admit(std::uint64_t principal, std::uint64_t commands);
 
-  /// Returns credits once the request completed (or was abandoned). Must
-  /// mirror a successful try_admit exactly once.
+  /// Returns credits once the request completed, or its sender stopped
+  /// waiting for it. Must mirror a successful try_admit exactly once.
   void release(std::uint64_t principal, std::uint64_t commands);
 
   std::uint64_t inflight() const;

@@ -19,8 +19,6 @@ Proxy::Proxy(Config config, CommandSource source, BroadcastFn broadcast)
                                             ".batches_completed")),
       retransmits_(&metrics_->counter("proxy." + std::to_string(config.proxy_id) +
                                       ".retransmits")),
-      batches_abandoned_(&metrics_->counter("proxy." + std::to_string(config.proxy_id) +
-                                            ".batches_abandoned")),
       admission_rejections_(&metrics_->counter(
           "proxy." + std::to_string(config.proxy_id) + ".admission_rejections")),
       latency_(&metrics_->histogram("proxy." + std::to_string(config.proxy_id) +
@@ -140,7 +138,6 @@ void Proxy::run_loop() {
     auto backoff = std::chrono::duration_cast<std::chrono::nanoseconds>(retry.initial);
     unsigned attempt = 1;
     bool completed = false;
-    bool abandoned = false;
     lk.lock();
     for (;;) {
       // Wait for the first reply to every command in the batch (§VI) — but
@@ -153,11 +150,6 @@ void Proxy::run_loop() {
         break;
       }
       if (stop_) break;  // stopped mid-round; don't count it
-      if (retry.max_attempts != 0 && attempt >= retry.max_attempts) {
-        outstanding_.clear();
-        abandoned = true;
-        break;
-      }
       ++attempt;
       retransmits_->add(1);
       lk.unlock();
@@ -179,11 +171,9 @@ void Proxy::run_loop() {
       commands_completed_->add(batch.size());
       batches_completed_->add(1);
       lk.lock();
-    } else if (abandoned) {
-      batches_abandoned_->add(1);
     }
-    // Credits return on every exit from the round (completed, abandoned, or
-    // stopped mid-flight) — exactly once per successful try_admit.
+    // Credits return on every exit from the round (completed or stopped
+    // mid-flight) — exactly once per successful try_admit.
     if (holds_credits) config_.admission.controller->release(config_.proxy_id, n_admit);
     // stop_ is re-checked by the while condition (still under mu_).
   }

@@ -44,14 +44,10 @@ struct RetryConfig {
   std::chrono::milliseconds initial{250};
   /// Backoff cap.
   std::chrono::milliseconds max{2000};
-  /// Backoff growth per retransmission.
+  /// Backoff growth per retransmission. A batch is retransmitted until it
+  /// completes: the fair-lossy guarantee makes completion certain as long
+  /// as the service is live.
   double multiplier = 2.0;
-  /// Total send attempts per batch (first send included). When exhausted
-  /// the batch is ABANDONED: outstanding commands are dropped, the batch
-  /// counts into batches_abandoned(), and the loop moves on. 0 = retry
-  /// forever (the fair-lossy guarantee makes eventual completion certain
-  /// as long as the service is live).
-  unsigned max_attempts = 0;
   /// Uniform random extra delay in [0, jitter * backoff], drawn from a
   /// proxy-seeded RNG (deterministic per proxy id) — de-synchronizes
   /// retransmission storms across proxies.
@@ -93,7 +89,7 @@ class Proxy {
   /// Pre-order admission control.
   struct AdmissionConfig {
     /// When set, every round acquires credits BEFORE broadcast and
-    /// releases them when the round completes (or is abandoned). A
+    /// releases them when the round completes (or the proxy stops). A
     /// rejected acquisition = the server's kOverloaded answer; the proxy
     /// backs off per reliability.honor_retry_after and tries again —
     /// nothing sheds after the order (DESIGN.md §14). Shared across
@@ -140,10 +136,6 @@ class Proxy {
   }
   /// Batches re-broadcast after a response deadline expired.
   std::uint64_t retransmits() const noexcept { return retransmits_->value(); }
-  /// Batches given up on after RetryConfig::max_attempts sends.
-  std::uint64_t batches_abandoned() const noexcept {
-    return batches_abandoned_->value();
-  }
   /// Admission rejections observed (each is one kOverloaded answer; a batch
   /// may collect several before finally being admitted).
   std::uint64_t admission_rejections() const noexcept {
@@ -193,7 +185,6 @@ class Proxy {
   obs::Counter* commands_completed_;
   obs::Counter* batches_completed_;
   obs::Counter* retransmits_;
-  obs::Counter* batches_abandoned_;
   obs::Counter* admission_rejections_;
   obs::HistogramMetric* latency_;
   obs::HistogramMetric* admission_wait_ns_;

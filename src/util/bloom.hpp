@@ -60,7 +60,6 @@ class KeyBloom {
   void clear() { bitmap_.clear(); }
 
   std::size_t size_bits() const noexcept { return bitmap_.size_bits(); }
-  unsigned num_hashes() const noexcept { return hashes_; }
   std::uint64_t seed() const noexcept { return seed_; }
   std::size_t bits_set() const noexcept { return bitmap_.count(); }
   const Bitmap& bitmap() const noexcept { return bitmap_; }

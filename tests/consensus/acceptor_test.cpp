@@ -20,7 +20,7 @@ struct AcceptorFixture : ::testing::Test {
   PaxosNetwork net;
   PaxosEndpoint* me = net.register_process(1);        // plays the proposer
   PaxosEndpoint* acceptor_ep = net.register_process(200);
-  Acceptor acceptor{net, acceptor_ep, {200}, 0, /*majority=*/1};
+  Acceptor acceptor{net, acceptor_ep};
 
   void SetUp() override { acceptor.start(); }
   void TearDown() override {
@@ -66,7 +66,7 @@ TEST_F(AcceptorFixture, NacksLowerPrepare) {
 TEST_F(AcceptorFixture, AcceptsAtOrAbovePromise) {
   send(Prepare{Ballot{3, 1}, 1});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{3, 1}, /*instance=*/7, /*request_id=*/1, bytes(0xAB), 0, false});
+  send(Accept{Ballot{3, 1}, /*instance=*/7, /*request_id=*/1, bytes(0xAB)});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   const auto* accepted = std::get_if<Accepted>(&*m);
@@ -78,7 +78,7 @@ TEST_F(AcceptorFixture, AcceptsAtOrAbovePromise) {
 TEST_F(AcceptorFixture, RejectsAcceptBelowPromise) {
   send(Prepare{Ballot{9, 1}, 1});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{4, 1}, 1, /*request_id=*/1, bytes(0x01), 0, false});
+  send(Accept{Ballot{4, 1}, 1, /*request_id=*/1, bytes(0x01)});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   EXPECT_NE(std::get_if<Nack>(&*m), nullptr);
@@ -88,7 +88,7 @@ TEST_F(AcceptorFixture, RejectsAcceptBelowPromise) {
 TEST_F(AcceptorFixture, AcceptWithoutPriorPrepareRaisesPromise) {
   // Multi-Paxos steady state: the leader skips Phase 1 for new instances;
   // an Accept at a ballot >= promised both accepts and raises the promise.
-  send(Accept{Ballot{2, 1}, 3, /*request_id=*/1, bytes(0x02), 0, false});
+  send(Accept{Ballot{2, 1}, 3, /*request_id=*/1, bytes(0x02)});
   auto m = recv();
   ASSERT_TRUE(m.has_value());
   EXPECT_NE(std::get_if<Accepted>(&*m), nullptr);
@@ -98,9 +98,9 @@ TEST_F(AcceptorFixture, AcceptWithoutPriorPrepareRaisesPromise) {
 TEST_F(AcceptorFixture, PromiseReportsAcceptedEntriesFromFirstInstance) {
   // Accept values at instances 2 and 5 under ballot 1; a Prepare at ballot
   // 2 with first_instance=3 must report ONLY instance 5.
-  send(Accept{Ballot{1, 1}, 2, /*request_id=*/22, bytes(0x22), 0, false});
+  send(Accept{Ballot{1, 1}, 2, /*request_id=*/22, bytes(0x22)});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{1, 1}, 5, /*request_id=*/55, bytes(0x55), 0, false});
+  send(Accept{Ballot{1, 1}, 5, /*request_id=*/55, bytes(0x55)});
   ASSERT_TRUE(recv().has_value());
 
   send(Prepare{Ballot{2, 1}, /*first_instance=*/3});
@@ -117,9 +117,9 @@ TEST_F(AcceptorFixture, PromiseReportsAcceptedEntriesFromFirstInstance) {
 }
 
 TEST_F(AcceptorFixture, ReacceptUnderHigherBallotOverwrites) {
-  send(Accept{Ballot{1, 1}, 4, /*request_id=*/1, bytes(0x01), 0, false});
+  send(Accept{Ballot{1, 1}, 4, /*request_id=*/1, bytes(0x01)});
   ASSERT_TRUE(recv().has_value());
-  send(Accept{Ballot{3, 1}, 4, /*request_id=*/2, bytes(0x02), 0, false});
+  send(Accept{Ballot{3, 1}, 4, /*request_id=*/2, bytes(0x02)});
   ASSERT_TRUE(recv().has_value());
   send(Prepare{Ballot{4, 1}, 1});
   auto m = recv();
@@ -129,40 +129,6 @@ TEST_F(AcceptorFixture, ReacceptUnderHigherBallotOverwrites) {
   EXPECT_EQ(promise->accepted[0].vballot, (Ballot{3, 1}));
   EXPECT_EQ(promise->accepted[0].request_id, 2u);
   EXPECT_EQ(promise->accepted[0].value->at(0), 0x02);
-}
-
-TEST(AcceptorRing, ChainsAcceptUntilMajorityThenReportsToLeader) {
-  PaxosNetwork net;
-  auto* leader = net.register_process(7);  // ballot.node == 7
-  auto* a0 = net.register_process(200);
-  auto* a1 = net.register_process(201);
-  auto* a2 = net.register_process(202);
-  const std::vector<net::ProcessId> ring = {200, 201, 202};
-  Acceptor acc0(net, a0, ring, 0, 2), acc1(net, a1, ring, 1, 2), acc2(net, a2, ring, 2, 2);
-  acc0.start();
-  acc1.start();
-  acc2.start();
-
-  Accept accept{Ballot{1, 7}, 1, /*request_id=*/11,
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    std::vector<std::uint8_t>{0x11}),
-                0, /*ring=*/true};
-  net.send(7, 200, Message{accept});
-
-  auto env = leader->recv_for(std::chrono::milliseconds(2000));
-  ASSERT_TRUE(env.has_value());
-  const auto* accepted = std::get_if<Accepted>(&env->msg);
-  ASSERT_NE(accepted, nullptr);
-  EXPECT_EQ(accepted->votes, 2u);  // chained through exactly a majority
-  // Only the first two acceptors participated; the third never saw it.
-  EXPECT_EQ(acc0.accepted_count(), 1u);
-  EXPECT_EQ(acc1.accepted_count(), 1u);
-  EXPECT_EQ(acc2.accepted_count(), 0u);
-
-  acc0.stop();
-  acc1.stop();
-  acc2.stop();
-  net.shutdown();
 }
 
 }  // namespace

@@ -288,36 +288,6 @@ TEST(PaxosGroup, LiveUnderDuplicationAndDelay) {
   group.stop();
 }
 
-TEST(PaxosGroup, RingModeDeliversTotalOrder) {
-  GroupConfig cfg;
-  cfg.ring = true;
-  PaxosGroup group(cfg);
-  Sink a, b;
-  group.subscribe(a.fn());
-  group.subscribe(b.fn());
-  group.start();
-  for (std::uint64_t i = 1; i <= 100; ++i) group.broadcast(payload_of(i));
-  ASSERT_TRUE(eventually([&] { return a.size() >= 100 && b.size() >= 100; }, 10000ms));
-  EXPECT_EQ(a.snapshot(), b.snapshot());
-  std::set<std::uint64_t> values;
-  for (const auto& [seq, v] : a.snapshot()) values.insert(v);
-  EXPECT_EQ(values.size(), 100u);
-  group.stop();
-}
-
-TEST(PaxosGroup, RingModeSurvivesLoss) {
-  GroupConfig cfg;
-  cfg.ring = true;
-  cfg.default_link.drop_probability = 0.05;
-  PaxosGroup group(cfg);
-  Sink sink;
-  group.subscribe(sink.fn());
-  group.start();
-  for (std::uint64_t i = 1; i <= 30; ++i) group.broadcast(payload_of(i));
-  ASSERT_TRUE(eventually([&] { return sink.size() >= 30; }, 20000ms));
-  group.stop();
-}
-
 TEST(PaxosGroup, MinorityPartitionMakesNoProgress) {
   // Safety under partition: a leader cut off from all acceptors cannot
   // decide anything; healing the partition resumes progress with no loss.

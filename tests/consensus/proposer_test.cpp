@@ -71,7 +71,7 @@ struct ProposerFixture : ::testing::Test {
             accepts_seen.push_back(*accept);
             if (reply_accepts) {
               net.send(ep->id(), 100,
-                       Message{Accepted{accept->ballot, accept->instance, 1}});
+                       Message{Accepted{accept->ballot, accept->instance}});
             }
           }
         }
@@ -123,6 +123,34 @@ TEST_F(ProposerFixture, RetransmitsAcceptUntilQuorum) {
   EXPECT_EQ(proposer->decided_count(), 0u);
   reply_accepts = true;  // now let it through
   ASSERT_TRUE(pump_until([&] { return proposer->decided_count() >= 1; }));
+}
+
+TEST_F(ProposerFixture, QuorumCountsDistinctAcceptorsNotAcceptedMessages) {
+  // A vote is defined by who sent it: one acceptor's Accepted, however often
+  // it arrives, is one of the two votes a majority of three needs.
+  start();
+  ASSERT_TRUE(pump_until([&] { return proposer->is_leader(); }));
+  net.send(1, 100, Message{ClientRequest{5, bytes_value(0x5)}});
+  const auto next_accept = [&](PaxosEndpoint* ep) -> std::optional<Accept> {
+    while (auto env = ep->recv_for(2000ms)) {
+      if (const auto* a = std::get_if<Accept>(&env->msg)) return *a;
+    }
+    return std::nullopt;
+  };
+  const auto accept = next_accept(acceptor0);
+  ASSERT_TRUE(accept.has_value());
+  for (int i = 0; i < 5; ++i) {
+    net.send(200, 100, Message{Accepted{accept->ballot, accept->instance}});
+  }
+  std::this_thread::sleep_for(200ms);  // the duplicates reach the proposer
+  EXPECT_EQ(proposer->decided_count(), 0u);
+
+  net.send(201, 100, Message{Accepted{accept->ballot, accept->instance}});
+  const auto deadline = std::chrono::steady_clock::now() + 2000ms;
+  while (proposer->decided_count() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(proposer->decided_count(), 1u);
 }
 
 TEST_F(ProposerFixture, RecoversAcceptedValuesDuringPhase1) {

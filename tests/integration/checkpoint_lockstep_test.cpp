@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -155,8 +156,9 @@ std::vector<std::vector<std::uint8_t>> sequential_frames(
     record.sequence = seq;
     record.log_horizon = seq + 1;
     auto put = [&record](std::uint64_t v) {
-      const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
-      record.state.insert(record.state.end(), b, b + sizeof(v));
+      const std::size_t n = record.state.size();
+      record.state.resize(n + sizeof(v));
+      std::memcpy(record.state.data() + n, &v, sizeof(v));
     };
     put(0x50534d524b560001ull);  // "PSMRKV" v1
     put(state.size());

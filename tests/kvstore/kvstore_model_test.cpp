@@ -35,9 +35,9 @@ using Model = std::map<smr::Key, smr::Value>;
 std::vector<std::uint8_t> reference_frame(const Model& model) {
   std::vector<std::uint8_t> out;
   auto put = [&out](std::uint64_t v) {
-    std::uint8_t b[8];
-    std::memcpy(b, &v, sizeof(v));
-    out.insert(out.end(), b, b + sizeof(b));
+    const std::size_t n = out.size();
+    out.resize(n + sizeof(v));
+    std::memcpy(out.data() + n, &v, sizeof(v));
   };
   put(0x50534d524b560001ull);  // "PSMRKV" v1
   put(model.size());

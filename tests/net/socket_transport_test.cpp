@@ -135,7 +135,7 @@ TEST(SocketTransport, IdleConnectionSendsOnTheCallersThread) {
   for (int i = 0; p.a->stats().counter("transport.write_through_frames") == 0 &&
                   std::chrono::steady_clock::now() < deadline;
        ++i) {
-    send_one("m" + std::to_string(i));
+    send_one(std::string("m").append(std::to_string(i)));
   }
   EXPECT_GE(p.a->stats().counter("transport.write_through_frames"), 1u);
   // frames_sent is bumped after bytes_sent: once it is complete, so is bytes.

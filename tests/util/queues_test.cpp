@@ -1,138 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "util/blocking_queue.hpp"
-#include "util/mpmc_queue.hpp"
-#include "util/spsc_queue.hpp"
 
 namespace psmr::util {
 namespace {
-
-// ---------------------------------------------------------------- MPMC --
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  for (int i = 0; i < 8; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpmcQueue, FullRejectsPush) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));
-  EXPECT_EQ(*q.try_pop(), 0);
-  EXPECT_TRUE(q.try_push(99));
-}
-
-TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo) {
-  MpmcQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumersConserveSum) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 20'000;
-  MpmcQueue<std::uint64_t> q(1024);
-  std::atomic<std::uint64_t> consumed_sum{0};
-  std::atomic<int> consumed_count{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t v = static_cast<std::uint64_t>(p) * kPerProducer + i;
-        while (!q.try_push(v)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (consumed_count.load() < kProducers * kPerProducer) {
-        if (auto v = q.try_pop()) {
-          consumed_sum.fetch_add(*v);
-          consumed_count.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const std::uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(consumed_count.load(), static_cast<int>(n));
-  EXPECT_EQ(consumed_sum.load(), n * (n - 1) / 2);
-}
-
-TEST(MpmcQueue, PerProducerOrderPreserved) {
-  // A single consumer must see each producer's items in that producer's
-  // push order.
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 10'000;
-  MpmcQueue<std::pair<int, int>> q(256);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (!q.try_push({p, i})) std::this_thread::yield();
-      }
-    });
-  }
-  std::vector<int> last(kProducers, -1);
-  int total = 0;
-  while (total < kProducers * kPerProducer) {
-    if (auto v = q.try_pop()) {
-      EXPECT_EQ(v->second, last[v->first] + 1);
-      last[v->first] = v->second;
-      ++total;
-    }
-  }
-  for (auto& t : producers) t.join();
-}
-
-// ---------------------------------------------------------------- SPSC --
-
-TEST(SpscQueue, FifoSingleThread) {
-  SpscQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.try_push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(*q.try_pop(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SpscQueue, FullRejects) {
-  SpscQueue<int> q(4);  // usable capacity is 3 (one slot sacrificed)
-  int pushed = 0;
-  while (q.try_push(pushed)) ++pushed;
-  EXPECT_EQ(static_cast<std::size_t>(pushed), q.capacity());
-  EXPECT_TRUE(q.try_pop().has_value());
-  EXPECT_TRUE(q.try_push(99));
-}
-
-TEST(SpscQueue, CrossThreadTransfersInOrder) {
-  SpscQueue<int> q(64);
-  constexpr int kItems = 200'000;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
-  });
-  for (int i = 0; i < kItems; ++i) {
-    std::optional<int> v;
-    while (!(v = q.try_pop())) std::this_thread::yield();
-    ASSERT_EQ(*v, i);
-  }
-  producer.join();
-}
 
 // ------------------------------------------------------------ Blocking --
 

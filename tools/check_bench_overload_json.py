@@ -18,7 +18,10 @@ Checks, per file:
     and sheds at all.
 
 Exit status 0 when every file validates; 1 otherwise, with one line per
-problem on stderr. Stdlib only — runs anywhere CI has a python3.
+problem on stderr, followed by the failing file's capacity_cmds_per_sec
+and each sweep row's multiplier, offered, shed and shed_fraction, so a
+failure can be diagnosed from the test log alone. Stdlib only — runs
+anywhere CI has a python3.
 """
 
 import json
@@ -118,6 +121,31 @@ def check_file(path, problems):
                            "highest multiplier", problems)
 
 
+def dump_summary(path):
+    """Prints to stderr the figures the checks read, whatever their shape."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return
+    if not isinstance(doc, dict):
+        return
+    print(f"{path}: capacity_cmds_per_sec = {doc.get('capacity_cmds_per_sec')!r}",
+          file=sys.stderr)
+    sweep = doc.get("sweep")
+    if not isinstance(sweep, list):
+        return
+    print(f"{path}: sweep rows (multiplier, offered, shed, shed_fraction):",
+          file=sys.stderr)
+    for i, row in enumerate(sweep):
+        if not isinstance(row, dict):
+            print(f"  [{i}] {row!r}", file=sys.stderr)
+            continue
+        fields = ", ".join(repr(row.get(k))
+                           for k in ("multiplier", "offered", "shed", "shed_fraction"))
+        print(f"  [{i}] {fields}", file=sys.stderr)
+
+
 def main(argv):
     paths = [a for a in argv[1:] if not a.startswith("--")]
     if not paths:
@@ -125,9 +153,12 @@ def main(argv):
         return 2
     problems = []
     for path in paths:
+        before = len(problems)
         check_file(path, problems)
-    for p in problems:
-        print(p, file=sys.stderr)
+        for p in problems[before:]:
+            print(p, file=sys.stderr)
+        if len(problems) > before:
+            dump_summary(path)
     if not problems:
         print(f"{len(paths)} file(s) conform to {SCHEMA}")
     return 1 if problems else 0
